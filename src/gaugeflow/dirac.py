@@ -153,16 +153,17 @@ def total_hamiltonian(leg):
                    for i, c in enumerate(leg.primary_constraints)])
 
 
-def consistency_step(c, h_total, known, pairs):
+def consistency_step(c, h_total, reducer, pairs):
     """Demand that ``c`` is preserved in time; classify the residue.
 
-    The bracket with the total Hamiltonian is reduced modulo ``known``.
+    The bracket with the total Hamiltonian is reduced by ``reducer``, a
+    :class:`WeakReducer` over the constraint set the step is tested
+    against (built once and shared by every step of a generation).
     A zero residue is an identity; a residue with a weakly nonzero
     multiplier coefficient fixes that multiplier; a multiplier-free
     nonzero constant is a contradiction; anything else is a new
     constraint, returned with leading coefficient one.
     """
-    reducer = WeakReducer([k.expr for k in known])
     residue = reducer.reduce(poisson_bracket(c.expr, h_total, pairs))
     if residue.is_zero():
         return Identity()
@@ -225,9 +226,10 @@ def run_dirac(m, leg=None):
     for generation in range(1, options.max_generations + 1):
         start = list(constraints)
         start_exprs = [c.expr for c in start]
+        reducer = WeakReducer(start_exprs)
         candidates = []
         for c in start:
-            outcome = consistency_step(c, h_total, start, pairs)
+            outcome = consistency_step(c, h_total, reducer, pairs)
             if isinstance(outcome, Identity):
                 continue
             if isinstance(outcome, Contradiction):
@@ -250,7 +252,8 @@ def run_dirac(m, leg=None):
 
         accepted = []
         if candidates:
-            points = sample_surface_points(start_exprs, phase_vars, options, rng)
+            points = sample_surface_points(start_exprs, phase_vars, options, rng,
+                                           reducer)
             bases = []
             start_grad = _gradient_rows(start_exprs, phase_vars)
             for pt in points:

@@ -17,6 +17,7 @@ total order of :class:`VarRef`.
 from __future__ import annotations
 
 import enum
+import weakref
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd as _int_gcd
@@ -47,12 +48,14 @@ class VarRef:
     itself, 1 for its velocity, ...) and is only meaningful for
     coordinates and jets.  Momenta and multipliers always carry
     ``jet_order`` 0.  VarRefs are immutable, interned per process, and
-    totally ordered by ``(base, indices, kind, jet_order)``.
+    totally ordered by ``(base, indices, kind, jet_order)``.  The intern
+    pool holds its VarRefs weakly: a variable nothing refers to any more
+    is released, and a later request for it makes a fresh one.
     """
 
-    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "_hash")
+    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "_hash", "__weakref__")
 
-    _pool: dict = {}
+    _pool = weakref.WeakValueDictionary()
 
     def __new__(cls, base, indices=(), kind=Kind.COORDINATE, jet_order=0):
         indices = tuple(int(i) for i in indices)

@@ -1,8 +1,11 @@
 """Exact linear algebra over expressions and rationals.
 
 Symbolic elimination runs fraction-free (Bareiss) so intermediate
-entries stay polynomial whenever the input is; rational-matrix routines
-are plain Gaussian elimination over ``Fraction``.
+entries stay polynomial whenever the input is.  It does no work on zero
+cells; because ``Expression`` arithmetic always lands on one canonical
+form, the cells it computes equal the dense Bareiss formula's exactly.
+Rational-matrix routines are plain Gaussian elimination over
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ def eliminate(matrix, column_order=None):
     processed in ``column_order`` (default: left to right); within a
     column the pivot is the first remaining row with a nonzero entry.
     Deterministic for a fixed input.
+
+    Each step replaces every cell below the pivot row ``top`` by
+    ``(row[c]*piv - top[c]*entry) / prev_pivot``, skipping zero work:
+    a row whose pivot-column ``entry`` is zero is left alone when
+    ``piv == prev_pivot``; otherwise only nonzero cells are scaled by
+    ``piv``, ``top[c]*entry`` is subtracted only where ``entry`` and
+    ``top[c]`` are nonzero, and only nonzero results are divided by
+    ``prev_pivot``.  Expressions are canonical, so each cell equals the
+    dense formula's value exactly.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -54,24 +66,25 @@ def eliminate(matrix, column_order=None):
         if pivot_row != level:
             rows[level], rows[pivot_row] = rows[pivot_row], rows[level]
             row_order[level], row_order[pivot_row] = row_order[pivot_row], row_order[level]
-        piv = rows[level][col]
+        top = rows[level]
+        piv = top[col]
+        support = [c for c in range(width) if not top[c].is_zero()]
         for r in range(level + 1, n):
-            entry = rows[r][col]
-            new_row = []
-            for c in range(width):
-                val = rows[r][c] * piv - rows[level][c] * entry
-                if prev_pivot is not None and not val.is_zero():
-                    val = val / prev_pivot
-                new_row.append(val)
+            row = rows[r]
+            entry = row[col]
+            if entry.is_zero() and piv == prev_pivot:
+                continue  # row * piv / prev_pivot is the row itself
+            new_row = [x if x.is_zero() else x * piv for x in row]
+            if not entry.is_zero():
+                for c in support:
+                    new_row[c] = new_row[c] - top[c] * entry
+            if prev_pivot is not None:
+                new_row = [x if x.is_zero() else x / prev_pivot for x in new_row]
             rows[r] = new_row
         pivots.append((level, col))
         prev_pivot = piv
         level += 1
     return Echelon(rows, pivots, row_order)
-
-
-def symbolic_rank(matrix):
-    return eliminate(matrix).rank
 
 
 def rational_rank(matrix):

@@ -255,17 +255,21 @@ def _solve_affine_at_point(affine, base_point, rng):
     return point
 
 
-def sample_surface_points(constraint_exprs, variables, options, rng=None):
+def sample_surface_points(constraint_exprs, variables, options, rng=None,
+                          reducer=None):
     """Deterministic exact-rational points on the constraint surface.
 
     Free variables get random rationals; momenta covered by the affine
     rules are substituted exactly, momentum-affine leftovers are solved
     per point, and any remaining constraint must vanish within
-    tolerance or the point is rejected.  Raises
-    :class:`SurfaceSamplingFailed` when not enough points survive.
+    tolerance or the point is rejected.  ``reducer``, when given, is a
+    :class:`WeakReducer` already built over ``constraint_exprs``.
+    Raises :class:`SurfaceSamplingFailed` when not enough points
+    survive.
     """
     rng = rng or random.Random(options.seed)
-    reducer = WeakReducer(constraint_exprs)
+    if reducer is None:
+        reducer = WeakReducer(constraint_exprs)
     affine = []
     hard = []
     for g in reducer.leftovers:

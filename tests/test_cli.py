@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gaugeflow.cli import main
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -108,6 +111,17 @@ class TestJson:
         b = run_cli("compare", "--builtin", "toy_gauge", "--seed", "7",
                     "--format", "json")
         assert a == b
+
+    @pytest.mark.parametrize("golden, inputs", [
+        ("maxwell_lattice_N2.json", ("--builtin", "maxwell_lattice", "-p", "N=2")),
+        ("ym_mechanics.json", ("--builtin", "ym_mechanics")),
+        ("chain_maxwell.json", (str(MODELS_DIR / "chain_maxwell.model"),)),
+    ])
+    def test_report_bytes_match_golden(self, golden, inputs):
+        # the golden files pin every byte of the gaugeflow-report/1 output
+        code, text = run_cli("compare", *inputs, "--format", "json")
+        assert code == 0
+        assert text.encode() == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_console_script_entry():

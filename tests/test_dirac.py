@@ -9,6 +9,7 @@ from gaugeflow import (
     Identity,
     MultiplierFixed,
     NewConstraint,
+    WeakReducer,
     builtin_model,
     classify,
     consistency_step,
@@ -34,6 +35,10 @@ PAIRS = ((x, x.momentum()), (y, y.momentum()))
 
 def dirac_constraint(expr, generation=0):
     return Constraint(expr, generation, "dirac")
+
+
+def reducer_over(known):
+    return WeakReducer([c.expr for c in known])
 
 
 class TestPoissonBracket:
@@ -75,14 +80,14 @@ class TestConsistencyStep:
         leg = primary_constraints(builtin_model("toy_gauge"))
         h = total_hamiltonian(leg)
         out = consistency_step(leg.primary_constraints[0], h,
-                               list(leg.primary_constraints), PAIRS)
+                               reducer_over(leg.primary_constraints), PAIRS)
         assert isinstance(out, NewConstraint) and out.expr == px
 
     def test_identity_on_second_pass(self):
         leg = primary_constraints(builtin_model("toy_gauge"))
         h = total_hamiltonian(leg)
         known = list(leg.primary_constraints) + [dirac_constraint(px, 1)]
-        out = consistency_step(dirac_constraint(px, 1), h, known, PAIRS)
+        out = consistency_step(dirac_constraint(px, 1), h, reducer_over(known), PAIRS)
         assert isinstance(out, Identity)
 
     def test_contradiction(self):
@@ -90,7 +95,8 @@ class TestConsistencyStep:
         leg = primary_constraints(m)
         h = total_hamiltonian(leg)
         out = consistency_step(leg.primary_constraints[0], h,
-                               list(leg.primary_constraints), ((x, x.momentum()),))
+                               reducer_over(leg.primary_constraints),
+                               ((x, x.momentum()),))
         assert isinstance(out, Contradiction)
         assert out.witness.is_constant()
 
@@ -99,7 +105,7 @@ class TestConsistencyStep:
         leg = primary_constraints(m)
         h = total_hamiltonian(leg)
         out = consistency_step(leg.primary_constraints[1], h,
-                               list(leg.primary_constraints), PAIRS)
+                               reducer_over(leg.primary_constraints), PAIRS)
         assert isinstance(out, MultiplierFixed)
         assert out.multiplier == multiplier(0)
         assert out.value == ey

@@ -1,5 +1,6 @@
 """Expression kernel: canonical forms, calculus, evaluation."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -54,6 +55,15 @@ class TestVarRef:
         assert x.jet(2).jet(-2) is x
         assert x.jet(1).coordinate() is x
         assert multiplier(3).indices == (3,)
+
+    def test_pool_releases_unreferenced_variables(self):
+        v = VarRef("pool_probe", (4, 2), Kind.MOMENTUM)
+        assert VarRef("pool_probe", (4, 2), Kind.MOMENTUM) is v
+        key = v._key
+        assert key in VarRef._pool
+        del v
+        gc.collect()
+        assert key not in VarRef._pool
 
 
 class TestCanonicalForm:

@@ -1,0 +1,133 @@
+"""Sparse fraction-free elimination against the dense Bareiss loop.
+
+``dense_eliminate`` is the textbook loop that updates every cell of
+every row; ``eliminate`` skips zero work and must give the same
+``Echelon`` exactly, cell for cell.
+"""
+
+import random
+
+import pytest
+
+from gaugeflow import Expression
+from gaugeflow.linalg import Echelon, eliminate
+
+from conftest import X, Y, Z, random_polynomial
+
+
+def dense_eliminate(matrix, column_order=None):
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    cols = list(column_order) if column_order is not None else list(range(width))
+    pivots = []
+    row_order = list(range(n))
+    level = 0
+    prev_pivot = None
+    for col in cols:
+        pivot_row = None
+        for r in range(level, n):
+            if not rows[r][col].is_zero():
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != level:
+            rows[level], rows[pivot_row] = rows[pivot_row], rows[level]
+            row_order[level], row_order[pivot_row] = row_order[pivot_row], row_order[level]
+        piv = rows[level][col]
+        for r in range(level + 1, n):
+            entry = rows[r][col]
+            new_row = []
+            for c in range(width):
+                val = rows[r][c] * piv - rows[level][c] * entry
+                if prev_pivot is not None and not val.is_zero():
+                    val = val / prev_pivot
+                new_row.append(val)
+            rows[r] = new_row
+        pivots.append((level, col))
+        prev_pivot = piv
+        level += 1
+    return Echelon(rows, pivots, row_order)
+
+
+ZERO = Expression.const(0)
+COORDS = [X, Y, Z]
+
+
+def sparse_system(rng, n, density):
+    """An n x n block of coordinate polynomials, mostly zero, plus an
+    augmented column affine in momenta, as a Hessian and its momentum
+    column are; one row is a polynomial combination of two others, so
+    the rank drops and a row eliminates to a momentum relation."""
+    block = [[random_polynomial(rng, COORDS, max_terms=2, max_exp=1)
+              if rng.random() < density else ZERO for _ in range(n)]
+             for _ in range(n)]
+    a, b, dependent = rng.sample(range(n), 3)
+    weight = random_polynomial(rng, COORDS, max_terms=2, max_factors=1, max_exp=1)
+    block[dependent] = [block[a][c] + weight * block[b][c] for c in range(n)]
+    rhs = [Expression.var(rng.choice(COORDS).momentum())
+           + random_polynomial(rng, COORDS, max_terms=2) for _ in range(n)]
+    return [row + [rhs[i]] for i, row in enumerate(block)]
+
+
+def assert_same_echelon(matrix, column_order=None):
+    sparse = eliminate(matrix, column_order)
+    dense = dense_eliminate(matrix, column_order)
+    assert sparse.pivots == dense.pivots
+    assert sparse.row_order == dense.row_order
+    assert sparse.rows == dense.rows
+    return sparse
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_matches_dense_on_seeded_systems(seed):
+    rng = random.Random(4400 + seed)
+    # at 5 rows the dense reference can spend minutes in the polynomial GCD
+    n = rng.randint(3, 4)
+    matrix = sparse_system(rng, n, density=rng.choice([0.3, 0.5]))
+    order = list(range(n))
+    rng.shuffle(order)
+    assert_same_echelon(matrix, order)
+    assert_same_echelon(matrix)
+
+
+def test_row_swap_zero_entry_and_nonunit_ratio():
+    ex, ey, ez = (Expression.var(v) for v in COORDS)
+    p = [Expression.var(v.momentum()) for v in COORDS]
+    # column 0 has its pivot x in row 1 (a swap); rows 0 and 2 have a
+    # zero entry there and are scaled by x; row 2 has a zero entry in
+    # column 1 too and is scaled by piv / prev_pivot = x*y / x = y
+    matrix = [
+        [ZERO, ey, ZERO, p[0] + ez],
+        [ex, ZERO, ez, p[1]],
+        [ZERO, ZERO, 1 + ey ** 2, p[2] - ex],
+        [ex * ey, ez, ZERO, p[0] * ey],
+    ]
+    ech = assert_same_echelon(matrix, [0, 1, 2])
+    assert ech.row_order == [1, 0, 2, 3]
+    assert ech.rank == 3
+    assert ech.rows[2][2] == ex * ey * (1 + ey ** 2)
+
+
+def test_unit_pivots_leave_zero_entry_rows_alone():
+    one = Expression.const(1)
+    px = Expression.var(X.momentum())
+    matrix = [
+        [one, ZERO, ZERO, px],
+        [ZERO, one, ZERO, 3 * px],
+        [ZERO, ZERO, one, Expression.var(X)],
+        [one, one, ZERO, ZERO],
+    ]
+    ech = assert_same_echelon(matrix, [0, 1, 2])
+    assert ech.rows[2] == matrix[2]
+    assert ech.rows[3] == [ZERO, ZERO, ZERO, -4 * px]
+
+
+def test_rational_entries():
+    rng = random.Random(77)
+    ex = Expression.var(X)
+    matrix = sparse_system(rng, 4, density=0.6)
+    matrix = [[cell / (1 + ex ** 2) if i % 2 else cell for i, cell in enumerate(row)]
+              for row in matrix]
+    assert_same_echelon(matrix)
