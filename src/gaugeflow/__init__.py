@@ -37,18 +37,9 @@ from .expr import (
     canonicalize,
     coordinate,
     esum,
-    evaluate,
     multiplier,
-    partial_derivative,
-    substitute,
-    total_time_derivative,
 )
-from .legendre import (
-    LegendreResult,
-    compute_momenta,
-    detect_noncanonical,
-    primary_constraints,
-)
+from .legendre import LegendreResult, compute_momenta, primary_constraints
 from .model import (
     CoordinateDecl,
     GaugeGenerator,

@@ -32,9 +32,9 @@ from .errors import (
 )
 from .expr import Kind
 from .legendre import primary_constraints
-from .linalg import rational_rank
+from .linalg import jacobian, sampled_rank
 from .noether import conjecture_constraints, independence_check, noether_identity_check
-from .reduction import WeakReducer, _random_rational, weak_zero_numeric
+from .reduction import WeakReducer, weak_zero_numeric
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -60,34 +60,14 @@ class SpanCheck:
     right_witnesses: tuple
 
 
-def _jacobian_rank(exprs, variables, options, rng):
-    if not exprs:
-        return 0
-    grads = [[e.diff(v) for v in variables] for e in exprs]
-    needed = set()
-    for row in grads:
-        for g in row:
-            needed |= g.variables()
-    free = sorted(needed)
-    best = 0
-    for _ in range(options.sample_count if free else 1):
-        pt = {v: _random_rational(rng) for v in free}
-        numeric = [[g.evaluate(pt) if not g.is_zero() else 0 for g in row]
-                   for row in grads]
-        best = max(best, rational_rank(numeric))
-        if best == len(exprs):
-            break
-    return best
-
-
-def span_equivalent(left, right, variables, options, rng=None):
+def span_equivalent(left, right, variables, options):
     """Do two constraint sets cut the same surface?
 
     True exactly when every member of each set weakly reduces to zero
     modulo the other and the sampled Jacobian ranks agree.  Witnesses
-    carry the irreducible members.
+    carry the irreducible members.  Both Jacobian ranks are sampled from
+    one generator seeded with ``options.seed``, left then right.
     """
-    rng = rng or random.Random(options.seed)
     reduce_right = WeakReducer([c.expr for c in right])
     reduce_left = WeakReducer([c.expr for c in left])
     left_witnesses = tuple(
@@ -96,8 +76,9 @@ def span_equivalent(left, right, variables, options, rng=None):
     right_witnesses = tuple(
         (c, residue) for c in right
         if not (residue := reduce_left.reduce(c.expr)).is_zero())
-    rank_left = _jacobian_rank([c.expr for c in left], variables, options, rng)
-    rank_right = _jacobian_rank([c.expr for c in right], variables, options, rng)
+    rng = random.Random(options.seed)
+    rank_left = sampled_rank(jacobian([c.expr for c in left], variables), options, rng)
+    rank_right = sampled_rank(jacobian([c.expr for c in right], variables), options, rng)
     return SpanCheck(
         equivalent=not left_witnesses and not right_witnesses
         and rank_left == rank_right,

@@ -33,7 +33,7 @@ from .expr import (
     esum,
     multiplier,
 )
-from .linalg import RowReducer
+from .linalg import RowReducer, evaluate_rows, jacobian
 from .reduction import WeakReducer, sample_surface_points
 
 FIRST = "first"
@@ -190,14 +190,6 @@ def consistency_step(c, h_total, reducer, pairs):
     return NewConstraint(constraint_form(residue))
 
 
-def _gradient_rows(exprs, variables):
-    return [[e.diff(v) for v in variables] for e in exprs]
-
-
-def _evaluate_row(row, point):
-    return [g.evaluate(point) if not g.is_zero() else 0 for g in row]
-
-
 def run_dirac(m, leg=None):
     """Run the generational consistency algorithm to its fixpoint.
 
@@ -255,11 +247,11 @@ def run_dirac(m, leg=None):
             points = sample_surface_points(start_exprs, phase_vars, options, rng,
                                            reducer)
             bases = []
-            start_grad = _gradient_rows(start_exprs, phase_vars)
+            start_grad = jacobian(start_exprs, phase_vars)
             for pt in points:
                 basis = RowReducer(len(phase_vars))
-                for row in start_grad:
-                    basis.absorb(_evaluate_row(row, pt))
+                for row in evaluate_rows(start_grad, pt):
+                    basis.absorb(row)
                 bases.append((pt, basis))
             for expr in candidates:
                 if any(expr == a.expr for a in accepted):
@@ -283,11 +275,11 @@ def run_dirac(m, leg=None):
                         f"generation {generation}: residue {expr} vanishes "
                         f"numerically on the current surface; dropped as dependent")
                     continue
-                grad = [expr.diff(v) for v in phase_vars]
+                grad = jacobian([expr], phase_vars)
                 independent = False
                 for pt, basis in usable:
                     try:
-                        row = _evaluate_row(grad, pt)
+                        (row,) = evaluate_rows(grad, pt)
                     except DivisionByZero:
                         continue
                     if any(x != 0 for x in basis.reduce(row)):

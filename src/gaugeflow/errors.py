@@ -166,7 +166,8 @@ class IdentityViolated(GaugeError):
 
 
 class SamplingDegenerate(GaugeError):
-    """Generator independence could not be decided numerically."""
+    """A sampled rank could not be computed: every sampled point is a
+    pole of the matrix (for example the generator columns)."""
 
 
 class ConjectureInapplicable(GaugeError):

@@ -829,25 +829,3 @@ def canonicalize(e):
     be asserted against a from-scratch reconstruction.
     """
     return Expression._make(dict(e._num), dict(e._den))
-
-
-def partial_derivative(e, v):
-    return e.diff(v)
-
-
-def total_time_derivative(e, max_order=DEFAULT_JET_CAP):
-    return e.dt(max_order)
-
-
-def substitute(e, assignment):
-    if not isinstance(assignment, dict):
-        pairs = list(assignment)
-        keys = [v for v, _ in pairs]
-        if len(set(keys)) != len(keys):
-            raise ValueError("substitution keys must be pairwise distinct")
-        assignment = dict(pairs)
-    return e.subs(assignment)
-
-
-def evaluate(e, point):
-    return e.evaluate(point)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .dirac import Constraint, constraint_form
 from .errors import LegendreError, NonQuadraticVelocity, RankNotConstant
 from .expr import Expression, Kind, esum
-from .linalg import eliminate, rational_rank
-from .reduction import WeakReducer, _random_rational
+from .linalg import eliminate, sampled_rank
+from .reduction import WeakReducer
 
 
 @dataclass(frozen=True)
@@ -36,29 +36,6 @@ class LegendreResult:
 def compute_momenta(m):
     """Momentum defining functions, one per coordinate."""
     return tuple((q, m.lagrangian.diff(q.jet(1))) for q in m.coordinate_vars)
-
-
-def detect_noncanonical(r):
-    """Coordinates whose momentum definition is identically zero; these
-    and their momenta sit outside the canonical sector."""
-    return tuple(q for q, pdef in r.momenta_defs if pdef.is_zero())
-
-
-def _sampled_rank(hessian, options):
-    entries_vars = set()
-    for row in hessian:
-        for e in row:
-            entries_vars |= e.variables()
-    if not entries_vars:
-        pt = {}
-        return rational_rank([[e.evaluate(pt) for e in row] for row in hessian])
-    rng = random.Random(options.seed)
-    free = sorted(entries_vars)
-    best = 0
-    for _ in range(options.sample_count):
-        pt = {v: _random_rational(rng) for v in free}
-        best = max(best, rational_rank([[e.evaluate(pt) for e in row] for row in hessian]))
-    return best
 
 
 def primary_constraints(m):
@@ -89,7 +66,7 @@ def primary_constraints(m):
     column_order = sorted(range(n), key=lambda i: velocities[i])
     ech = eliminate(matrix, column_order)
 
-    sampled = _sampled_rank(hessian, m.options)
+    sampled = sampled_rank(hessian, m.options, random.Random(m.options.seed))
     if sampled != ech.rank:
         raise RankNotConstant(ech.rank, sampled)
 

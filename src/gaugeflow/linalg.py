@@ -6,9 +6,21 @@ cells; because ``Expression`` arithmetic always lands on one canonical
 form, the cells it computes equal the dense Bareiss formula's exactly.
 Rational-matrix routines are plain Gaussian elimination over
 ``Fraction``.
+
+The generic rank of a matrix of expressions (a velocity Hessian, the
+generator columns, a constraint Jacobian) is sampled: ``sampled_rank``
+takes the best exact rank over seeded random rational points, which by
+the Schwartz-Zippel bound equals the generic rank with high probability.
+``jacobian`` and ``evaluate_rows`` build and evaluate such matrices
+without touching cells that are zero.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import DivisionByZero, SamplingDegenerate
+from .expr import ZERO
 
 
 class Echelon:
@@ -111,6 +123,59 @@ def rational_rank(matrix):
         if rank == len(rows):
             break
     return rank
+
+
+def random_rational(rng):
+    """A small random rational, the coordinate of every sampled point."""
+    return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+
+
+def jacobian(exprs, variables):
+    """Matrix of partial derivatives, one row per expression; a cell
+    whose variable the expression does not mention is ``ZERO``."""
+    rows = []
+    for e in exprs:
+        mentioned = e.variables()
+        rows.append([e.diff(v) if v in mentioned else ZERO for v in variables])
+    return rows
+
+
+def evaluate_rows(matrix, point):
+    """Exact values of a matrix of expressions at ``point``; a zero cell
+    is 0 without evaluation.  Raises :class:`DivisionByZero` at a pole."""
+    return [[0 if e.is_zero() else e.evaluate(point) for e in row] for row in matrix]
+
+
+def sampled_rank(matrix, options, rng):
+    """Generic rank of a matrix of expressions, sampled.
+
+    The best :func:`rational_rank` over up to ``options.sample_count``
+    random rational points drawn from ``rng`` (one point, with no draws,
+    when no entry mentions a variable), stopping once the rank is full.
+    A point at a pole of some entry is skipped; raises
+    :class:`SamplingDegenerate` when every point is.
+    """
+    if not matrix:
+        return 0
+    free = set()
+    for row in matrix:
+        for e in row:
+            free |= e.variables()
+    free = sorted(free)
+    full = min(len(matrix), len(matrix[0]))
+    best = None
+    for _ in range(options.sample_count if free else 1):
+        point = {v: random_rational(rng) for v in free}
+        try:
+            numeric = evaluate_rows(matrix, point)
+        except DivisionByZero:
+            continue
+        best = max(best or 0, rational_rank(numeric))
+        if best == full:
+            break
+    if best is None:
+        raise SamplingDegenerate("every sampled point is a pole of the matrix")
+    return best
 
 
 class RowReducer:

@@ -17,15 +17,9 @@ import random
 from dataclasses import dataclass
 
 from .dirac import Constraint
-from .errors import (
-    ConjectureInapplicable,
-    DegenerateGenerator,
-    IdentityViolated,
-    SamplingDegenerate,
-)
+from .errors import ConjectureInapplicable, DegenerateGenerator, IdentityViolated
 from .expr import DEFAULT_JET_CAP, Expression, esum
-from .linalg import rational_rank
-from .reduction import _random_rational
+from .linalg import sampled_rank
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ def _alternating_derivative(e, order, cap):
     return e
 
 
-def noether_identity_check(m, el=None, jet_cap=None):
+def noether_identity_check(m, el=None):
     """Verify that every declared generator annihilates the equations of
     motion, symbolically and exactly.
 
@@ -69,9 +63,8 @@ def noether_identity_check(m, el=None, jet_cap=None):
     """
     el = tuple(el) if el is not None else euler_lagrange(m)
     table = dict(el)
-    cap = jet_cap if jet_cap is not None else max(
-        DEFAULT_JET_CAP,
-        2 + max((g.max_order() for g in m.generators), default=0))
+    cap = max(DEFAULT_JET_CAP,
+              2 + max((g.max_order() for g in m.generators), default=0))
     residues = []
     for gen in m.generators:
         parts = []
@@ -85,45 +78,22 @@ def noether_identity_check(m, el=None, jet_cap=None):
     return report
 
 
-def independence_check(m, rng=None):
+def independence_check(m):
     """Are the declared generators independent as variation columns?
 
     Stacks every (coordinate, order) coefficient into a column per
     generator and samples the column rank at random rational points;
     True exactly when the generic rank equals the generator count.
+    Raises :class:`SamplingDegenerate` when every point is a pole.
     """
     gens = m.generators
     if not gens:
         return True
     rows = sorted({(comp.coordinate, comp.order)
                    for g in gens for comp in g.components})
-    matrix = []
-    for coord, order in rows:
-        matrix.append([g.coefficient(coord, order) or Expression.const(0)
-                       for g in gens])
-    needed = set()
-    for row in matrix:
-        for e in row:
-            needed |= e.variables()
-    rng = rng or random.Random(m.options.seed)
-    free = sorted(needed)
-    best = 0
-    tried = 0
-    for _ in range(max(1, m.options.sample_count if free else 1)):
-        pt = {v: _random_rational(rng) for v in free}
-        try:
-            numeric = [[e.evaluate(pt) for e in row] for row in matrix]
-        except Exception:
-            continue
-        tried += 1
-        best = max(best, rational_rank(numeric))
-        if best == len(gens):
-            return True
-        if not free:
-            break
-    if tried == 0:
-        raise SamplingDegenerate("could not evaluate the generator columns at any point")
-    return best == len(gens)
+    columns = [[g.coefficient(coord, order) or Expression.const(0) for g in gens]
+               for coord, order in rows]
+    return sampled_rank(columns, m.options, random.Random(m.options.seed)) == len(gens)
 
 
 def conjecture_constraints(m, leg, noether=None):

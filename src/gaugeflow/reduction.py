@@ -33,6 +33,7 @@ from .expr import (
     _p_to_univariate,
     esum,
 )
+from .linalg import random_rational
 
 
 def _constant_pivot(e):
@@ -187,10 +188,6 @@ def weak_reduce(e, constraint_exprs):
 
 # --- numeric sampling on the constraint surface ----------------------------------
 
-def _random_rational(rng):
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-
-
 def _solve_affine_at_point(affine, base_point, rng):
     """Exactly solve leftover momentum-affine constraints at one point.
 
@@ -245,12 +242,12 @@ def _solve_affine_at_point(affine, base_point, rng):
         for c in range(col + 1, width):
             if row[c]:
                 if solution[unknowns[c]] is None:
-                    solution[unknowns[c]] = _random_rational(rng)
+                    solution[unknowns[c]] = random_rational(rng)
                 acc -= row[c] * solution[unknowns[c]]
         solution[unknowns[col]] = acc / row[col]
     for v in unknowns:
         if solution[v] is None:
-            solution[v] = _random_rational(rng)
+            solution[v] = random_rational(rng)
         point[v] = solution[v]
     return point
 
@@ -292,7 +289,7 @@ def sample_surface_points(constraint_exprs, variables, options, rng=None,
     limit = 60 * options.sample_count
     while len(points) < options.sample_count and attempts < limit:
         attempts += 1
-        pt = {v: _random_rational(rng) for v in free}
+        pt = {v: random_rational(rng) for v in free}
         if affine:
             pt = _solve_affine_at_point(affine, pt, rng)
             if pt is None:
@@ -328,7 +325,7 @@ class NumericVerdict:
         return f"<numeric {state}, worst |value| = {self.worst_value}>"
 
 
-def weak_zero_numeric(e, constraint_exprs, variables, options, rng=None):
+def weak_zero_numeric(e, constraint_exprs, variables, options):
     """Does ``e`` vanish numerically on the constraint surface?
 
     Samples ``options.sample_count`` exact points and compares |value|
@@ -336,7 +333,7 @@ def weak_zero_numeric(e, constraint_exprs, variables, options, rng=None):
     point with the largest magnitude as a witness.
     """
     variables = set(variables) | e.variables()
-    points = sample_surface_points(constraint_exprs, variables, options, rng)
+    points = sample_surface_points(constraint_exprs, variables, options)
     worst = Fraction(0)
     worst_pt = None
     evaluated = 0

@@ -123,6 +123,26 @@ class TestJson:
         assert code == 0
         assert text.encode() == (GOLDEN_DIR / golden).read_bytes()
 
+    @pytest.mark.parametrize("command, golden, inputs, exit_code", [
+        ("analyze", "analyze_ym_mechanics.json", ("--builtin", "ym_mechanics"), 0),
+        ("analyze", "analyze_maxwell_lattice_N2.json",
+         ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
+        ("analyze", "analyze_inconsistent.json",
+         (str(MODELS_DIR / "inconsistent.model"),), 3),
+        ("conjecture", "conjecture_ym_mechanics.json", ("--builtin", "ym_mechanics"), 0),
+        ("conjecture", "conjecture_maxwell_lattice_N2.json",
+         ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
+        ("check-identities", "check-identities_ym_mechanics.json",
+         ("--builtin", "ym_mechanics"), 0),
+        ("check-identities", "check-identities_maxwell_lattice_N2.json",
+         ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
+    ])
+    def test_command_json_matches_golden(self, command, golden, inputs, exit_code):
+        # the other commands have their own JSON shapes; pin those bytes too
+        code, text = run_cli(command, *inputs, "--format", "json")
+        assert code == exit_code
+        assert text.encode() == (GOLDEN_DIR / golden).read_bytes()
+
 
 def test_console_script_entry():
     proc = subprocess.run(

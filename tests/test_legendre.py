@@ -13,11 +13,10 @@ from gaugeflow import (
     builtin_model,
     compute_momenta,
     coordinate,
-    detect_noncanonical,
     parse_model,
     primary_constraints,
 )
-from gaugeflow.errors import NonQuadraticVelocity
+from gaugeflow.errors import NonQuadraticVelocity, RankNotConstant
 from gaugeflow.linalg import rational_rank
 from conftest import random_point
 
@@ -86,7 +85,6 @@ class TestPrimaryConstraints:
 class TestNoncanonical:
     def test_toy_gauge(self):
         leg = primary_constraints(builtin_model("toy_gauge"))
-        assert detect_noncanonical(leg) == (y,)
         assert leg.discardable == (y,)
 
     def test_maxwell_all_scalar_potentials(self):
@@ -96,7 +94,7 @@ class TestNoncanonical:
 
     def test_oscillator_empty(self):
         leg = primary_constraints(builtin_model("oscillator"))
-        assert detect_noncanonical(leg) == ()
+        assert leg.discardable == ()
 
 
 class TestInvariants:
@@ -141,11 +139,20 @@ class TestInvariants:
                 assert reproduced == Expression.var(q.momentum())
 
     def test_rank_not_constant_detected(self):
-        # W = [[x]] has symbolic rank 1 but vanishes at x = 0; force the
-        # sampler onto the bad point by controlling the coordinate range
+        # W = [[x]] has symbolic rank 1 but vanishes at x = 0; the best of
+        # several sampled points still finds rank 1
         m = parse_model("[vars]\nx\n[lagrangian]\nx*xdot^2/2\n")
         leg = primary_constraints(m)  # generic sampling agrees
         assert leg.rank == 1
+
+    def test_rank_not_constant_raised_at_a_singular_sample(self):
+        # W = diag(x + 7/4, 1); the first draw of seed 1729 is x = -7/4
+        m = parse_model("[vars]\nx\ny\n[lagrangian]\n(x + 7/4)*x'^2/2 + y'^2/2\n")
+        assert m.options.seed == 1729
+        with pytest.raises(RankNotConstant) as info:
+            primary_constraints(m.with_options(sample_count=1))
+        assert (info.value.symbolic_rank, info.value.sampled_rank) == (2, 1)
+        assert primary_constraints(m.with_options(sample_count=2)).rank == 2
 
 
 class TestLegendreTransformConsistency:

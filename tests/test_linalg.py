@@ -1,16 +1,25 @@
-"""Sparse fraction-free elimination against the dense Bareiss loop.
+"""Exact linear algebra: sparse elimination and sampled ranks.
 
 ``dense_eliminate`` is the textbook loop that updates every cell of
 every row; ``eliminate`` skips zero work and must give the same
-``Echelon`` exactly, cell for cell.
+``Echelon`` exactly, cell for cell.  ``sampled_rank`` is checked for
+the random draws it consumes as well as the rank it returns.
 """
 
 import random
 
 import pytest
 
-from gaugeflow import Expression
-from gaugeflow.linalg import Echelon, eliminate
+from gaugeflow import Expression, Options
+from gaugeflow.errors import SamplingDegenerate
+from gaugeflow.linalg import (
+    Echelon,
+    eliminate,
+    evaluate_rows,
+    jacobian,
+    random_rational,
+    sampled_rank,
+)
 
 from conftest import X, Y, Z, random_polynomial
 
@@ -131,3 +140,51 @@ def test_rational_entries():
     matrix = [[cell / (1 + ex ** 2) if i % 2 else cell for i, cell in enumerate(row)]
               for row in matrix]
     assert_same_echelon(matrix)
+
+
+# --- sampled rank --------------------------------------------------------------
+
+def test_constant_matrix_draws_nothing():
+    rng = random.Random(11)
+    state = rng.getstate()
+    one, two = Expression.const(1), Expression.const(2)
+    assert sampled_rank([[one, two], [two, 2 * two]], Options(), rng) == 1
+    assert rng.getstate() == state
+
+
+def test_full_rank_stops_after_one_point():
+    # rank 2 at every point, so one draw for the one free variable suffices
+    rng, twin = random.Random(12), random.Random(12)
+    one = Expression.const(1)
+    matrix = [[one, Expression.var(X)], [ZERO, one]]
+    assert sampled_rank(matrix, Options(), rng) == 2
+    random_rational(twin)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_singular_hyperplane_still_gives_generic_rank():
+    root = random_rational(random.Random(13))  # the first point sits on x = root
+    matrix = [[Expression.var(X) - root, ZERO], [ZERO, Expression.const(1)]]
+    assert evaluate_rows(matrix, {X: root}) == [[0, 0], [0, 1]]
+    assert sampled_rank(matrix, Options(), random.Random(13)) == 2
+
+
+def test_pole_at_every_point_is_degenerate():
+    root = random_rational(random.Random(14))
+    matrix = [[1 / (Expression.var(X) - root)]]
+    with pytest.raises(SamplingDegenerate):
+        sampled_rank(matrix, Options(sample_count=1), random.Random(14))
+    assert sampled_rank(matrix, Options(sample_count=2), random.Random(14)) == 1
+
+
+def test_empty_matrix_has_rank_zero():
+    assert sampled_rank([], Options(), random.Random(15)) == 0
+    assert sampled_rank(jacobian([], [X, Y]), Options(), random.Random(15)) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jacobian_matches_diff(seed):
+    rng = random.Random(4500 + seed)
+    exprs = [random_polynomial(rng, [X, Y]) for _ in range(3)]
+    variables = [X, Y, Z, X.momentum()]  # z and p_x are never mentioned
+    assert jacobian(exprs, variables) == [[e.diff(v) for v in variables] for e in exprs]
