@@ -132,17 +132,41 @@ class Contradiction:
     witness: Expression
 
 
+class ConjugatePairs(tuple):
+    """(coordinate, momentum) pairs, indexed once: ``conjugates`` maps
+    each coordinate ``q`` to ``(p, 1)`` and each momentum ``p`` to
+    ``(q, -1)``.  A Dirac run or a classification builds one and passes
+    it to all of its brackets."""
+
+    def __new__(cls, pairs):
+        if isinstance(pairs, cls):
+            return pairs
+        self = super().__new__(cls, pairs)
+        self.conjugates = {}
+        for q, p in self:
+            self.conjugates[q] = (p, 1)
+            self.conjugates[p] = (q, -1)
+        return self
+
+
 def poisson_bracket(f, g, pairs):
     """Canonical Poisson bracket over the given (coordinate, momentum)
-    pairs; any other variable is a spectator."""
-    fvars = f.variables()
-    gvars = g.variables()
+    pairs; any other variable is a spectator.
+
+    Only the variables in ``f``'s gradient are visited: a pair adds a
+    term when one of its variables is there and the other is in ``g``'s.
+    """
+    conjugates = ConjugatePairs(pairs).conjugates
+    ggrad = g.gradient()
     terms = []
-    for q, p in pairs:
-        if q in fvars and p in gvars:
-            terms.append(f.diff(q) * g.diff(p))
-        if p in fvars and q in gvars:
-            terms.append(-(f.diff(p) * g.diff(q)))
+    for v, df in f.gradient().items():
+        partner = conjugates.get(v)
+        if partner is None:
+            continue
+        w, sign = partner
+        dg = ggrad.get(w)
+        if dg is not None:
+            terms.append(df * dg if sign > 0 else -(df * dg))
     return esum(terms)
 
 
@@ -207,7 +231,7 @@ def run_dirac(m, leg=None):
     if not constraints:
         return DiracResult((), (), 0, True)
     h_total = total_hamiltonian(leg)
-    pairs = m.canonical_pairs()
+    pairs = ConjugatePairs(m.canonical_pairs())
     phase_vars = [v for pair in pairs for v in pair]
     multiplier_equations = []
     seen_equations = set()
@@ -314,6 +338,7 @@ def classify(result, pairs):
     reduces weakly to zero.  An odd number of second-class constraints
     signals a rank anomaly and raises :class:`OddSecondClassCount`.
     """
+    pairs = ConjugatePairs(pairs)
     constraints = result.constraints
     exprs = [c.expr for c in constraints]
     reducer = WeakReducer(exprs)

@@ -12,6 +12,14 @@ involved anywhere.
 
 Monomials are compared under a graded lexicographic order built on the
 total order of :class:`VarRef`.
+
+Every polynomial expression shares one denominator dict, ``_ONE_DEN``;
+no code changes an expression's parts in place, so sharing is safe.  An
+expression's first partials are computed together, in one pass over its
+numerator and one over its denominator, the first time any is asked
+for (``gradient``), and kept on the expression: ``diff``, ``dt`` and
+every Jacobian and Poisson bracket of it then read the same dict.  The
+memo takes no part in ``==`` or hashing.
 """
 
 from __future__ import annotations
@@ -318,15 +326,21 @@ def _p_vars(p):
             seen.add(v)
     return seen
 
-def _p_diff(p, v):
-    acc = {}
+def _p_gradient(p):
+    """Every nonzero first partial of ``p`` in one pass, as
+    ``{VarRef: polynomial}``.  Lowering the exponent of one variable
+    maps distinct monomials to distinct monomials, so no terms of a
+    partial cancel or collide."""
+    grad = {}
     for m, c in p.items():
         for k, (var, e) in enumerate(m):
-            if var is v:
-                nm = m[:k] + ((var, e - 1),) + m[k + 1:] if e > 1 else m[:k] + m[k + 1:]
-                _p_add_into(acc, {nm: c * e})
-                break
-    return acc
+            nm = m[:k] + ((var, e - 1),) + m[k + 1:] if e > 1 else m[:k] + m[k + 1:]
+            partial = grad.get(var)
+            if partial is None:
+                grad[var] = {nm: c * e}
+            else:
+                partial[nm] = c * e
+    return grad
 
 def _p_leading(p):
     return max(p, key=_mono_sort_key)
@@ -511,13 +525,14 @@ class Expression:
     ``==`` decides exact algebraic equality.
     """
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den", "_hash", "_grad")
 
     def __init__(self, num, den=None):
         # internal: dict polynomials, already canonical
         object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den if den is not None else _p_const(1))
+        object.__setattr__(self, "_den", den if den is not None else _ONE_DEN)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_grad", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
@@ -535,7 +550,7 @@ class Expression:
             c = den[_ONE_MONO]
             if c != 1:
                 num = _p_scale(num, Fraction(1) / c)
-            return Expression(num, _p_const(1))
+            return Expression(num)
         # signed contents; num/cn and den/cd are integer-primitive with
         # positive leading coefficient
         cn = _p_content(num) * _p_lc_sign(num)
@@ -548,7 +563,7 @@ class Expression:
             d = _p_div_exact(d, g)
         n = _p_scale(n, cn / cd)
         if set(d) == {_ONE_MONO}:
-            return Expression(n, _p_const(1))
+            return Expression(n)
         if not _den_ok(d):
             bad = sorted(v for v in _p_vars(d) if v.kind is not Kind.COORDINATE)
             raise DenominatorViolation(
@@ -712,39 +727,58 @@ class Expression:
 
     # -- calculus ----------------------------------------------------------------
 
+    def gradient(self):
+        """Every nonzero first partial, as ``{VarRef: Expression}``.
+
+        Computed on the first call and kept; callers must not change the
+        dict.  Its keys are exactly the variables the expression mentions.
+        """
+        grad = self._grad
+        if grad is not None:
+            return grad
+        dnum = _p_gradient(self._num)
+        if set(self._den) == {_ONE_MONO}:
+            grad = {v: Expression._make(dn, self._den) for v, dn in dnum.items()}
+        else:
+            # quotient rule: (dn*den - num*dd) / den^2
+            dden = _p_gradient(self._den)
+            den2 = _p_mul(self._den, self._den)
+            grad = {}
+            for v in dnum.keys() | dden.keys():
+                num = _p_add(_p_mul(dnum.get(v, {}), self._den),
+                             _p_neg(_p_mul(self._num, dden.get(v, {}))))
+                d = Expression._make(num, den2)
+                if not d.is_zero():
+                    grad[v] = d
+        object.__setattr__(self, "_grad", grad)
+        return grad
+
     def diff(self, v):
         """Formal partial derivative with respect to one variable."""
-        dn = _p_diff(self._num, v)
-        if set(self._den) == {_ONE_MONO}:
-            return Expression._make(dn, self._den) if dn else ZERO
-        dd = _p_diff(self._den, v)
-        num = _p_add(_p_mul(dn, self._den), _p_neg(_p_mul(self._num, dd)))
-        return Expression._make(num, _p_mul(self._den, self._den))
+        return self.gradient().get(v, ZERO)
 
     def dt(self, max_order=DEFAULT_JET_CAP):
         """Total time derivative: every jet of order k becomes order k+1
         under the chain rule.  Momenta and multipliers are rejected."""
-        succ = {}
-        for v in self.variables():
+        grad = self.gradient()
+        for v in grad:
             if v.kind in (Kind.MOMENTUM, Kind.MULTIPLIER):
                 raise MomentumInTimeDerivative(
                     f"cannot take a time derivative through {v}")
             if v.jet_order + 1 > max_order:
                 raise JetOrderExceeded(
                     f"time derivative of {v} exceeds the jet order cap {max_order}")
-            succ[v] = Expression.var(v.jet(1))
         out = ZERO
-        for v in self.variables():
-            d = self.diff(v)
-            if not d.is_zero():
-                out = out + d * succ[v]
+        for v, d in grad.items():
+            out = out + d * Expression.var(v.jet(1))
         return out
 
     def subs(self, assignment):
         """Simultaneous substitution ``{VarRef: Expression}``, then
         canonicalization.  Variables not mentioned are left alone."""
+        mentioned = self.variables()
         live = {v: Expression._coerce(e) for v, e in dict(assignment).items()
-                if self.mentions(v)}
+                if v in mentioned}
         if not live:
             return self
         num = _subs_poly(self._num, live)
@@ -817,6 +851,7 @@ def esum(terms):
     return out + fractional if fractional is not None else out
 
 
+_ONE_DEN = {_ONE_MONO: Fraction(1)}  # shared by every polynomial; never mutated
 ZERO = Expression(_p_zero())
 ONE = Expression(_p_const(1))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .dirac import Constraint, constraint_form
 from .errors import LegendreError, NonQuadraticVelocity, RankNotConstant
 from .expr import Expression, Kind, esum
-from .linalg import eliminate, sampled_rank
+from .linalg import eliminate, jacobian, sampled_rank
 from .reduction import WeakReducer
 
 
@@ -54,8 +54,7 @@ def primary_constraints(m):
     momenta = [q.momentum() for q in coords]
     momenta_defs = compute_momenta(m)
 
-    hessian = tuple(
-        tuple(pdef.diff(v) for v in velocities) for _, pdef in momenta_defs)
+    hessian = tuple(map(tuple, jacobian([pdef for _, pdef in momenta_defs], velocities)))
     at_rest = {v: Expression.const(0) for v in velocities}
     # rows of the linear system W.v = p - b
     rhs = [Expression.var(p) - pdef.subs(at_rest)

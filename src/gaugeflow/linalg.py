@@ -4,15 +4,20 @@ Symbolic elimination runs fraction-free (Bareiss) so intermediate
 entries stay polynomial whenever the input is.  It does no work on zero
 cells; because ``Expression`` arithmetic always lands on one canonical
 form, the cells it computes equal the dense Bareiss formula's exactly.
-Rational-matrix routines are plain Gaussian elimination over
-``Fraction``.
+Rational-matrix routines are Gaussian elimination over ``Fraction``
+that is sparse in the same way: each pivot row's nonzero entries are
+listed once, and a row is updated in place on those columns only, so a
+row costs the pivot row's support rather than the matrix width.  Pivot
+choice and row order are those of the dense loop, and the entries it
+computes are equal.
 
 The generic rank of a matrix of expressions (a velocity Hessian, the
 generator columns, a constraint Jacobian) is sampled: ``sampled_rank``
 takes the best exact rank over seeded random rational points, which by
 the Schwartz-Zippel bound equals the generic rank with high probability.
-``jacobian`` and ``evaluate_rows`` build and evaluate such matrices
-without touching cells that are zero.
+``jacobian`` (which reads each expression's memoized gradient) and
+``evaluate_rows`` build and evaluate such matrices without touching
+cells that are zero.
 """
 
 from __future__ import annotations
@@ -113,12 +118,17 @@ def rational_rank(matrix):
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
+        top = rows[rank]
+        piv = top[col]
+        # columns left of ``col`` are already zero in every remaining row
+        support = [(c, top[c]) for c in range(col, width) if top[c]]
         for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
+            row = rows[r]
+            f = row[col]
             if f:
                 factor = f / piv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+                for c, b in support:
+                    row[c] -= factor * b
         rank += 1
         if rank == len(rows):
             break
@@ -135,8 +145,8 @@ def jacobian(exprs, variables):
     whose variable the expression does not mention is ``ZERO``."""
     rows = []
     for e in exprs:
-        mentioned = e.variables()
-        rows.append([e.diff(v) if v in mentioned else ZERO for v in variables])
+        grad = e.gradient()
+        rows.append([grad.get(v, ZERO) for v in variables])
     return rows
 
 
@@ -188,23 +198,26 @@ class RowReducer:
 
     def __init__(self, width):
         self.width = width
-        self.basis = []  # list of (pivot_col, row)
+        # each basis row as its nonzero (column, value) pairs; the first is its pivot
+        self.basis = []
 
     def reduce(self, row):
         row = list(row)
-        for col, base in self.basis:
-            if row[col]:
-                factor = row[col] / base[col]
-                row = [a - factor * b for a, b in zip(row, base)]
+        for support in self.basis:
+            col, piv = support[0]
+            f = row[col]
+            if f:
+                factor = f / piv
+                for c, b in support:
+                    row[c] -= factor * b
         return row
 
     def absorb(self, row):
         row = self.reduce(row)
-        for col, val in enumerate(row):
-            if val:
-                self.basis.append((col, row))
-                return True
-        return False
+        support = [(c, val) for c, val in enumerate(row) if val]
+        if support:
+            self.basis.append(support)
+        return bool(support)
 
     @property
     def rank(self):

@@ -116,6 +116,7 @@ class TestJson:
         ("maxwell_lattice_N2.json", ("--builtin", "maxwell_lattice", "-p", "N=2")),
         ("ym_mechanics.json", ("--builtin", "ym_mechanics")),
         ("chain_maxwell.json", (str(MODELS_DIR / "chain_maxwell.model"),)),
+        ("maxwell_lattice_N3.json", ("--builtin", "maxwell_lattice", "-p", "N=3")),
     ])
     def test_report_bytes_match_golden(self, golden, inputs):
         # the golden files pin every byte of the gaugeflow-report/1 output

@@ -1,5 +1,7 @@
 """Poisson brackets, consistency outcomes, weak equality."""
 
+import random
+
 import pytest
 
 from gaugeflow import (
@@ -23,8 +25,12 @@ from gaugeflow import (
     weak_reduce,
     weak_zero_numeric,
 )
+from gaugeflow.dirac import ConjugatePairs
 from gaugeflow.errors import InconsistentLagrangian
+from gaugeflow.expr import esum
 from gaugeflow.reduction import sample_surface_points
+
+from conftest import PAIR_COORDS, random_phase_polynomial
 
 x = coordinate("x")
 y = coordinate("y")
@@ -53,6 +59,35 @@ class TestPoissonBracket:
         f = ex * px + ey ** 2
         g = py * ex
         assert poisson_bracket(f, g, PAIRS) == -poisson_bracket(g, f, PAIRS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pruned_bracket_matches_every_pair_loop(self, seed):
+        def every_pair(f, g, pairs):
+            # the loop over all pairs that pruning replaced, as the reference
+            fvars, gvars = f.variables(), g.variables()
+            terms = []
+            for q, p in pairs:
+                if q in fvars and p in gvars:
+                    terms.append(f.diff(q) * g.diff(p))
+                if p in fvars and q in gvars:
+                    terms.append(-(f.diff(p) * g.diff(q)))
+            return esum(terms)
+
+        rng = random.Random(5400 + seed)
+        full = tuple((q, q.momentum()) for q in PAIR_COORDS)
+        partial = full[::2]  # y and p_y are spectators
+        for _ in range(15):
+            f = random_phase_polynomial(rng, max_terms=5)
+            g = random_phase_polynomial(rng, max_terms=5)
+            for pairs in (full, partial):
+                expected = every_pair(f, g, pairs)
+                assert poisson_bracket(f, g, pairs) == expected
+                assert poisson_bracket(f, g, ConjugatePairs(pairs)) == expected
+
+    def test_variables_outside_pairs_are_spectators(self):
+        only_x = ((x, x.momentum()),)
+        assert poisson_bracket(ey * px, ex * py, only_x) == -(ey * py)
+        assert poisson_bracket(ey, py, only_x).is_zero()
 
 
 class TestTotalHamiltonian:

@@ -21,7 +21,9 @@ from gaugeflow.errors import (
     MomentumInTimeDerivative,
 )
 
-from conftest import random_jet_polynomial, random_point
+from gaugeflow.expr import ZERO, _ONE_DEN, _p_add, _p_add_into, _p_mul, _p_neg
+
+from conftest import random_jet_polynomial, random_point, random_polynomial
 
 x = coordinate("x")
 y = coordinate("y")
@@ -233,3 +235,81 @@ def test_evaluate_float_contagion():
     assert isinstance(value, float) and value == 6.0
     exact = e.evaluate({x: Fraction(1, 2), y: 4})
     assert isinstance(exact, Fraction) and exact == 6
+
+
+# --- memoized gradient and the shared unit denominator -------------------------
+
+def reference_p_diff(p, v):
+    # the one-variable loop that ``gradient`` replaced, kept as the reference
+    acc = {}
+    for m, c in p.items():
+        for k, (var, e) in enumerate(m):
+            if var is v:
+                nm = m[:k] + ((var, e - 1),) + m[k + 1:] if e > 1 else m[:k] + m[k + 1:]
+                _p_add_into(acc, {nm: c * e})
+                break
+    return acc
+
+
+def reference_diff(e, v):
+    dn = reference_p_diff(e._num, v)
+    if set(e._den) == {()}:
+        return Expression._make(dn, e._den) if dn else ZERO
+    dd = reference_p_diff(e._den, v)
+    num = _p_add(_p_mul(dn, e._den), _p_neg(_p_mul(e._num, dd)))
+    return Expression._make(num, _p_mul(e._den, e._den))
+
+
+GRADIENT_VARIABLES = [x, y, x.jet(1), y.jet(1), x.jet(2), x.momentum(), coordinate("z")]
+
+
+def seeded_rational(rng):
+    num = random_jet_polynomial(rng, max_terms=5, max_exp=3)
+    if rng.random() < 0.25:
+        return num
+    den = random_polynomial(rng, [x, y], max_terms=3) + Expression.const(rng.randint(1, 3))
+    if den.is_zero():
+        return num
+    return num / den
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_matches_one_variable_reference(seed):
+    rng = random.Random(5100 + seed)
+    for _ in range(25):
+        e = seeded_rational(rng)
+        expected = {v: reference_diff(e, v) for v in GRADIENT_VARIABLES}
+        grad = e.gradient()
+        assert set(grad) == e.variables()
+        for v in GRADIENT_VARIABLES:
+            assert grad.get(v, ZERO) == expected[v]
+            assert e.diff(v) == expected[v]
+        assert e.gradient() is grad  # one pass, kept
+
+
+def test_filled_memo_takes_no_part_in_equality():
+    rng = random.Random(5200)
+    for _ in range(20):
+        e = seeded_rational(rng)
+        fresh = canonicalize(e)
+        e.gradient()
+        assert fresh._grad is None and e._grad is not None
+        assert e == fresh and hash(e) == hash(fresh)
+        assert len({e, fresh}) == 1
+
+
+def test_polynomials_share_the_unit_denominator():
+    rng = random.Random(5300)
+    results = []
+    for _ in range(30):
+        f = random_jet_polynomial(rng)
+        g = random_jet_polynomial(rng)
+        results += [f + g, f * g, f - g, -f, f ** 2, f.diff(x), f.dt(),
+                    f.subs({x: ey + 1, x.jet(1): vy * 2})]
+        results += list(g.gradient().values())
+        r = f / (ex + 2)
+        results += [r.diff(x), r * (ex + 2), r.subs({x: ey})]
+    assert _ONE_DEN == {(): Fraction(1)}
+    polynomials = [r for r in results if r.is_polynomial()]
+    assert len(polynomials) > 200
+    assert all(r._den is _ONE_DEN for r in polynomials)

@@ -2,11 +2,14 @@
 
 ``dense_eliminate`` is the textbook loop that updates every cell of
 every row; ``eliminate`` skips zero work and must give the same
-``Echelon`` exactly, cell for cell.  ``sampled_rank`` is checked for
+``Echelon`` exactly, cell for cell.  ``dense_rational_rank`` and
+``DenseRowReducer`` are the dense ``Fraction`` loops that the sparse
+``rational_rank`` and ``RowReducer`` must agree with.  ``sampled_rank`` is checked for
 the random draws it consumes as well as the rank it returns.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,10 +17,12 @@ from gaugeflow import Expression, Options
 from gaugeflow.errors import SamplingDegenerate
 from gaugeflow.linalg import (
     Echelon,
+    RowReducer,
     eliminate,
     evaluate_rows,
     jacobian,
     random_rational,
+    rational_rank,
     sampled_rank,
 )
 
@@ -188,3 +193,92 @@ def test_jacobian_matches_diff(seed):
     exprs = [random_polynomial(rng, [X, Y]) for _ in range(3)]
     variables = [X, Y, Z, X.momentum()]  # z and p_x are never mentioned
     assert jacobian(exprs, variables) == [[e.diff(v) for v in variables] for e in exprs]
+
+
+# --- sparse rational elimination ------------------------------------------------
+
+def dense_rational_rank(matrix):
+    rows = [list(r) for r in matrix if any(x != 0 for x in r)]
+    rank = 0
+    width = len(matrix[0]) if matrix else 0
+    for col in range(width):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        piv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                factor = f / piv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+class DenseRowReducer:
+    def __init__(self, width):
+        self.width = width
+        self.basis = []  # list of (pivot_col, row)
+
+    def reduce(self, row):
+        row = list(row)
+        for col, base in self.basis:
+            if row[col]:
+                factor = row[col] / base[col]
+                row = [a - factor * b for a, b in zip(row, base)]
+        return row
+
+    def absorb(self, row):
+        row = self.reduce(row)
+        for col, val in enumerate(row):
+            if val:
+                self.basis.append((col, row))
+                return True
+        return False
+
+
+def sparse_fraction_matrix(rng, rows, width):
+    """Mostly-zero Fraction rows, some columns zero throughout, and some
+    rows rational combinations of earlier ones (or of nothing: zero)."""
+    dead = set(rng.sample(range(width), width // 4))
+    out = []
+    for _ in range(rows):
+        if out and rng.random() < 0.3:
+            a, b = rng.choice(out), rng.choice(out)
+            s, t = random_rational(rng), random_rational(rng)
+            out.append([s * u + t * v for u, v in zip(a, b)])
+        else:
+            out.append([Fraction(0) if c in dead or rng.random() < 0.7
+                        else random_rational(rng) for c in range(width)])
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sparse_rational_rank_matches_dense(seed):
+    rng = random.Random(4600 + seed)
+    for _ in range(8):
+        matrix = sparse_fraction_matrix(rng, rng.randint(1, 12), rng.randint(1, 14))
+        assert rational_rank(matrix) == dense_rational_rank(matrix)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sparse_row_reducer_matches_dense(seed):
+    rng = random.Random(4700 + seed)
+    width = rng.randint(2, 14)
+    rows = sparse_fraction_matrix(rng, rng.randint(2, 16), width)
+    sparse, dense = RowReducer(width), DenseRowReducer(width)
+    for row in rows:
+        assert sparse.reduce(row) == dense.reduce(row)
+        assert sparse.absorb(row) == dense.absorb(row)
+        assert sparse.rank == len(dense.basis)
+    probes = sparse_fraction_matrix(rng, 6, width)
+    for row in probes:
+        assert sparse.reduce(row) == dense.reduce(row)
