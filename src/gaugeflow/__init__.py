@@ -57,7 +57,7 @@ from .noether import (
     noether_identity_check,
 )
 from .parse import parse_expression, render_expression
-from .reduction import WeakReducer, weak_reduce, weak_zero_numeric
+from .reduction import WeakReducer, weak_zero_numeric
 
 __version__ = "0.1.0"
 

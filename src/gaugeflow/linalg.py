@@ -4,12 +4,13 @@ Symbolic elimination runs fraction-free (Bareiss) so intermediate
 entries stay polynomial whenever the input is.  It does no work on zero
 cells; because ``Expression`` arithmetic always lands on one canonical
 form, the cells it computes equal the dense Bareiss formula's exactly.
-Rational-matrix routines are Gaussian elimination over ``Fraction``
-that is sparse in the same way: each pivot row's nonzero entries are
-listed once, and a row is updated in place on those columns only, so a
-row costs the pivot row's support rather than the matrix width.  Pivot
-choice and row order are those of the dense loop, and the entries it
-computes are equal.
+``RowReducer`` is the one Gaussian elimination over ``Fraction``.  It
+keeps each basis row as its nonzero (column, value) pairs and updates a
+row in place on those columns only, so a reduction costs the basis
+rows' support rather than the matrix width.  ``rational_rank`` absorbs
+a matrix's rows into one reducer, ``run_dirac`` tests rank growth at a
+surface point with one, and the surface sampler solves its
+momentum-affine constraints at each point with ``RowReducer.solve``.
 
 The generic rank of a matrix of expressions (a velocity Hessian, the
 generator columns, a constraint Jacobian) is sampled: ``sampled_rank``
@@ -105,34 +106,12 @@ def eliminate(matrix, column_order=None):
 
 
 def rational_rank(matrix):
-    """Rank of a matrix of Fractions by exact Gaussian elimination."""
-    rows = [list(r) for r in matrix if any(x != 0 for x in r)]
-    rank = 0
-    width = len(matrix[0]) if matrix else 0
-    for col in range(width):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        top = rows[rank]
-        piv = top[col]
-        # columns left of ``col`` are already zero in every remaining row
-        support = [(c, top[c]) for c in range(col, width) if top[c]]
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            f = row[col]
-            if f:
-                factor = f / piv
-                for c, b in support:
-                    row[c] -= factor * b
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of a matrix of Fractions: its rows absorbed into one
+    :class:`RowReducer`."""
+    reducer = RowReducer(len(matrix[0]) if matrix else 0)
+    for row in matrix:
+        reducer.absorb(row)
+    return reducer.rank
 
 
 def random_rational(rng):
@@ -170,7 +149,8 @@ def sampled_rank(matrix, options, rng):
     free = set()
     for row in matrix:
         for e in row:
-            free |= e.variables()
+            if not e.is_zero():
+                free |= e.variables()
     free = sorted(free)
     full = min(len(matrix), len(matrix[0]))
     best = None
@@ -193,7 +173,8 @@ class RowReducer:
 
     Feed rows one at a time; ``absorb`` reduces a row against the
     current basis and, if a nonzero remainder survives, keeps it and
-    reports True.  Used for cheap rank-growth tests.
+    reports True.  Used for rank-growth tests, for :func:`rational_rank`
+    and, reading the last column as a right-hand side, by ``solve``.
     """
 
     def __init__(self, width):
@@ -222,3 +203,30 @@ class RowReducer:
     @property
     def rank(self):
         return len(self.basis)
+
+    def solve(self, rng):
+        """One exact solution of the absorbed rows read as an augmented
+        system (the last column is the right-hand side), as one value per
+        other column; None when the system is inconsistent.
+
+        Back-substitutes from the last pivot column.  A free column gets
+        :func:`random_rational` the first time a pivot row meets it, and
+        columns no pivot row meets are drawn last, in column order.  Every
+        echelon form of the rows meets the free columns in that order.
+        """
+        rhs = self.width - 1
+        rows = sorted(self.basis, key=lambda support: support[0][0], reverse=True)
+        if rows and rows[0][0][0] == rhs:
+            return None  # a row reads 0 = nonzero
+        values = [None] * rhs
+        for (col, piv), *rest in rows:
+            acc = Fraction(0)
+            for c, a in rest:
+                if c == rhs:
+                    acc += a
+                    continue
+                if values[c] is None:
+                    values[c] = random_rational(rng)
+                acc -= a * values[c]
+            values[col] = acc / piv
+        return [random_rational(rng) if v is None else v for v in values]

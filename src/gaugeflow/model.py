@@ -118,12 +118,6 @@ class ModelSpec:
     def dimension(self):
         return len(self._coords)
 
-    def velocity_vars(self):
-        return tuple(q.jet(1) for q in self._coords)
-
-    def momentum_vars(self):
-        return tuple(q.momentum() for q in self._coords)
-
     def canonical_pairs(self):
         """(coordinate, momentum) pairs spanning the full phase space."""
         return tuple((q, q.momentum()) for q in self._coords)

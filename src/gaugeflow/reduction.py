@@ -33,7 +33,7 @@ from .expr import (
     _p_to_univariate,
     esum,
 )
-from .linalg import random_rational
+from .linalg import RowReducer, evaluate_rows, jacobian, random_rational
 
 
 def _constant_pivot(e):
@@ -182,73 +182,33 @@ class _AffineEliminator:
         return self._eliminate(e).is_zero()
 
 
-def weak_reduce(e, constraint_exprs):
-    return WeakReducer(constraint_exprs).reduce(e)
-
-
 # --- numeric sampling on the constraint surface ----------------------------------
 
-def _solve_affine_at_point(affine, base_point, rng):
-    """Exactly solve leftover momentum-affine constraints at one point.
+def _solve_affine_at_point(affine, coefficients, unknowns, base_point, rng):
+    """Exactly solve momentum-affine constraints at one point.
 
-    ``base_point`` fixes every variable except the momenta these
-    constraints mention; those are solved as a linear system, with
-    non-pivot momenta drawn at random.  Returns the extended point or
-    None when the system is singular or inconsistent there.
+    ``coefficients`` is the Jacobian of ``affine`` in the momenta
+    ``unknowns``, which ``base_point`` leaves unset; the right-hand side
+    of each constraint is its value with those momenta at 0, negated.
+    Momenta no pivot fixes are drawn at random.  Returns the extended
+    point or None when the system has a pole or is inconsistent there.
     """
-    unknowns = sorted({v for g, g_moms in affine for v in g_moms})
-    cols = {v: i for i, v in enumerate(unknowns)}
-    width = len(unknowns)
-    rows = []
-    for g, g_moms in affine:
-        row = [Fraction(0)] * (width + 1)
-        rest = g
-        for v in g_moms:
-            coeff = g.diff(v)
-            try:
-                row[cols[v]] = coeff.evaluate(base_point)
-            except DivisionByZero:
-                return None
-            rest = rest - coeff * Expression.var(v)
-        try:
-            row[width] = -rest.evaluate(base_point)
-        except DivisionByZero:
-            return None
-        rows.append(row)
-    # forward elimination with column pivoting
-    pivots = []
-    level = 0
-    for col in range(width):
-        pr = next((r for r in range(level, len(rows)) if rows[r][col] != 0), None)
-        if pr is None:
-            continue
-        rows[level], rows[pr] = rows[pr], rows[level]
-        for r in range(level + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / rows[level][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[level])]
-        pivots.append((level, col))
-        level += 1
-    for r in range(level, len(rows)):
-        if rows[r][width] != 0:
-            return None  # inconsistent at this point
+    at_zero = dict(base_point)
+    at_zero.update(dict.fromkeys(unknowns, 0))
+    try:
+        rows = evaluate_rows(coefficients, base_point)
+        for row, g in zip(rows, affine):
+            row.append(-g.evaluate(at_zero))
+    except DivisionByZero:
+        return None
+    system = RowReducer(len(unknowns) + 1)
+    for row in rows:
+        system.absorb(row)
+    values = system.solve(rng)
+    if values is None:
+        return None  # inconsistent at this point
     point = dict(base_point)
-    solution = {}
-    for v in unknowns:
-        solution[v] = None
-    for lvl, col in reversed(pivots):
-        row = rows[lvl]
-        acc = row[width]
-        for c in range(col + 1, width):
-            if row[c]:
-                if solution[unknowns[c]] is None:
-                    solution[unknowns[c]] = random_rational(rng)
-                acc -= row[c] * solution[unknowns[c]]
-        solution[unknowns[col]] = acc / row[col]
-    for v in unknowns:
-        if solution[v] is None:
-            solution[v] = random_rational(rng)
-        point[v] = solution[v]
+    point.update(zip(unknowns, values))
     return point
 
 
@@ -270,19 +230,19 @@ def sample_surface_points(constraint_exprs, variables, options, rng=None,
     affine = []
     hard = []
     for g in reducer.leftovers:
-        moms = sorted(v for v in g.variables() if v.kind is Kind.MOMENTUM)
-        if moms and g.degree_in_kind(Kind.MOMENTUM) == 1:
-            affine.append((g, moms))
+        if g.degree_in_kind(Kind.MOMENTUM) == 1:
+            affine.append(g)
         else:
             hard.append(g)
-    affine_unknowns = {v for _, moms in affine for v in moms}
+    unknowns = sorted({v for g in affine for v in g.variables()
+                       if v.kind is Kind.MOMENTUM})
+    coefficients = jacobian(affine, unknowns)
     needed = set(variables)
     for e in constraint_exprs:
         needed |= e.variables()
     for rhs in reducer.rules.values():
         needed |= rhs.variables()
-    free = sorted(v for v in needed
-                  if v not in reducer.rules and v not in affine_unknowns)
+    free = sorted(needed - set(reducer.rules) - set(unknowns))
     tol = options.numeric_tolerance
     points = []
     attempts = 0
@@ -291,7 +251,7 @@ def sample_surface_points(constraint_exprs, variables, options, rng=None,
         attempts += 1
         pt = {v: random_rational(rng) for v in free}
         if affine:
-            pt = _solve_affine_at_point(affine, pt, rng)
+            pt = _solve_affine_at_point(affine, coefficients, unknowns, pt, rng)
             if pt is None:
                 continue
         try:

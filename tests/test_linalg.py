@@ -5,7 +5,9 @@ every row; ``eliminate`` skips zero work and must give the same
 ``Echelon`` exactly, cell for cell.  ``dense_rational_rank`` and
 ``DenseRowReducer`` are the dense ``Fraction`` loops that the sparse
 ``rational_rank`` and ``RowReducer`` must agree with.  ``sampled_rank`` is checked for
-the random draws it consumes as well as the rank it returns.
+the random draws it consumes as well as the rank it returns, and so is
+the surface sampler's affine solve (``RowReducer.solve``), against the
+column-pivoting loop in ``reference_solve_affine_at_point``.
 """
 
 import random
@@ -13,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from gaugeflow import Expression, Options
-from gaugeflow.errors import SamplingDegenerate
+from gaugeflow import Expression, Kind, Options, coordinate
+from gaugeflow.errors import DivisionByZero, SamplingDegenerate
 from gaugeflow.linalg import (
     Echelon,
     RowReducer,
@@ -25,6 +27,7 @@ from gaugeflow.linalg import (
     rational_rank,
     sampled_rank,
 )
+from gaugeflow.reduction import _solve_affine_at_point
 
 from conftest import X, Y, Z, random_polynomial
 
@@ -282,3 +285,151 @@ def test_sparse_row_reducer_matches_dense(seed):
     probes = sparse_fraction_matrix(rng, 6, width)
     for row in probes:
         assert sparse.reduce(row) == dense.reduce(row)
+
+
+# --- the augmented solve ---------------------------------------------------------
+
+def test_solve_inconsistent_system_draws_nothing():
+    rng = random.Random(21)
+    state = rng.getstate()
+    system = RowReducer(3)
+    system.absorb([Fraction(1), Fraction(1), Fraction(2)])
+    system.absorb([Fraction(2), Fraction(2), Fraction(5)])  # 0 = 1 after reduction
+    assert system.solve(rng) is None
+    assert rng.getstate() == state
+
+
+def test_solve_draws_a_free_column_when_a_pivot_row_meets_it():
+    # pivots in columns 2 and 0, absorbed last pivot first; back-substitution
+    # meets free column 1 and then free column 3 in the row of pivot 0
+    system = RowReducer(5)
+    system.absorb([Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(5)])
+    system.absorb([Fraction(2), Fraction(2), Fraction(3), Fraction(1), Fraction(4)])
+    rng, twin = random.Random(22), random.Random(22)
+    a, b = random_rational(twin), random_rational(twin)
+    assert system.solve(rng) == [(4 - 2 * a - 3 * 5 - b) / 2, a, 5, b]
+    assert rng.getstate() == twin.getstate()
+
+
+def test_solve_draws_unmet_columns_last_in_column_order():
+    # column 2 is met by the pivot row of column 1; columns 0 and 3 never are
+    system = RowReducer(5)
+    system.absorb([Fraction(0), Fraction(1), Fraction(1), Fraction(0), Fraction(3)])
+    rng, twin = random.Random(23), random.Random(23)
+    met, first, last = (random_rational(twin) for _ in range(3))
+    assert system.solve(rng) == [first, 3 - met, met, last]
+    assert rng.getstate() == twin.getstate()
+
+
+def reference_solve_affine_at_point(affine, base_point, rng):
+    """Column-pivoting elimination and back-substitution, the reference
+    that ``_solve_affine_at_point`` must match point for point and draw
+    for draw; ``affine`` holds (constraint, its sorted momenta) pairs."""
+    unknowns = sorted({v for g, g_moms in affine for v in g_moms})
+    cols = {v: i for i, v in enumerate(unknowns)}
+    width = len(unknowns)
+    rows = []
+    for g, g_moms in affine:
+        row = [Fraction(0)] * (width + 1)
+        rest = g
+        for v in g_moms:
+            coeff = g.diff(v)
+            try:
+                row[cols[v]] = coeff.evaluate(base_point)
+            except DivisionByZero:
+                return None
+            rest = rest - coeff * Expression.var(v)
+        try:
+            row[width] = -rest.evaluate(base_point)
+        except DivisionByZero:
+            return None
+        rows.append(row)
+    # forward elimination with column pivoting
+    pivots = []
+    level = 0
+    for col in range(width):
+        pr = next((r for r in range(level, len(rows)) if rows[r][col] != 0), None)
+        if pr is None:
+            continue
+        rows[level], rows[pr] = rows[pr], rows[level]
+        for r in range(level + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / rows[level][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[level])]
+        pivots.append((level, col))
+        level += 1
+    for r in range(level, len(rows)):
+        if rows[r][width] != 0:
+            return None  # inconsistent at this point
+    point = dict(base_point)
+    solution = {}
+    for v in unknowns:
+        solution[v] = None
+    for lvl, col in reversed(pivots):
+        row = rows[lvl]
+        acc = row[width]
+        for c in range(col + 1, width):
+            if row[c]:
+                if solution[unknowns[c]] is None:
+                    solution[unknowns[c]] = random_rational(rng)
+                acc -= row[c] * solution[unknowns[c]]
+        solution[unknowns[col]] = acc / row[col]
+    for v in unknowns:
+        if solution[v] is None:
+            solution[v] = random_rational(rng)
+        point[v] = solution[v]
+    return point
+
+
+W = coordinate("w")
+MOMENTA = [Expression.var(q.momentum()) for q in (X, Y, Z, W)]
+
+
+def affine_system(rng):
+    """Constraints affine in the momenta of x, y, z, w with coordinate
+    coefficients, some constant and some vanishing on a coordinate
+    hyperplane; a row may be a coordinate-weighted combination of two
+    others, shifted by a constant so it is inconsistent, or divided by a
+    coordinate polynomial that has zeros at sampled points."""
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        g = random_polynomial(rng, COORDS, max_terms=2)
+        for p in rng.sample(MOMENTA, rng.randint(1, 3)):
+            coeff = (Expression.const(random_rational(rng) or 1) if rng.random() < 0.4
+                     else random_polynomial(rng, COORDS, max_terms=2, max_exp=1))
+            g = g + coeff * p
+        rows.append(g)
+    if len(rows) >= 2 and rng.random() < 0.6:
+        a, b = rng.sample(rows, 2)
+        weight = random_polynomial(rng, COORDS, max_terms=1, max_factors=1, max_exp=1)
+        shift = rng.choice([0, 0, 1])
+        rows.insert(rng.randrange(len(rows) + 1), weight * a + b + shift)
+    if rng.random() < 0.5:
+        i = rng.randrange(len(rows))
+        ex, ey = Expression.var(X), Expression.var(Y)
+        rows[i] = rows[i] / rng.choice([ex, ex - ey, ey + 1])
+    return [g for g in rows if g.degree_in_kind(Kind.MOMENTUM) == 1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_affine_solve_matches_reference(seed):
+    rng = random.Random(4800 + seed)
+    outcomes = set()
+    for _ in range(10):
+        affine = affine_system(rng)
+        unknowns = sorted({v for g in affine for v in g.variables()
+                           if v.kind is Kind.MOMENTUM})
+        pairs = [(g, sorted(v for v in g.variables() if v.kind is Kind.MOMENTUM))
+                 for g in affine]
+        coefficients = jacobian(affine, unknowns)
+        for _ in range(20):
+            # a coordinate at 0 often zeroes a coefficient, leaving a column unmet
+            base = {q: random_rational(rng) if rng.random() < 0.7 else Fraction(0)
+                    for q in COORDS}
+            draws = rng.randrange(1 << 30)
+            ours, theirs = random.Random(draws), random.Random(draws)
+            got = _solve_affine_at_point(affine, coefficients, unknowns, base, ours)
+            assert got == reference_solve_affine_at_point(pairs, base, theirs)
+            assert ours.random() == theirs.random()
+            outcomes.add(got is None)
+    assert outcomes == {True, False}

@@ -6,6 +6,7 @@ from gaugeflow import (
     Expression,
     GaugeGenerator,
     GeneratorComponent,
+    WeakReducer,
     builtin_model,
     conjecture_constraints,
     coordinate,
@@ -15,7 +16,6 @@ from gaugeflow import (
     parse_model,
     primary_constraints,
     run_dirac,
-    weak_reduce,
 )
 from gaugeflow.errors import (
     ConjectureInapplicable,
@@ -154,7 +154,7 @@ class TestConjecture:
             leg = primary_constraints(m)
             dirac_exprs = [c.expr for c in run_dirac(m, leg).constraints]
             for c in conjecture_constraints(m, leg):
-                assert weak_reduce(c.expr, dirac_exprs).is_zero()
+                assert WeakReducer(dirac_exprs).reduce(c.expr).is_zero()
 
     def test_first_class_against_full_dirac_set(self):
         from gaugeflow import poisson_bracket
@@ -166,4 +166,4 @@ class TestConjecture:
             for c in conjecture_constraints(m, leg):
                 for other in dirac_exprs:
                     br = poisson_bracket(c.expr, other, pairs)
-                    assert weak_reduce(br, dirac_exprs).is_zero()
+                    assert WeakReducer(dirac_exprs).reduce(br).is_zero()

@@ -1,0 +1,44 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps package entry
+points by name; every name it lists must still resolve, so that a
+refactor which renames or deletes one fails here rather than in a
+traced benchmark run.  The tracer's source is executed into a private
+namespace, which writes nothing next to it."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing_tables():
+    namespace = {"__name__": "perfbench_tracing"}
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), namespace)
+    return namespace
+
+
+TABLES = _tracing_tables()
+
+
+def _module(name):
+    return importlib.import_module(f"gaugeflow.{name}")
+
+
+@pytest.mark.parametrize("module,attribute,span", TABLES["SPANNED_FUNCTIONS"])
+def test_spanned_function_exists(module, attribute, span):
+    assert callable(getattr(_module(module), attribute))
+
+
+@pytest.mark.parametrize("module,cls,method,span", TABLES["SPANNED_METHODS"])
+def test_spanned_method_exists(module, cls, method, span):
+    # the tracer patches the method found in the class's own namespace
+    assert callable(vars(getattr(_module(module), cls))[method])
+
+
+@pytest.mark.parametrize("module,owner,attribute,counter", TABLES["COUNTED"])
+def test_counted_name_exists(module, owner, attribute, counter):
+    if owner is None:
+        assert callable(getattr(_module(module), attribute))
+    else:
+        assert callable(vars(getattr(_module(module), owner))[attribute])
