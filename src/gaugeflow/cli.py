@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .catalog import BUILTIN_MODELS, builtin_model
 from .compare import build_report
-from .dirac import classify, run_dirac
+from .dirac import run_dirac
 from .errors import (
     GaugeflowError,
     IdentityViolated,
@@ -248,7 +248,7 @@ def _cmd_compare(model, args, out):
 def _cmd_analyze(model, args, out):
     try:
         leg = primary_constraints(model)
-        d = classify(run_dirac(model, leg), model.canonical_pairs())
+        d = run_dirac(model, leg)
     except InconsistentLagrangian as exc:
         if args.format == "json":
             _dump_json({"model": model.name, "error": "inconsistent-lagrangian",

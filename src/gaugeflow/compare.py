@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .dirac import classify, run_dirac
+from .dirac import run_dirac
 from .errors import (
     ConjectureInapplicable,
     DegenerateGenerator,
@@ -165,7 +165,7 @@ def build_report(m):
 
     t0 = time.perf_counter()
     try:
-        dirac = classify(run_dirac(m, leg), m.canonical_pairs())
+        dirac = run_dirac(m, leg)
     except InconsistentLagrangian as exc:
         report.dirac = exc.partial
         note("error", "inconsistent-lagrangian", str(exc), witness=str(exc.witness))
@@ -191,6 +191,7 @@ def build_report(m):
     finally:
         timings["noether"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     try:
         report.independent = independence_check(m)
         if not report.independent:
@@ -198,6 +199,8 @@ def build_report(m):
                  "the declared generators are not independent")
     except GaugeflowError as exc:
         note("warning", "independence-unknown", str(exc))
+    finally:
+        timings["independence"] = time.perf_counter() - t0
 
     canonical_first = tuple(
         c for c in dirac.first_class() if _canonical_sector(c, leg.discardable))

@@ -182,7 +182,7 @@ def consistency_step(c, h_total, reducer, pairs):
 
     The bracket with the total Hamiltonian is reduced by ``reducer``, a
     :class:`WeakReducer` over the constraint set the step is tested
-    against (built once and shared by every step of a generation).
+    against (the run's one reducer, shared by every step).
     A zero residue is an identity; a residue with a weakly nonzero
     multiplier coefficient fixes that multiplier; a multiplier-free
     nonzero constant is a contradiction; anything else is a new
@@ -215,13 +215,16 @@ def consistency_step(c, h_total, reducer, pairs):
 
 
 def run_dirac(m, leg=None):
-    """Run the generational consistency algorithm to its fixpoint.
+    """Run the generational consistency algorithm to its fixpoint and
+    return its constraints classified.
 
     Primaries are generation 0; each later generation adds the
     independent residues of all consistency conditions, tested against
-    the constraint set as of the start of that generation.  Raises
-    :class:`InconsistentLagrangian` on a constant residue and
-    :class:`GenerationLimitExceeded` if no fixpoint is reached.
+    the constraint set as of the start of that generation.  One
+    :class:`WeakReducer`, extended by each generation, serves the whole
+    run and then :func:`classify`.  Raises :class:`InconsistentLagrangian`
+    on a constant residue and :class:`GenerationLimitExceeded` if no
+    fixpoint is reached.
     """
     if leg is None:
         from .legendre import primary_constraints
@@ -238,13 +241,11 @@ def run_dirac(m, leg=None):
     diagnostics = []
     generations_run = 0
     rng = random.Random(options.seed)
+    reducer = WeakReducer([c.expr for c in constraints])
 
     for generation in range(1, options.max_generations + 1):
-        start = list(constraints)
-        start_exprs = [c.expr for c in start]
-        reducer = WeakReducer(start_exprs)
         candidates = []
-        for c in start:
+        for c in constraints:
             outcome = consistency_step(c, h_total, reducer, pairs)
             if isinstance(outcome, Identity):
                 continue
@@ -268,10 +269,9 @@ def run_dirac(m, leg=None):
 
         accepted = []
         if candidates:
-            points = sample_surface_points(start_exprs, phase_vars, options, rng,
-                                           reducer)
+            points = sample_surface_points(reducer, phase_vars, options, rng)
             bases = []
-            start_grad = jacobian(start_exprs, phase_vars)
+            start_grad = jacobian([c.expr for c in constraints], phase_vars)
             for pt in points:
                 basis = RowReducer(len(phase_vars))
                 for row in evaluate_rows(start_grad, pt):
@@ -319,29 +319,29 @@ def run_dirac(m, leg=None):
         if not accepted:
             break
         constraints.extend(accepted)
+        reducer.extend([c.expr for c in accepted])
     else:
         raise GenerationLimitExceeded(options.max_generations)
 
-    return DiracResult(
+    return classify(DiracResult(
         constraints=tuple(constraints),
         multiplier_equations=tuple(multiplier_equations),
         generations_run=generations_run,
         consistent=True,
         diagnostics=tuple(diagnostics),
-    )
+    ), pairs, reducer)
 
 
-def classify(result, pairs):
+def classify(result, pairs, reducer):
     """Attach first/second class labels by pairwise weak brackets.
 
+    ``reducer`` is a :class:`WeakReducer` over ``result.constraints``.
     A constraint is first class when its bracket with every constraint
     reduces weakly to zero.  An odd number of second-class constraints
     signals a rank anomaly and raises :class:`OddSecondClassCount`.
     """
-    pairs = ConjugatePairs(pairs)
     constraints = result.constraints
     exprs = [c.expr for c in constraints]
-    reducer = WeakReducer(exprs)
     n = len(constraints)
     second = [False] * n
     for i in range(n):

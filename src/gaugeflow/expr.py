@@ -776,9 +776,8 @@ class Expression:
     def subs(self, assignment):
         """Simultaneous substitution ``{VarRef: Expression}``, then
         canonicalization.  Variables not mentioned are left alone."""
-        mentioned = self.variables()
-        live = {v: Expression._coerce(e) for v, e in dict(assignment).items()
-                if v in mentioned}
+        live = {v: Expression._coerce(assignment[v]) for v in self.variables()
+                if v in assignment}
         if not live:
             return self
         num = _subs_poly(self._num, live)

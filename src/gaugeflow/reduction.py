@@ -7,7 +7,9 @@ Reduction strategy, in order:
   pivot are solved exactly and become triangular substitution rules;
 * everything else joins a division pile reduced under the graded-lex
   monomial order (their numerators generate the same surface ideal away
-  from denominator zeros).
+  from denominator zeros);
+* leftovers affine in momenta also feed a fraction-free momentum
+  elimination that certifies linear recombinations division misses.
 
 A zero result certifies weak vanishing.  A nonzero remainder only means
 "not reducible by this engine"; the sampling oracle can second-guess it
@@ -52,7 +54,7 @@ def _constant_pivot(e):
 
 
 class WeakReducer:
-    """Reduction modulo a fixed constraint set; build once, reduce many.
+    """Reduction modulo a constraint set that only grows (``extend``).
 
     Three mechanisms, applied in order:
 
@@ -72,6 +74,14 @@ class WeakReducer:
     def __init__(self, constraint_exprs):
         self.rules = {}
         self.leftovers = []
+        self._divisors = []
+        self._eliminator = _AffineEliminator()
+        self.extend(constraint_exprs)
+
+    def extend(self, constraint_exprs):
+        """Absorb more constraints, in order.  A stored leftover is never
+        rewritten by a later rule, so feeding one sequence in two calls
+        leaves exactly the state of one call."""
         for e in constraint_exprs:
             if self.rules:
                 e = e.subs(self.rules)
@@ -80,6 +90,11 @@ class WeakReducer:
             pivot = _constant_pivot(e)
             if pivot is None:
                 self.leftovers.append(e)
+                num = e._num  # division only needs the numerator ideal
+                lead = _p_leading(num)
+                self._divisors.append((lead, num[lead], num))
+                if e.degree_in_kind(Kind.MOMENTUM) == 1:
+                    self._eliminator.add(e)
                 continue
             target, coeff = pivot
             rhs = -(e - coeff * Expression.var(target)) / coeff
@@ -87,15 +102,6 @@ class WeakReducer:
                 if r.mentions(target):
                     self.rules[v] = r.subs({target: rhs})
             self.rules[target] = rhs
-        self._divisors = []
-        for g in self.leftovers:
-            num = g._num  # division only needs the numerator ideal
-            lead = _p_leading(num)
-            self._divisors.append((lead, num[lead], num))
-        self._eliminator = _AffineEliminator()
-        for g in self.leftovers:
-            if g.degree_in_kind(Kind.MOMENTUM) == 1:
-                self._eliminator.add(g)
 
     def _divide(self, e):
         rem = dict(e._num)
@@ -212,21 +218,17 @@ def _solve_affine_at_point(affine, coefficients, unknowns, base_point, rng):
     return point
 
 
-def sample_surface_points(constraint_exprs, variables, options, rng=None,
-                          reducer=None):
-    """Deterministic exact-rational points on the constraint surface.
+def sample_surface_points(reducer, variables, options, rng=None):
+    """Deterministic exact-rational points on the surface of the
+    constraints ``reducer`` (a :class:`WeakReducer`) has absorbed.
 
     Free variables get random rationals; momenta covered by the affine
     rules are substituted exactly, momentum-affine leftovers are solved
     per point, and any remaining constraint must vanish within
-    tolerance or the point is rejected.  ``reducer``, when given, is a
-    :class:`WeakReducer` already built over ``constraint_exprs``.
-    Raises :class:`SurfaceSamplingFailed` when not enough points
-    survive.
+    tolerance or the point is rejected.  Raises
+    :class:`SurfaceSamplingFailed` when not enough points survive.
     """
     rng = rng or random.Random(options.seed)
-    if reducer is None:
-        reducer = WeakReducer(constraint_exprs)
     affine = []
     hard = []
     for g in reducer.leftovers:
@@ -238,10 +240,8 @@ def sample_surface_points(constraint_exprs, variables, options, rng=None,
                        if v.kind is Kind.MOMENTUM})
     coefficients = jacobian(affine, unknowns)
     needed = set(variables)
-    for e in constraint_exprs:
+    for e in [*reducer.leftovers, *reducer.rules.values()]:
         needed |= e.variables()
-    for rhs in reducer.rules.values():
-        needed |= rhs.variables()
     free = sorted(needed - set(reducer.rules) - set(unknowns))
     tol = options.numeric_tolerance
     points = []
@@ -293,7 +293,7 @@ def weak_zero_numeric(e, constraint_exprs, variables, options):
     point with the largest magnitude as a witness.
     """
     variables = set(variables) | e.variables()
-    points = sample_surface_points(constraint_exprs, variables, options)
+    points = sample_surface_points(WeakReducer(constraint_exprs), variables, options)
     worst = Fraction(0)
     worst_pt = None
     evaluated = 0

@@ -18,7 +18,6 @@ from gaugeflow import (
     WeakReducer,
     build_report,
     builtin_model,
-    classify,
     coordinate,
     conjecture_constraints,
     noether_identity_check,

@@ -16,6 +16,8 @@ from gaugeflow import (
     span_equivalent,
 )
 
+from test_dirac import assert_extend_matches_one_shot
+
 x = coordinate("x")
 y = coordinate("y")
 px, py = Expression.var(x.momentum()), Expression.var(y.momentum())
@@ -23,8 +25,36 @@ PHASE = [x, x.momentum(), y, y.momentum()]
 OPTIONS = builtin_model("toy_gauge").options
 
 
+TOY_GAUGE = """[vars]
+x
+y discardable
+[lagrangian]
+(xdot - y)^2 / 2
+[generators]
+gen eps
+x : k=0 : 1
+y : k=1 : 1
+"""
+
+GAUSS_MIXES = (
+    ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+    ((1, 2, 0), (0, 1, 0), (3, 0, 1)),
+    ((0, 1, 0), (1, 0, 0), (-1, 0, -1)),
+)
+
+
 def cons(*exprs):
     return tuple(Constraint(e, 0, "dirac") for e in exprs)
+
+
+def ym_gauss_laws(m):
+    return [c.expr for c in run_dirac(m).constraints if c.generation == 1]
+
+
+def recombined(mix, exprs):
+    """The rows of the integer matrix ``mix`` applied to ``exprs``."""
+    return [sum((Fraction(c) * e for c, e in zip(row, exprs)), Expression.const(0))
+            for row in mix]
 
 
 class TestSpanEquivalent:
@@ -52,21 +82,21 @@ class TestSpanEquivalent:
 
     def test_unimodular_recombination_invariance(self):
         m = builtin_model("ym_mechanics")
-        secondaries = [c for c in run_dirac(m).constraints if c.generation == 1]
-        exprs = [c.expr for c in secondaries]
-        mixes = [
-            ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
-            ((1, 2, 0), (0, 1, 0), (3, 0, 1)),
-            ((0, 1, 0), (1, 0, 0), (-1, 0, -1)),
-        ]
+        exprs = ym_gauss_laws(m)
         phase = [v for pair in m.canonical_pairs() for v in pair]
-        for mix in mixes:
-            mixed = cons(*(
-                sum((Fraction(c) * e for c, e in zip(row, exprs)),
-                    Expression.const(0))
-                for row in mix))
+        for mix in GAUSS_MIXES:
+            mixed = cons(*recombined(mix, exprs))
             check = span_equivalent(mixed, cons(*exprs), phase, m.options)
             assert check.equivalent
+
+    def test_recombined_gauss_laws_extend_matches_one_shot(self):
+        # the affine eliminator decides some of these reductions
+        exprs = ym_gauss_laws(builtin_model("ym_mechanics"))
+        for mix in GAUSS_MIXES:
+            mixed = recombined(mix, exprs)
+            for constraints, probes in ((mixed, exprs), (exprs, mixed)):
+                assert_extend_matches_one_shot(
+                    constraints, range(len(constraints) + 1), probes)
 
 
 class TestBuildReport:
@@ -127,6 +157,31 @@ class TestBuildReport:
         src = "[vars]\nx discardable\n[lagrangian]\nxdot^2/2\n"
         report = build_report(parse_model(src))
         assert any(d.code == "hint-not-confirmed" for d in report.diagnostics)
+
+    def test_generator_declared_twice(self):
+        # eta = 2 eps: one gauge symmetry declared as two generators
+        src = TOY_GAUGE + "gen eta\nx : k=0 : 2\ny : k=1 : 2\n"
+        report = build_report(parse_model(src, name="toy_twice"))
+        codes = [d.code for d in report.diagnostics]
+        assert codes == ["dependent-generators", "count-mismatch"]
+        assert report.independent is False
+        assert report.verdict == "mismatch" and report.exit_code == 2
+
+    def test_first_class_only_on_discarded_coordinate(self):
+        src = "[vars]\nx\ny\n[lagrangian]\nxdot^2/2\n"
+        report = build_report(parse_model(src, name="unused_y"))
+        assert [d.code for d in report.diagnostics] == ["no-canonical-gauge-sector"]
+        assert report.canonical_first_class == ()
+        assert report.verdict == "match" and report.exit_code == 0
+
+    def test_dependent_residue_dropped(self):
+        # p_y, then x^2, then p_x; the third generation's residue x*y
+        # vanishes on that surface and is dropped
+        src = "[vars]\nx\ny\n[lagrangian]\nxdot^2/2 + y*x^2\n"
+        report = build_report(parse_model(src, name="residue"))
+        dropped = [d for d in report.diagnostics if d.code == "dependent-residue"]
+        assert len(dropped) == 1 and "x*y" in dropped[0].message
+        assert report.dirac.generations_run == 3
 
     @pytest.mark.parametrize("name,params,verdict", [
         ("toy_gauge", {}, "match"),

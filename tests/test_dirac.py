@@ -13,7 +13,6 @@ from gaugeflow import (
     NewConstraint,
     WeakReducer,
     builtin_model,
-    classify,
     consistency_step,
     coordinate,
     multiplier,
@@ -184,18 +183,18 @@ class TestRunDirac:
 class TestClassify:
     def test_toy_gauge_first_class(self):
         m = builtin_model("toy_gauge")
-        d = classify(run_dirac(m), m.canonical_pairs())
+        d = run_dirac(m)
         assert all(c.class_label == "first" for c in d.constraints)
 
     def test_second_class_pair(self):
         m = builtin_model("second_class_toy")
-        d = classify(run_dirac(m), m.canonical_pairs())
+        d = run_dirac(m)
         assert all(c.class_label == "second" for c in d.constraints)
         assert poisson_bracket(px - ey, py, PAIRS) == Expression.const(-1)
 
     def test_ym_all_first_class(self):
         m = builtin_model("ym_mechanics")
-        d = classify(run_dirac(m), m.canonical_pairs())
+        d = run_dirac(m)
         assert all(c.class_label == "first" for c in d.constraints)
         assert len(d.first_class()) == 6
 
@@ -214,6 +213,39 @@ class TestWeakReduce:
         g = ex * py - ey * px
         assert WeakReducer([g]).reduce(2 * g).is_zero()
         assert WeakReducer([g]).reduce(ey * g).is_zero()
+
+
+def assert_extend_matches_one_shot(exprs, splits, probes):
+    """``WeakReducer(a + b)`` and ``WeakReducer(a)`` extended by ``b``
+    hold the same state and reduce alike, for each split ``a, b``."""
+    whole = WeakReducer(exprs)
+    for k in splits:
+        grown = WeakReducer(exprs[:k])
+        grown.extend(exprs[k:])
+        assert list(grown.rules.items()) == list(whole.rules.items())
+        assert grown.leftovers == whole.leftovers
+        assert grown._divisors == whole._divisors
+        assert grown._eliminator.rows == whole._eliminator.rows
+        assert [grown.reduce(e) for e in probes] == [whole.reduce(e) for e in probes]
+
+
+class TestWeakReducerExtend:
+    @pytest.mark.parametrize("name,params", [
+        ("toy_gauge", {}), ("second_class_toy", {}), ("maxwell_lattice", {"N": 2}),
+        ("ym_mechanics", {}), ("ym_mechanics", {"with_scalar": False})])
+    def test_matches_one_shot_at_generation_boundaries(self, name, params):
+        m = builtin_model(name, params)
+        constraints = run_dirac(m).constraints
+        exprs = [c.expr for c in constraints]
+        # the empty start, then every point where a run extends its reducer
+        splits = [0] + [k for k in range(1, len(constraints))
+                        if constraints[k].generation != constraints[k - 1].generation]
+        pairs = ConjugatePairs(m.canonical_pairs())
+        h = total_hamiltonian(primary_constraints(m))
+        # what the consistency steps and the classification reduce
+        probes = [poisson_bracket(e, h, pairs) for e in exprs] + [
+            poisson_bracket(f, g, pairs) for i, f in enumerate(exprs) for g in exprs[i + 1:]]
+        assert_extend_matches_one_shot(exprs, splits, probes)
 
 
 class TestNumericOracle:
@@ -240,7 +272,7 @@ class TestNumericOracle:
         d = run_dirac(m)
         exprs = [c.expr for c in d.constraints]
         phase = [v for pair in m.canonical_pairs() for v in pair]
-        pts = sample_surface_points(exprs, phase, m.options)
+        pts = sample_surface_points(WeakReducer(exprs), phase, m.options)
         assert len(pts) == m.options.sample_count
         for pt in pts:
             for e in exprs:
@@ -280,7 +312,7 @@ def test_rational_hamiltonian_constraints_stay_polynomial():
     # and the consistency residues carry poles, but stored constraints
     # are minimal polynomial representatives
     m = parse_model("[vars]\nx\ny\n[lagrangian]\nx^2*ydot^2/2\n", name="weighted")
-    d = classify(run_dirac(m), m.canonical_pairs())
+    d = run_dirac(m)
     assert [(str(c.expr), c.generation) for c in d.constraints] == [
         ("p_x", 0), ("p_y^2", 1)]
     assert all(c.class_label == "first" for c in d.constraints)

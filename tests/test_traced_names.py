@@ -1,8 +1,10 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps package entry
 points by name; every name it lists must still resolve, so that a
 refactor which renames or deletes one fails here rather than in a
-traced benchmark run.  The tracer's source is executed into a private
-namespace, which writes nothing next to it."""
+traced benchmark run.  One traced report also checks that the hooks
+still read the arguments they expect and pins two of the counts.  The
+tracer's source is executed into a private namespace, which writes
+nothing next to it."""
 
 import importlib
 from pathlib import Path
@@ -42,3 +44,21 @@ def test_counted_name_exists(module, owner, attribute, counter):
         assert callable(getattr(_module(module), attribute))
     else:
         assert callable(vars(getattr(_module(module), owner))[attribute])
+
+
+def test_tracer_counts_one_report():
+    # one reducer for Legendre, one for the whole Dirac run and two for
+    # the span comparison; one bracket pair classified
+    compare = _module("compare")
+    _module("cli")  # the tracer wraps names in every traced module
+    model = _module("catalog").builtin_model("toy_gauge")
+    tracer = TABLES["Tracer"]()
+    tracer.install()
+    try:
+        report = tracer.run_op("toy_gauge", compare.build_report, model)
+    finally:
+        tracer.uninstall()
+    assert report.verdict == "match"
+    counts = tracer.op_counts("toy_gauge")
+    assert counts["reduction.weak_reducer_build:calls"] == 4
+    assert counts["dirac.classify_pairs"] == 1
