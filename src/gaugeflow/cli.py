@@ -79,7 +79,7 @@ def _parser():
 def _load_model(args):
     if (args.file is None) == (args.builtin is None):
         raise GaugeflowError("exactly one input is required: a model file or --builtin")
-    if args.builtin:
+    if args.builtin is not None:
         params = {}
         for item in args.param:
             key, sep, value = item.partition("=")
@@ -332,7 +332,7 @@ def main(argv=None, out=None):
         return _cmd_list_builtins(args, out)
     try:
         model = _load_model(args)
-    except (GaugeflowError, OSError) as exc:
+    except (GaugeflowError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     handler = {"compare": _cmd_compare, "analyze": _cmd_analyze,

@@ -77,8 +77,9 @@ def span_equivalent(left, right, variables, options):
         (c, residue) for c in right
         if not (residue := reduce_left.reduce(c.expr)).is_zero())
     rng = random.Random(options.seed)
-    rank_left = sampled_rank(jacobian([c.expr for c in left], variables), options, rng)
-    rank_right = sampled_rank(jacobian([c.expr for c in right], variables), options, rng)
+    width = len(variables)
+    rank_left = sampled_rank(jacobian([c.expr for c in left], variables), width, options, rng)
+    rank_right = sampled_rank(jacobian([c.expr for c in right], variables), width, options, rng)
     return SpanCheck(
         equivalent=not left_witnesses and not right_witnesses
         and rank_left == rank_right,

@@ -273,7 +273,7 @@ def run_dirac(m, leg=None):
             bases = []
             start_grad = jacobian([c.expr for c in constraints], phase_vars)
             for pt in points:
-                basis = RowReducer(len(phase_vars))
+                basis = RowReducer()
                 for row in evaluate_rows(start_grad, pt):
                     basis.absorb(row)
                 bases.append((pt, basis))
@@ -306,7 +306,7 @@ def run_dirac(m, leg=None):
                         (row,) = evaluate_rows(grad, pt)
                     except DivisionByZero:
                         continue
-                    if any(x != 0 for x in basis.reduce(row)):
+                    if basis.reduce(row):
                         independent = True
                         break
                 if not independent:

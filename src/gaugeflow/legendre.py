@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dirac import Constraint, constraint_form
 from .errors import LegendreError, NonQuadraticVelocity, RankNotConstant
-from .expr import Expression, Kind, esum
+from .expr import ZERO, Expression, Kind, esum
 from .linalg import eliminate, jacobian, sampled_rank
 from .reduction import WeakReducer
 
@@ -25,7 +25,7 @@ from .reduction import WeakReducer
 class LegendreResult:
     model: object
     momenta_defs: tuple      # (coordinate VarRef, Expression in (q, v)) per coordinate
-    hessian: tuple           # matrix of Expressions, rows/cols in coordinate order
+    hessian: tuple           # rows {column: Expression}, rows/cols in coordinate order
     rank: int
     solvable_velocities: tuple   # (velocity VarRef, Expression in (q, p, unsolved v))
     primary_constraints: tuple   # of Constraint, generation 0
@@ -54,18 +54,18 @@ def primary_constraints(m):
     momenta = [q.momentum() for q in coords]
     momenta_defs = compute_momenta(m)
 
-    hessian = tuple(map(tuple, jacobian([pdef for _, pdef in momenta_defs], velocities)))
+    hessian = tuple(jacobian([pdef for _, pdef in momenta_defs], velocities))
     at_rest = {v: Expression.const(0) for v in velocities}
-    # rows of the linear system W.v = p - b
+    # rows of the linear system W.v = p - b, the right-hand side in column n
     rhs = [Expression.var(p) - pdef.subs(at_rest)
            for p, (_, pdef) in zip(momenta, momenta_defs)]
 
     n = len(coords)
-    matrix = [list(row) + [rhs[i]] for i, row in enumerate(hessian)]
+    matrix = [{**row, n: b} for row, b in zip(hessian, rhs)]
     column_order = sorted(range(n), key=lambda i: velocities[i])
     ech = eliminate(matrix, column_order)
 
-    sampled = sampled_rank(hessian, m.options, random.Random(m.options.seed))
+    sampled = sampled_rank(hessian, n, m.options, random.Random(m.options.seed))
     if sampled != ech.rank:
         raise RankNotConstant(ech.rank, sampled)
 
@@ -76,23 +76,23 @@ def primary_constraints(m):
     non_pivot = sorted((r for r in range(n) if r not in pivot_rows),
                        key=lambda r: ech.row_order[r])
     for r in non_pivot:
-        relation = ech.rows[r][n]
-        if any(not ech.rows[r][c].is_zero() for c in range(n)):
+        row = ech.rows[r]
+        if row.keys() - {n}:
             raise LegendreError("elimination left an unreduced velocity row")
-        if relation.is_zero():
+        if n not in row:
             raise LegendreError("momentum relation collapsed to zero")
-        primaries.append(Constraint(constraint_form(relation), 0, "dirac"))
+        primaries.append(Constraint(constraint_form(row[n]), 0, "dirac"))
 
     # back-substitution for the solvable velocities, bottom pivot first
     solved = {}
     for level, col in reversed(ech.pivots):
         row = ech.rows[level]
-        expr = row[n]
-        for c in range(n):
-            if c == col or row[c].is_zero():
+        expr = row.get(n, ZERO)
+        for c, a in row.items():
+            if c == col or c == n:
                 continue
             v = velocities[c]
-            expr = expr - row[c] * solved.get(v, Expression.var(v))
+            expr = expr - a * solved.get(v, Expression.var(v))
         solved[velocities[col]] = expr / row[col]
     solvable = tuple((v, solved[v]) for v in velocities if v in solved)
 

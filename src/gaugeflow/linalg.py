@@ -1,14 +1,17 @@
 """Exact linear algebra over expressions and rationals.
 
+Every matrix here is a list of rows, each row a dict ``{column index:
+value}`` that holds the row's nonzero cells only; the number of columns
+is not stored, and a caller that needs it passes it.  ``jacobian`` and
+``evaluate_rows`` build such rows, and the eliminations below read and
+write them, so no loop visits a zero cell.
+
 Symbolic elimination runs fraction-free (Bareiss) so intermediate
-entries stay polynomial whenever the input is.  It does no work on zero
-cells; because ``Expression`` arithmetic always lands on one canonical
-form, the cells it computes equal the dense Bareiss formula's exactly.
-``RowReducer`` is the one Gaussian elimination over ``Fraction``.  It
-keeps each basis row as its nonzero (column, value) pairs and updates a
-row in place on those columns only, so a reduction costs the basis
-rows' support rather than the matrix width.  ``rational_rank`` absorbs
-a matrix's rows into one reducer, ``run_dirac`` tests rank growth at a
+entries stay polynomial whenever the input is; because ``Expression``
+arithmetic always lands on one canonical form, the cells it computes
+equal the dense Bareiss formula's exactly.  ``RowReducer`` is the one
+Gaussian elimination over ``Fraction``: ``rational_rank`` absorbs a
+matrix's rows into one reducer, ``run_dirac`` tests rank growth at a
 surface point with one, and the surface sampler solves its
 momentum-affine constraints at each point with ``RowReducer.solve``.
 
@@ -16,9 +19,6 @@ The generic rank of a matrix of expressions (a velocity Hessian, the
 generator columns, a constraint Jacobian) is sampled: ``sampled_rank``
 takes the best exact rank over seeded random rational points, which by
 the Schwartz-Zippel bound equals the generic rank with high probability.
-``jacobian`` (which reads each expression's memoized gradient) and
-``evaluate_rows`` build and evaluate such matrices without touching
-cells that are zero.
 """
 
 from __future__ import annotations
@@ -47,38 +47,28 @@ class Echelon:
         return len(self.pivots)
 
 
-def eliminate(matrix, column_order=None):
-    """Fraction-free forward elimination on a matrix of Expressions.
+def eliminate(matrix, column_order):
+    """Fraction-free forward elimination on rows of Expressions.
 
-    ``matrix`` is a list of equal-length lists; extra columns beyond
-    ``column_order`` ride along as an augmented part.  Columns are
-    processed in ``column_order`` (default: left to right); within a
-    column the pivot is the first remaining row with a nonzero entry.
-    Deterministic for a fixed input.
+    Columns are processed in ``column_order``; columns it leaves out
+    ride along as an augmented part.  Within a column the pivot is the
+    first remaining row with a cell there.  Deterministic for a fixed
+    input.
 
-    Each step replaces every cell below the pivot row ``top`` by
-    ``(row[c]*piv - top[c]*entry) / prev_pivot``, skipping zero work:
-    a row whose pivot-column ``entry`` is zero is left alone when
-    ``piv == prev_pivot``; otherwise only nonzero cells are scaled by
-    ``piv``, ``top[c]*entry`` is subtracted only where ``entry`` and
-    ``top[c]`` are nonzero, and only nonzero results are divided by
-    ``prev_pivot``.  Expressions are canonical, so each cell equals the
-    dense formula's value exactly.
+    Each step replaces every row below the pivot row ``top`` by
+    ``(row*piv - top*entry) / prev_pivot``, with ``entry`` the row's cell
+    in the pivot column.  A row without that cell is left alone when
+    ``piv == prev_pivot``; cells that cancel leave the row.  Expressions
+    are canonical, so each cell equals the dense formula's value exactly.
     """
-    rows = [list(r) for r in matrix]
+    rows = [dict(r) for r in matrix]
     n = len(rows)
-    width = len(rows[0]) if rows else 0
-    cols = list(column_order) if column_order is not None else list(range(width))
     pivots = []
     row_order = list(range(n))
     level = 0
     prev_pivot = None
-    for col in cols:
-        pivot_row = None
-        for r in range(level, n):
-            if not rows[r][col].is_zero():
-                pivot_row = r
-                break
+    for col in column_order:
+        pivot_row = next((r for r in range(level, n) if col in rows[r]), None)
         if pivot_row is None:
             continue
         if pivot_row != level:
@@ -86,18 +76,21 @@ def eliminate(matrix, column_order=None):
             row_order[level], row_order[pivot_row] = row_order[pivot_row], row_order[level]
         top = rows[level]
         piv = top[col]
-        support = [c for c in range(width) if not top[c].is_zero()]
+        same_pivot = piv == prev_pivot
         for r in range(level + 1, n):
-            row = rows[r]
-            entry = row[col]
-            if entry.is_zero() and piv == prev_pivot:
+            entry = rows[r].get(col)
+            if entry is None and same_pivot:
                 continue  # row * piv / prev_pivot is the row itself
-            new_row = [x if x.is_zero() else x * piv for x in row]
-            if not entry.is_zero():
-                for c in support:
-                    new_row[c] = new_row[c] - top[c] * entry
+            new_row = {c: x * piv for c, x in rows[r].items()}
+            if entry is not None:
+                for c, t in top.items():
+                    x = new_row.get(c, ZERO) - t * entry
+                    if x.is_zero():
+                        del new_row[c]
+                    else:
+                        new_row[c] = x
             if prev_pivot is not None:
-                new_row = [x if x.is_zero() else x / prev_pivot for x in new_row]
+                new_row = {c: x / prev_pivot for c, x in new_row.items()}
             rows[r] = new_row
         pivots.append((level, col))
         prev_pivot = piv
@@ -108,7 +101,7 @@ def eliminate(matrix, column_order=None):
 def rational_rank(matrix):
     """Rank of a matrix of Fractions: its rows absorbed into one
     :class:`RowReducer`."""
-    reducer = RowReducer(len(matrix[0]) if matrix else 0)
+    reducer = RowReducer()
     for row in matrix:
         reducer.absorb(row)
     return reducer.rank
@@ -120,23 +113,24 @@ def random_rational(rng):
 
 
 def jacobian(exprs, variables):
-    """Matrix of partial derivatives, one row per expression; a cell
-    whose variable the expression does not mention is ``ZERO``."""
-    rows = []
-    for e in exprs:
-        grad = e.gradient()
-        rows.append([grad.get(v, ZERO) for v in variables])
-    return rows
+    """Matrix of first partials, one row per expression and one column
+    per variable, from each expression's memoized gradient."""
+    index = {v: c for c, v in enumerate(variables)}
+    return [{index[v]: d for v, d in e.gradient().items() if v in index}
+            for e in exprs]
 
 
 def evaluate_rows(matrix, point):
-    """Exact values of a matrix of expressions at ``point``; a zero cell
-    is 0 without evaluation.  Raises :class:`DivisionByZero` at a pole."""
-    return [[0 if e.is_zero() else e.evaluate(point) for e in row] for row in matrix]
+    """Exact values of a matrix of expressions at ``point``; a cell that
+    evaluates to 0 leaves its row.  Raises :class:`DivisionByZero` at a
+    pole."""
+    return [{c: value for c, e in row.items() if (value := e.evaluate(point))}
+            for row in matrix]
 
 
-def sampled_rank(matrix, options, rng):
-    """Generic rank of a matrix of expressions, sampled.
+def sampled_rank(matrix, width, options, rng):
+    """Generic rank of a matrix of expressions with ``width`` columns,
+    sampled.
 
     The best :func:`rational_rank` over up to ``options.sample_count``
     random rational points drawn from ``rng`` (one point, with no draws,
@@ -148,11 +142,10 @@ def sampled_rank(matrix, options, rng):
         return 0
     free = set()
     for row in matrix:
-        for e in row:
-            if not e.is_zero():
-                free |= e.variables()
+        for e in row.values():
+            free |= e.variables()
     free = sorted(free)
-    full = min(len(matrix), len(matrix[0]))
+    full = min(len(matrix), width)
     best = None
     for _ in range(options.sample_count if free else 1):
         point = {v: random_rational(rng) for v in free}
@@ -171,62 +164,63 @@ def sampled_rank(matrix, options, rng):
 class RowReducer:
     """Incremental exact row reduction over Fractions.
 
-    Feed rows one at a time; ``absorb`` reduces a row against the
-    current basis and, if a nonzero remainder survives, keeps it and
-    reports True.  Used for rank-growth tests, for :func:`rational_rank`
-    and, reading the last column as a right-hand side, by ``solve``.
+    Feed rows ``{column: value}`` one at a time; ``absorb`` reduces a row
+    against the current basis and, if a nonzero remainder survives,
+    keeps it and reports True.  A basis row's pivot is its lowest
+    column, and reducing a row touches only the cells of the basis rows
+    that meet it.  Used for rank-growth tests, for :func:`rational_rank`
+    and, reading one column as a right-hand side, by ``solve``.
     """
 
-    def __init__(self, width):
-        self.width = width
-        # each basis row as its nonzero (column, value) pairs; the first is its pivot
-        self.basis = []
+    def __init__(self):
+        self.basis = []  # (pivot column, row) pairs in absorption order
 
     def reduce(self, row):
-        row = list(row)
-        for support in self.basis:
-            col, piv = support[0]
-            f = row[col]
+        """``row`` reduced against the basis, as its nonzero cells."""
+        row = dict(row)
+        for col, base in self.basis:
+            f = row.get(col)
             if f:
-                factor = f / piv
-                for c, b in support:
-                    row[c] -= factor * b
-        return row
+                factor = f / base[col]
+                for c, b in base.items():
+                    row[c] = row.get(c, 0) - factor * b
+        return {c: value for c, value in row.items() if value}
 
     def absorb(self, row):
         row = self.reduce(row)
-        support = [(c, val) for c, val in enumerate(row) if val]
-        if support:
-            self.basis.append(support)
-        return bool(support)
+        if row:
+            self.basis.append((min(row), row))
+        return bool(row)
 
     @property
     def rank(self):
         return len(self.basis)
 
-    def solve(self, rng):
+    def solve(self, rhs_column, rng):
         """One exact solution of the absorbed rows read as an augmented
-        system (the last column is the right-hand side), as one value per
-        other column; None when the system is inconsistent.
+        system whose right-hand side is ``rhs_column``, the highest
+        column; one value per lower column, or None when the system is
+        inconsistent.
 
-        Back-substitutes from the last pivot column.  A free column gets
+        Back-substitutes from the last pivot column, walking each row's
+        cells in column order.  A free column gets
         :func:`random_rational` the first time a pivot row meets it, and
-        columns no pivot row meets are drawn last, in column order.  Every
-        echelon form of the rows meets the free columns in that order.
+        columns no pivot row meets are drawn last, in column order.
+        Every echelon form of the rows meets the free columns in that
+        order.
         """
-        rhs = self.width - 1
-        rows = sorted(self.basis, key=lambda support: support[0][0], reverse=True)
-        if rows and rows[0][0][0] == rhs:
+        rows = sorted(self.basis, key=lambda pair: pair[0], reverse=True)
+        if rows and rows[0][0] == rhs_column:
             return None  # a row reads 0 = nonzero
-        values = [None] * rhs
-        for (col, piv), *rest in rows:
+        values = [None] * rhs_column
+        for col, row in rows:
             acc = Fraction(0)
-            for c, a in rest:
-                if c == rhs:
-                    acc += a
+            for c in sorted(row)[1:]:
+                if c == rhs_column:
+                    acc += row[c]
                     continue
                 if values[c] is None:
                     values[c] = random_rational(rng)
-                acc -= a * values[c]
-            values[col] = acc / piv
+                acc -= row[c] * values[c]
+            values[col] = acc / row[col]
         return [random_rational(rng) if v is None else v for v in values]

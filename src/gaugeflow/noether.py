@@ -89,11 +89,12 @@ def independence_check(m):
     gens = m.generators
     if not gens:
         return True
-    rows = sorted({(comp.coordinate, comp.order)
-                   for g in gens for comp in g.components})
-    columns = [[g.coefficient(coord, order) or Expression.const(0) for g in gens]
-               for coord, order in rows]
-    return sampled_rank(columns, m.options, random.Random(m.options.seed)) == len(gens)
+    rows = {}  # (coordinate, order) -> {generator index: coefficient}
+    for j, g in enumerate(gens):
+        for comp in g.components:
+            rows.setdefault((comp.coordinate, comp.order), {})[j] = comp.coefficient
+    rank = sampled_rank(list(rows.values()), len(gens), m.options, random.Random(m.options.seed))
+    return rank == len(gens)
 
 
 def conjecture_constraints(m, leg, noether=None):

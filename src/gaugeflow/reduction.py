@@ -204,13 +204,13 @@ def _solve_affine_at_point(affine, coefficients, unknowns, base_point, rng):
     try:
         rows = evaluate_rows(coefficients, base_point)
         for row, g in zip(rows, affine):
-            row.append(-g.evaluate(at_zero))
+            row[len(unknowns)] = -g.evaluate(at_zero)
     except DivisionByZero:
         return None
-    system = RowReducer(len(unknowns) + 1)
+    system = RowReducer()
     for row in rows:
         system.absorb(row)
-    values = system.solve(rng)
+    values = system.solve(len(unknowns), rng)
     if values is None:
         return None  # inconsistent at this point
     point = dict(base_point)

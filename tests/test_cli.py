@@ -41,6 +41,7 @@ class TestExitCodes:
     def test_usage_errors_are_exit_1(self):
         assert run_cli("compare")[0] == 1                      # no input
         assert run_cli("compare", "--builtin", "nope")[0] == 1
+        assert run_cli("compare", "--builtin", "")[0] == 1
         assert run_cli("compare", "--builtin", "toy_gauge", "x.model")[0] == 1
         assert run_cli("analyze", "/nonexistent/x.model")[0] == 1
 
@@ -48,6 +49,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.model"
         bad.write_text("[vars]\nx\n[lagrangian]\nx +\n")
         assert run_cli("analyze", str(bad))[0] == 1
+
+    def test_file_not_utf8_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(b"\xff\xfe")
+        assert run_cli("analyze", str(bad))[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1  # no traceback
 
 
 class TestCommands:

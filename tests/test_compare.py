@@ -15,6 +15,7 @@ from gaugeflow import (
     run_dirac,
     span_equivalent,
 )
+from gaugeflow.cli import report_json_dict
 
 from test_dirac import assert_extend_matches_one_shot
 
@@ -226,3 +227,24 @@ def test_chain_model_file_matches():
     secondaries = [str(c.expr) for c in report.dirac.constraints if c.generation == 1]
     assert secondaries == ["p_A[0] - p_A[2]", "p_A[0] - p_A[1]", "p_A[1] - p_A[2]"]
     assert report.span.rank_left == 2  # one telescoping dependency on the ring
+
+
+@pytest.mark.parametrize("name,params", [
+    ("toy_gauge", {}),
+    ("oscillator", {}),
+    ("second_class_toy", {}),
+    ("maxwell_lattice", {"N": 2}),
+    ("ym_mechanics", {"with_scalar": True}),
+    ("ym_mechanics", {"with_scalar": False}),
+])
+def test_report_does_not_depend_on_the_seed(name, params):
+    # the seed drives every sampled path (Hessian rank, surface points,
+    # rank growth, generator independence, span ranks); none may change
+    # the report beyond the seed it records
+    m = builtin_model(name, params)
+    trees = {}
+    for seed in (1, 2, 3, 7, 11, 1729):
+        tree = report_json_dict(build_report(m.with_options(seed=seed)))
+        assert tree["options"].pop("seed") == seed
+        trees[seed] = tree
+    assert all(tree == trees[1] for tree in trees.values())

@@ -120,10 +120,10 @@ class TestInvariants:
         rng = random.Random(5)
         variables = set()
         for row in leg.hessian:
-            for e in row:
+            for e in row.values():
                 variables |= e.variables()
         pt = random_point(rng, variables)
-        numeric = [[e.evaluate(pt) if variables else e.evaluate({}) for e in row]
+        numeric = [{c: e.evaluate(pt) if variables else e.evaluate({}) for c, e in row.items()}
                    for row in leg.hessian]
         assert rational_rank(numeric) == leg.rank
 

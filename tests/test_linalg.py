@@ -1,5 +1,8 @@
 """Exact linear algebra: sparse elimination and sampled ranks.
 
+``linalg`` takes and returns matrices as rows ``{column: value}`` of
+nonzero cells; ``rows`` converts a dense list-of-lists matrix to that
+form, so the dense references below keep their own shape.
 ``dense_eliminate`` is the textbook loop that updates every cell of
 every row; ``eliminate`` skips zero work and must give the same
 ``Echelon`` exactly, cell for cell.  ``dense_rational_rank`` and
@@ -30,6 +33,11 @@ from gaugeflow.linalg import (
 from gaugeflow.reduction import _solve_affine_at_point
 
 from conftest import X, Y, Z, random_polynomial
+
+
+def rows(dense):
+    """The ``{column: value}`` rows of a dense matrix: its nonzero cells."""
+    return [{c: x for c, x in enumerate(row) if x != 0} for row in dense]
 
 
 def dense_eliminate(matrix, column_order=None):
@@ -88,12 +96,12 @@ def sparse_system(rng, n, density):
     return [row + [rhs[i]] for i, row in enumerate(block)]
 
 
-def assert_same_echelon(matrix, column_order=None):
-    sparse = eliminate(matrix, column_order)
+def assert_same_echelon(matrix, column_order):
+    sparse = eliminate(rows(matrix), column_order)
     dense = dense_eliminate(matrix, column_order)
     assert sparse.pivots == dense.pivots
     assert sparse.row_order == dense.row_order
-    assert sparse.rows == dense.rows
+    assert sparse.rows == rows(dense.rows)
     return sparse
 
 
@@ -106,7 +114,7 @@ def test_sparse_matches_dense_on_seeded_systems(seed):
     order = list(range(n))
     rng.shuffle(order)
     assert_same_echelon(matrix, order)
-    assert_same_echelon(matrix)
+    assert_same_echelon(matrix, range(n + 1))
 
 
 def test_row_swap_zero_entry_and_nonunit_ratio():
@@ -137,8 +145,8 @@ def test_unit_pivots_leave_zero_entry_rows_alone():
         [one, one, ZERO, ZERO],
     ]
     ech = assert_same_echelon(matrix, [0, 1, 2])
-    assert ech.rows[2] == matrix[2]
-    assert ech.rows[3] == [ZERO, ZERO, ZERO, -4 * px]
+    assert ech.rows[2] == rows(matrix)[2]
+    assert ech.rows[3] == rows([[ZERO, ZERO, ZERO, -4 * px]])[0]
 
 
 def test_rational_entries():
@@ -147,7 +155,7 @@ def test_rational_entries():
     matrix = sparse_system(rng, 4, density=0.6)
     matrix = [[cell / (1 + ex ** 2) if i % 2 else cell for i, cell in enumerate(row)]
               for row in matrix]
-    assert_same_echelon(matrix)
+    assert_same_echelon(matrix, range(5))
 
 
 # --- sampled rank --------------------------------------------------------------
@@ -156,7 +164,7 @@ def test_constant_matrix_draws_nothing():
     rng = random.Random(11)
     state = rng.getstate()
     one, two = Expression.const(1), Expression.const(2)
-    assert sampled_rank([[one, two], [two, 2 * two]], Options(), rng) == 1
+    assert sampled_rank(rows([[one, two], [two, 2 * two]]), 2, Options(), rng) == 1
     assert rng.getstate() == state
 
 
@@ -164,30 +172,30 @@ def test_full_rank_stops_after_one_point():
     # rank 2 at every point, so one draw for the one free variable suffices
     rng, twin = random.Random(12), random.Random(12)
     one = Expression.const(1)
-    matrix = [[one, Expression.var(X)], [ZERO, one]]
-    assert sampled_rank(matrix, Options(), rng) == 2
+    matrix = rows([[one, Expression.var(X)], [ZERO, one]])
+    assert sampled_rank(matrix, 2, Options(), rng) == 2
     random_rational(twin)
     assert rng.getstate() == twin.getstate()
 
 
 def test_singular_hyperplane_still_gives_generic_rank():
     root = random_rational(random.Random(13))  # the first point sits on x = root
-    matrix = [[Expression.var(X) - root, ZERO], [ZERO, Expression.const(1)]]
-    assert evaluate_rows(matrix, {X: root}) == [[0, 0], [0, 1]]
-    assert sampled_rank(matrix, Options(), random.Random(13)) == 2
+    matrix = rows([[Expression.var(X) - root, ZERO], [ZERO, Expression.const(1)]])
+    assert evaluate_rows(matrix, {X: root}) == rows([[0, 0], [0, 1]])
+    assert sampled_rank(matrix, 2, Options(), random.Random(13)) == 2
 
 
 def test_pole_at_every_point_is_degenerate():
     root = random_rational(random.Random(14))
-    matrix = [[1 / (Expression.var(X) - root)]]
+    matrix = rows([[1 / (Expression.var(X) - root)]])
     with pytest.raises(SamplingDegenerate):
-        sampled_rank(matrix, Options(sample_count=1), random.Random(14))
-    assert sampled_rank(matrix, Options(sample_count=2), random.Random(14)) == 1
+        sampled_rank(matrix, 1, Options(sample_count=1), random.Random(14))
+    assert sampled_rank(matrix, 1, Options(sample_count=2), random.Random(14)) == 1
 
 
 def test_empty_matrix_has_rank_zero():
-    assert sampled_rank([], Options(), random.Random(15)) == 0
-    assert sampled_rank(jacobian([], [X, Y]), Options(), random.Random(15)) == 0
+    assert sampled_rank([], 0, Options(), random.Random(15)) == 0
+    assert sampled_rank(jacobian([], [X, Y]), 2, Options(), random.Random(15)) == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -195,7 +203,8 @@ def test_jacobian_matches_diff(seed):
     rng = random.Random(4500 + seed)
     exprs = [random_polynomial(rng, [X, Y]) for _ in range(3)]
     variables = [X, Y, Z, X.momentum()]  # z and p_x are never mentioned
-    assert jacobian(exprs, variables) == [[e.diff(v) for v in variables] for e in exprs]
+    # each row holds exactly the nonzero partials in the listed variables
+    assert jacobian(exprs, variables) == rows([[e.diff(v) for v in variables] for e in exprs])
 
 
 # --- sparse rational elimination ------------------------------------------------
@@ -269,56 +278,72 @@ def test_sparse_rational_rank_matches_dense(seed):
     rng = random.Random(4600 + seed)
     for _ in range(8):
         matrix = sparse_fraction_matrix(rng, rng.randint(1, 12), rng.randint(1, 14))
-        assert rational_rank(matrix) == dense_rational_rank(matrix)
+        assert rational_rank(rows(matrix)) == dense_rational_rank(matrix)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_sparse_row_reducer_matches_dense(seed):
     rng = random.Random(4700 + seed)
     width = rng.randint(2, 14)
-    rows = sparse_fraction_matrix(rng, rng.randint(2, 16), width)
-    sparse, dense = RowReducer(width), DenseRowReducer(width)
-    for row in rows:
-        assert sparse.reduce(row) == dense.reduce(row)
-        assert sparse.absorb(row) == dense.absorb(row)
+    matrix = sparse_fraction_matrix(rng, rng.randint(2, 16), width)
+    sparse, dense = RowReducer(), DenseRowReducer(width)
+    for row, cells in zip(matrix, rows(matrix)):
+        assert [sparse.reduce(cells)] == rows([dense.reduce(row)])
+        assert sparse.absorb(cells) == dense.absorb(row)
         assert sparse.rank == len(dense.basis)
     probes = sparse_fraction_matrix(rng, 6, width)
-    for row in probes:
-        assert sparse.reduce(row) == dense.reduce(row)
+    for row, cells in zip(probes, rows(probes)):
+        assert [sparse.reduce(cells)] == rows([dense.reduce(row)])
 
 
 # --- the augmented solve ---------------------------------------------------------
 
+# Each solve test absorbs its rows twice: once as ``rows`` builds them and
+# once with every row's cells inserted in reverse column order, which a
+# basis row keeps; ``solve`` must walk the cells in column order either way.
+SHUFFLES = (lambda cells: cells, lambda cells: dict(reversed(cells.items())))
+
+
+def absorbed(matrix, shuffle):
+    system = RowReducer()
+    for cells in rows(matrix):
+        system.absorb(shuffle(cells))
+    return system
+
+
 def test_solve_inconsistent_system_draws_nothing():
-    rng = random.Random(21)
-    state = rng.getstate()
-    system = RowReducer(3)
-    system.absorb([Fraction(1), Fraction(1), Fraction(2)])
-    system.absorb([Fraction(2), Fraction(2), Fraction(5)])  # 0 = 1 after reduction
-    assert system.solve(rng) is None
-    assert rng.getstate() == state
+    matrix = [[Fraction(1), Fraction(1), Fraction(2)],
+              [Fraction(2), Fraction(2), Fraction(5)]]  # 0 = 1 after reduction
+    for shuffle in SHUFFLES:
+        rng = random.Random(21)
+        state = rng.getstate()
+        assert absorbed(matrix, shuffle).solve(2, rng) is None
+        assert rng.getstate() == state
 
 
 def test_solve_draws_a_free_column_when_a_pivot_row_meets_it():
     # pivots in columns 2 and 0, absorbed last pivot first; back-substitution
     # meets free column 1 and then free column 3 in the row of pivot 0
-    system = RowReducer(5)
-    system.absorb([Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(5)])
-    system.absorb([Fraction(2), Fraction(2), Fraction(3), Fraction(1), Fraction(4)])
-    rng, twin = random.Random(22), random.Random(22)
-    a, b = random_rational(twin), random_rational(twin)
-    assert system.solve(rng) == [(4 - 2 * a - 3 * 5 - b) / 2, a, 5, b]
-    assert rng.getstate() == twin.getstate()
+    matrix = [[Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(5)],
+              [Fraction(2), Fraction(2), Fraction(3), Fraction(1), Fraction(4)]]
+    for shuffle in SHUFFLES:
+        system = absorbed(matrix, shuffle)
+        for seed in (22, 24):  # seed 22 draws -2 twice; 24 tells the two draws apart
+            rng, twin = random.Random(seed), random.Random(seed)
+            a, b = random_rational(twin), random_rational(twin)
+            assert system.solve(4, rng) == [(4 - 2 * a - 3 * 5 - b) / 2, a, 5, b]
+            assert rng.getstate() == twin.getstate()
+    assert list(system.basis[1][1]) == [4, 3, 1, 0]  # the reversed row as stored
 
 
 def test_solve_draws_unmet_columns_last_in_column_order():
     # column 2 is met by the pivot row of column 1; columns 0 and 3 never are
-    system = RowReducer(5)
-    system.absorb([Fraction(0), Fraction(1), Fraction(1), Fraction(0), Fraction(3)])
-    rng, twin = random.Random(23), random.Random(23)
-    met, first, last = (random_rational(twin) for _ in range(3))
-    assert system.solve(rng) == [first, 3 - met, met, last]
-    assert rng.getstate() == twin.getstate()
+    matrix = [[Fraction(0), Fraction(1), Fraction(1), Fraction(0), Fraction(3)]]
+    for shuffle in SHUFFLES:
+        rng, twin = random.Random(23), random.Random(23)
+        met, first, last = (random_rational(twin) for _ in range(3))
+        assert absorbed(matrix, shuffle).solve(4, rng) == [first, 3 - met, met, last]
+        assert rng.getstate() == twin.getstate()
 
 
 def reference_solve_affine_at_point(affine, base_point, rng):
