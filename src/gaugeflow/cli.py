@@ -91,7 +91,12 @@ def _load_model(args):
         if args.param:
             raise GaugeflowError("-p/--param only applies to --builtin models")
         path = Path(args.file)
-        model = parse_model(path.read_text(), name=path.stem)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise GaugeflowError(
+                f"{path}: not UTF-8 text (byte {exc.start} cannot be decoded)") from None
+        model = parse_model(text, name=path.stem)
     overrides = {}
     if args.max_generations is not None:
         overrides["max_generations"] = args.max_generations
@@ -332,7 +337,7 @@ def main(argv=None, out=None):
         return _cmd_list_builtins(args, out)
     try:
         model = _load_model(args)
-    except (GaugeflowError, OSError, UnicodeDecodeError) as exc:
+    except (GaugeflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     handler = {"compare": _cmd_compare, "analyze": _cmd_analyze,

@@ -1,8 +1,16 @@
 """Exact symbolic expression kernel.
 
-Expressions are rational functions with exact ``Fraction`` coefficients
+Expressions are rational functions with exact rational coefficients
 over :class:`VarRef` variables, stored as a canonical pair of
-multivariate polynomials (numerator, denominator).  Canonical form means:
+multivariate polynomials (numerator, denominator).  A coefficient is an
+``int`` or a ``Fraction``, never a float: constructors store an integral
+value as an ``int``, and arithmetic keeps ``int * int`` in ints.  An
+integral ``Fraction`` may survive a sum or product; nothing relies on
+"integral means int", because ``1 == Fraction(1)`` and
+``hash(1) == hash(Fraction(1))`` make both forms compare, hash and
+render alike.  ``int / int`` is a float in Python, so no code divides
+two raw coefficients with ``/``: an exact quotient is built as
+``Fraction(a, b)``.  Canonical form means:
 no zero coefficients, numerator and denominator share no polynomial
 factor, the denominator is an integer-primitive polynomial with positive
 leading coefficient, and the denominator mentions only order-0
@@ -246,22 +254,25 @@ _mono_sort_key = cmp_to_key(_mono_cmp)
 
 # --- polynomials -------------------------------------------------------------
 #
-# A polynomial is a dict {monomial: Fraction}, no zero values.  These
+# A polynomial is a dict {monomial: coefficient}, no zero values; a
+# coefficient is an int or a Fraction (see the module docstring).  These
 # helpers are internal; Expression is the public face.
 
 def _p_zero():
     return {}
 
 def _p_const(c):
-    c = Fraction(c)
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
     return {} if c == 0 else {_ONE_MONO: c}
 
 def _p_var(v):
-    return {((v, 1),): Fraction(1)}
+    return {((v, 1),): 1}
 
-def _p_add_into(acc, p, scale=1):
+def _p_add_into(acc, p):
     for m, c in p.items():
-        c = c * scale
         cur = acc.get(m)
         if cur is None:
             if c:
@@ -303,21 +314,25 @@ def _p_mul(a, b):
     return acc
 
 def _p_scale(p, c):
-    c = Fraction(c)
+    """``c * p`` for an exact constant ``c``; ``p`` itself when c is 1."""
+    if c == 1:
+        return p
     if c == 0:
         return {}
+    if c.denominator == 1:
+        c = c.numerator
     return {m: v * c for m, v in p.items()}
 
 def _p_pow(p, n):
-    out = _p_const(1)
+    out = None
     base = p
     while n:
         if n & 1:
-            out = _p_mul(out, base)
+            out = base if out is None else _p_mul(out, base)
         n >>= 1
         if n:
             base = _p_mul(base, base)
-    return out
+    return _p_const(1) if out is None else out
 
 def _p_vars(p):
     seen = set()
@@ -346,19 +361,40 @@ def _p_leading(p):
     return max(p, key=_mono_sort_key)
 
 def _p_eval(p, point):
-    total = Fraction(0)
-    is_float = False
+    """Value of ``p`` at ``point`` (VarRef -> int, Fraction or float).
+
+    Each term is an integer numerator over an integer denominator; the
+    sum is kept over the lcm of the term denominators and becomes one
+    Fraction at the end.  A float in any evaluated monomial makes the
+    result that Fraction rounded to a float.
+    """
+    num = 0
+    den = 1
+    inexact = False
     for m, c in p.items():
-        val = c
+        tn = c.numerator
+        td = c.denominator
         for v, e in m:
             x = point[v]
             if isinstance(x, float):
-                is_float = True
-            val = val * x ** e
-        total = total + val
-    if is_float and isinstance(total, Fraction):
-        return float(total)
-    return total
+                inexact = True
+                xn, xd = x.as_integer_ratio()
+            else:
+                xn, xd = x.numerator, x.denominator
+            if e == 1:
+                tn *= xn
+                td *= xd
+            else:
+                tn *= xn ** e
+                td *= xd ** e
+        if den % td == 0:
+            num += tn * (den // td)
+        else:
+            g = _int_gcd(den, td)
+            num = num * (td // g) + tn * (den // g)
+            den = den // g * td
+    value = Fraction(num, den)
+    return float(value) if inexact else value
 
 
 # --- polynomial gcd over the integers ---------------------------------------
@@ -432,12 +468,18 @@ def _p_pseudo_rem(a, b, x):
         ua = {d: cp for d, cp in new.items() if cp}
     return _p_from_univariate(ua, x)
 
+def _p_int_quotient(p, c):
+    """``p / c`` with int coefficients, for a signed content ``c`` of ``p``:
+    its numerator divides every coefficient's numerator and its
+    denominator is a multiple of every coefficient's denominator."""
+    n, d = c.numerator, c.denominator
+    return {m: v.numerator // n * (d // v.denominator) for m, v in p.items()}
+
 def _p_primitive(p):
     """Integer-primitive part with positive leading coefficient."""
     if not p:
         return p
-    c = _p_content(p) * _p_lc_sign(p)
-    return _p_scale(p, 1 / c)
+    return _p_int_quotient(p, _p_content(p) * _p_lc_sign(p))
 
 def _p_gcd(a, b):
     """GCD of two polynomials, integer-primitive with positive lead."""
@@ -471,7 +513,7 @@ def _p_gcd(a, b):
             low = _p_const(1)
             break
         high = low
-        low = _p_div_exact(r, _p_gcd_many(list(ur.values())))
+        low = _p_primitive(_p_div_exact(r, _p_gcd_many(list(ur.values()))))
     return _p_primitive(_p_mul(c, low))
 
 def _p_gcd_many(ps):
@@ -489,7 +531,7 @@ def _p_div_exact(a, b):
     if not a:
         return {}
     if set(b) == {_ONE_MONO}:
-        return _p_scale(a, 1 / b[_ONE_MONO])
+        return _p_scale(a, Fraction(1, b[_ONE_MONO]))
     x = _p_main_var(b)
     ua = _p_to_univariate(a, x)
     ub = _p_to_univariate(b, x)
@@ -549,14 +591,14 @@ class Expression:
         if set(den) == {_ONE_MONO}:
             c = den[_ONE_MONO]
             if c != 1:
-                num = _p_scale(num, Fraction(1) / c)
+                num = _p_scale(num, Fraction(1, c))
             return Expression(num)
         # signed contents; num/cn and den/cd are integer-primitive with
         # positive leading coefficient
         cn = _p_content(num) * _p_lc_sign(num)
         cd = _p_content(den) * _p_lc_sign(den)
-        n = _p_scale(num, 1 / cn)
-        d = _p_scale(den, 1 / cd)
+        n = _p_int_quotient(num, cn)
+        d = _p_int_quotient(den, cd)
         g = _p_gcd(n, d)
         if set(g) != {_ONE_MONO}:
             n = _p_div_exact(n, g)
@@ -573,7 +615,7 @@ class Expression:
 
     @staticmethod
     def const(value):
-        return Expression(_p_const(Fraction(value)))
+        return Expression(_p_const(value))
 
     @staticmethod
     def var(v):
@@ -588,9 +630,12 @@ class Expression:
         return (not self._num or set(self._num) == {_ONE_MONO}) and set(self._den) == {_ONE_MONO}
 
     def constant_value(self):
+        """The constant, an int or a Fraction."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self._num.get(_ONE_MONO, Fraction(0)) / self._den[_ONE_MONO]
+        value = self._num.get(_ONE_MONO, 0)
+        den = self._den[_ONE_MONO]
+        return value if den == 1 else Fraction(value, den)
 
     def variables(self):
         """All variables mentioned, as a set."""
@@ -616,7 +661,7 @@ class Expression:
 
     def leading_coefficient(self):
         if not self._num:
-            return Fraction(0)
+            return 0
         return self._num[_p_leading(self._num)]
 
     def normalized(self):
@@ -624,10 +669,12 @@ class Expression:
         if not self._num:
             return self
         lc = self.leading_coefficient()
-        return self if lc == 1 else self * Fraction(1, 1) / lc
+        return self if lc == 1 else self / lc
 
     def validate(self):
         """Check canonical-form invariants; raises AssertionError on breakage."""
+        for c in (*self._num.values(), *self._den.values()):
+            assert type(c) in (int, Fraction), f"coefficient {c!r} is not an int or a Fraction"
         assert all(c != 0 for c in self._num.values()), "zero coefficient survived"
         assert self._den, "empty denominator"
         assert all(c != 0 for c in self._den.values())
@@ -781,6 +828,8 @@ class Expression:
         if not live:
             return self
         num = _subs_poly(self._num, live)
+        if self._den is _ONE_DEN:
+            return num
         den = _subs_poly(self._den, live)
         if den.is_zero():
             raise DivisionByZero("substitution made the denominator vanish identically")
@@ -795,10 +844,13 @@ class Expression:
         for v in self.variables():
             if v not in point:
                 raise ValueError(f"evaluation point does not assign {v}")
+        value = _p_eval(self._num, point)
+        if self._den is _ONE_DEN:
+            return value
         den = _p_eval(self._den, point)
         if den == 0:
             raise DivisionByZero("denominator vanishes at the sampled point")
-        return _p_eval(self._num, point) / den
+        return value / den
 
     # -- rendering ----------------------------------------------------------------
 
@@ -811,28 +863,39 @@ class Expression:
 
 
 def _subs_poly(p, live):
-    acc = {}        # fast path: polynomial terms accumulate in one dict
+    """The polynomial ``p`` with ``live`` substituted, as an Expression.
+
+    Polynomial substitutes are multiplied as raw polynomials into one
+    accumulator, canonicalized once at the end; only a monomial with a
+    substitute that has a denominator goes through Expression arithmetic.
+    """
+    acc = {}
     fractional = None
     for m, c in p.items():
-        term = None
+        poly = None
+        rational = None
         plain = []
         for v, e in m:
             sub = live.get(v)
             if sub is None:
                 plain.append((v, e))
+            elif sub._den is _ONE_DEN:
+                power = _p_pow(sub._num, e)
+                poly = power if poly is None else _p_mul(poly, power)
             else:
-                term = sub ** e if term is None else term * sub ** e
-        if term is None:
-            _p_add_into(acc, {tuple(plain): c})
-            continue
-        if plain:
-            term = term * Expression({tuple(plain): Fraction(1)})
-        term = term * c
-        if term.is_polynomial():
-            _p_add_into(acc, term._num)
-        else:
-            fractional = term if fractional is None else fractional + term
-    out = Expression._make(acc, _p_const(1)) if acc else ZERO
+                power = sub ** e
+                rational = power if rational is None else rational * power
+        term = {tuple(plain): c}
+        if poly is not None:
+            term = _p_mul(poly, term)
+        if rational is not None:
+            rational = rational * Expression._make(term, _ONE_DEN)
+            if not rational.is_polynomial():
+                fractional = rational if fractional is None else fractional + rational
+                continue
+            term = rational._num
+        _p_add_into(acc, term)
+    out = Expression._make(acc, _ONE_DEN)
     return out + fractional if fractional is not None else out
 
 
@@ -850,7 +913,7 @@ def esum(terms):
     return out + fractional if fractional is not None else out
 
 
-_ONE_DEN = {_ONE_MONO: Fraction(1)}  # shared by every polynomial; never mutated
+_ONE_DEN = {_ONE_MONO: 1}  # shared by every polynomial; never mutated
 ZERO = Expression(_p_zero())
 ONE = Expression(_p_const(1))
 

@@ -112,7 +112,7 @@ class WeakReducer:
                 for lead, lc, g in self._divisors:
                     if _mono_divides(lead, mono):
                         shift = _mono_div(mono, lead)
-                        factor = coeff / lc
+                        factor = coeff if lc == 1 else Fraction(coeff, lc)
                         _p_add_into(
                             rem,
                             {_mono_mul(shift, mg): -factor * gc for mg, gc in g.items()})
@@ -169,7 +169,7 @@ class _AffineEliminator:
 
     def _eliminate(self, e):
         # numerator is enough: the denominator never vanishes weakly
-        work = Expression._make(dict(e._num), {(): Fraction(1)})
+        work = Expression._make(dict(e._num), {(): 1})
         for pivot, lc, rest in self.rows:
             if not work.mentions(pivot):
                 continue
@@ -177,7 +177,7 @@ class _AffineEliminator:
             degree = max(by_power)
             pieces = []
             for k, coeff_poly in by_power.items():
-                term = Expression._make(coeff_poly, {(): Fraction(1)})
+                term = Expression._make(coeff_poly, {(): 1})
                 pieces.append(term * rest ** k * lc ** (degree - k))
             work = esum(pieces)
             if not work.is_zero():

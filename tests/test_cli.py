@@ -56,6 +56,7 @@ class TestExitCodes:
         assert run_cli("analyze", str(bad))[0] == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1  # no traceback
+        assert "bad.model" in err and "not UTF-8" in err and "byte 0" in err
 
 
 class TestCommands:
@@ -125,6 +126,8 @@ class TestJson:
         ("ym_mechanics.json", ("--builtin", "ym_mechanics")),
         ("chain_maxwell.json", (str(MODELS_DIR / "chain_maxwell.model"),)),
         ("maxwell_lattice_N3.json", ("--builtin", "maxwell_lattice", "-p", "N=3")),
+        ("second_class_toy.json", (str(MODELS_DIR / "second_class_toy.model"),)),
+        ("toy_gauge.json", (str(MODELS_DIR / "toy_gauge.model"),)),
     ])
     def test_report_bytes_match_golden(self, golden, inputs):
         # the golden files pin every byte of the gaugeflow-report/1 output

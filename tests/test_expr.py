@@ -21,7 +21,9 @@ from gaugeflow.errors import (
     MomentumInTimeDerivative,
 )
 
-from gaugeflow.expr import ZERO, _ONE_DEN, _p_add, _p_add_into, _p_mul, _p_neg
+import math
+
+from gaugeflow.expr import ZERO, _ONE_DEN, _p_add, _p_add_into, _p_const, _p_mul, _p_neg
 
 from conftest import random_jet_polynomial, random_point, random_polynomial
 
@@ -313,3 +315,222 @@ def test_polynomials_share_the_unit_denominator():
     polynomials = [r for r in results if r.is_polynomial()]
     assert len(polynomials) > 200
     assert all(r._den is _ONE_DEN for r in polynomials)
+
+
+# --- coefficient form: an int or a Fraction, never a float ---------------------
+
+def test_integral_coefficients_are_ints():
+    for e in (Expression.const(Fraction(4, 2)), Expression.const(3), ex, -ex, 2 * ex * ey):
+        assert all(type(c) is int for c in e._num.values())
+    assert type(Expression.const(True)._num[()]) is int
+    assert (2 * ex) / 2 == ex
+    assert hash((2 * ex) / 2) == hash(ex)
+    assert str(Expression.const(Fraction(6, 3)) * ex) == str(2 * ex) == "2*x"
+    third = Expression.const(1) / 3
+    assert third.constant_value() == Fraction(1, 3)
+    assert (Expression.const(6) / 3).constant_value() == 2
+    assert ZERO.constant_value() == 0 and ZERO.leading_coefficient() == 0
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(AssertionError):
+            Expression({((x, 1),): bad}).validate()
+
+
+def seeded_assignment(rng, polynomial):
+    """Substitutes for some of x, y, x', y'.  Every kind is drawn: a
+    constant (possibly 0), a polynomial that brings back the other,
+    unsubstituted variables, and one term over ``x + k`` or ``y + k``.
+    For a rational ``e`` a coordinate gets ``k*x + j`` or ``k*y + j``, so
+    the denominator stays in coordinates and keeps its degree, and a
+    polynomial substitute is one term.  Substitutes stay this small
+    because the polynomial gcd can run for minutes on larger ones."""
+    z = coordinate("z")
+    out = {}
+    for v in (x, y, x.jet(1), y.jet(1)):
+        if rng.random() < 0.4:
+            continue
+        if v.kind is Kind.COORDINATE and not polynomial:
+            out[v] = Expression.var(rng.choice([x, y])) * rng.randint(0, 2) + rng.randint(-2, 2)
+            continue
+        pool = [x, y, z, x.jet(1), y.jet(1)]
+        kind = rng.randrange(3)
+        if kind == 0:
+            out[v] = Expression.const(rng.randint(-2, 2))
+        elif kind == 1:
+            out[v] = random_polynomial(rng, pool, max_terms=3 if polynomial else 1)
+        else:
+            den = Expression.var(rng.choice([x, y])) + rng.randint(1, 3)
+            out[v] = random_polynomial(rng, pool, max_terms=1, max_factors=1) / den
+    return out
+
+
+def substitution_target(rng):
+    """A polynomial or quotient with exponents up to 2: a cube of a
+    quotient put into a quotient takes the polynomial gcd into degrees
+    where it can run for minutes."""
+    num = random_jet_polynomial(rng, max_terms=5, max_exp=2)
+    den = random_polynomial(rng, [x, y], max_terms=2) + rng.randint(1, 3)
+    return num if rng.random() < 0.25 or den.is_zero() else num / den
+
+
+def all_coefficients_exact(value):
+    return type(value) in (int, Fraction)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_result_keeps_exact_coefficients(seed):
+    # 150 seeded expressions per seed, each put through division by an int
+    # constant, normalization, substitution and evaluation at int points
+    rng = random.Random(8100 + seed)
+    checked = 0
+    for _ in range(150):
+        e = substitution_target(rng)
+        k = rng.randint(1, 6)
+        results = [e, (k * e) / k, e / k, Expression.const(1) / k, e.normalized(),
+                   e * Fraction(1, k), e - e]
+        assert (k * e) / k == e
+        try:
+            results.append(e.subs(seeded_assignment(rng, e.is_polynomial())))
+        except DivisionByZero:
+            pass
+        for r in results:
+            r.validate()
+            if r.is_constant():
+                assert all_coefficients_exact(r.constant_value())
+            assert all_coefficients_exact(r.leading_coefficient())
+        point = {v: rng.randint(-4, 4) for v in e.variables()}
+        try:
+            value = e.evaluate(point)
+        except DivisionByZero:
+            continue
+        assert type(value) is Fraction
+        checked += len(results)
+    assert checked >= 500
+
+
+# --- reference: the Fraction-per-step kernel loops -------------------------------
+#
+# ``reference_p_eval`` and ``reference_subs_poly`` are the evaluation and
+# substitution loops the kernel had before it switched to integer
+# arithmetic and raw polynomial products; ``evaluate`` and ``subs`` must
+# give exactly what they give.
+
+def reference_p_eval(p, point):
+    total = Fraction(0)
+    is_float = False
+    for m, c in p.items():
+        val = c
+        for v, e in m:
+            x = point[v]
+            if isinstance(x, float):
+                is_float = True
+            val = val * x ** e
+        total = total + val
+    if is_float and isinstance(total, Fraction):
+        return float(total)
+    return total
+
+
+def reference_subs_poly(p, live):
+    acc = {}        # fast path: polynomial terms accumulate in one dict
+    fractional = None
+    for m, c in p.items():
+        term = None
+        plain = []
+        for v, e in m:
+            sub = live.get(v)
+            if sub is None:
+                plain.append((v, e))
+            else:
+                term = sub ** e if term is None else term * sub ** e
+        if term is None:
+            _p_add_into(acc, {tuple(plain): c})
+            continue
+        if plain:
+            term = term * Expression({tuple(plain): Fraction(1)})
+        term = term * c
+        if term.is_polynomial():
+            _p_add_into(acc, term._num)
+        else:
+            fractional = term if fractional is None else fractional + term
+    out = Expression._make(acc, _p_const(1)) if acc else ZERO
+    return out + fractional if fractional is not None else out
+
+
+def reference_evaluate(e, point):
+    den = reference_p_eval(e._den, point)
+    if den == 0:
+        raise DivisionByZero("denominator vanishes at the sampled point")
+    return reference_p_eval(e._num, point) / den
+
+
+def reference_subs(e, assignment):
+    live = {v: Expression._coerce(assignment[v]) for v in e.variables()
+            if v in assignment}
+    if not live:
+        return e
+    num = reference_subs_poly(e._num, live)
+    den = reference_subs_poly(e._den, live)
+    if den.is_zero():
+        raise DivisionByZero("substitution made the denominator vanish identically")
+    return num / den
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_reference(seed):
+    rng = random.Random(8200 + seed)
+    for _ in range(60):
+        e = seeded_rational(rng)
+        for point in (random_point(rng, e.variables()),
+                      {v: rng.randint(-5, 5) for v in e.variables()}):
+            try:
+                expected = reference_evaluate(e, point)
+            except DivisionByZero:
+                with pytest.raises(DivisionByZero):
+                    e.evaluate(point)
+                continue
+            value = e.evaluate(point)
+            assert type(value) is Fraction and value == expected
+        floats = {v: rng.randint(-12, 12) / 4 for v in e.variables()}
+        try:
+            expected = reference_evaluate(e, floats)
+        except DivisionByZero:
+            continue
+        value = e.evaluate(floats)
+        assert type(value) is type(expected)
+        assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subs_matches_reference(seed):
+    rng = random.Random(8300 + seed)
+    for _ in range(40):
+        e = substitution_target(rng)
+        assignment = seeded_assignment(rng, e.is_polynomial())
+        try:
+            expected = reference_subs(e, assignment)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                e.subs(assignment)
+            continue
+        result = e.subs(assignment)
+        result.validate()
+        assert result == expected and str(result) == str(expected)
+
+
+def test_subs_brings_back_a_plain_variable():
+    # the substitute mentions a variable the monomial keeps: the raw
+    # product must merge the exponents, and a quotient may cancel to a
+    # polynomial
+    z = Expression.var(coordinate("z"))
+    cases = [
+        (ex ** 2 * vx, {x.jet(1): ex * ey}),
+        (ex * vx + vy, {x.jet(1): Expression.const(1) / ex}),
+        (ex * ey * vx, {x.jet(1): (ex + vy) / (ey + 1), y.jet(1): z - ex}),
+        (ex * vx ** 2 + 3, {x.jet(1): ex - ex + ey / ex}),
+    ]
+    for e, assignment in cases:
+        result = e.subs(assignment)
+        result.validate()
+        assert result == reference_subs(e, assignment)
+    assert cases[0][0].subs(cases[0][1]) == ex ** 3 * ey
+    assert cases[1][0].subs(cases[1][1]) == 1 + vy

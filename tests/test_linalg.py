@@ -105,11 +105,10 @@ def assert_same_echelon(matrix, column_order):
     return sparse
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(20))
 def test_sparse_matches_dense_on_seeded_systems(seed):
     rng = random.Random(4400 + seed)
-    # at 5 rows the dense reference can spend minutes in the polynomial GCD
-    n = rng.randint(3, 4)
+    n = rng.randint(3, 5)
     matrix = sparse_system(rng, n, density=rng.choice([0.3, 0.5]))
     order = list(range(n))
     rng.shuffle(order)
