@@ -3,14 +3,15 @@
 Expressions are rational functions with exact rational coefficients
 over :class:`VarRef` variables, stored as a canonical pair of
 multivariate polynomials (numerator, denominator).  A coefficient is an
-``int`` or a ``Fraction``, never a float: constructors store an integral
-value as an ``int``, and arithmetic keeps ``int * int`` in ints.  An
-integral ``Fraction`` may survive a sum or product; nothing relies on
-"integral means int", because ``1 == Fraction(1)`` and
-``hash(1) == hash(Fraction(1))`` make both forms compare, hash and
-render alike.  ``int / int`` is a float in Python, so no code divides
-two raw coefficients with ``/``: an exact quotient is built as
-``Fraction(a, b)``.  Canonical form means:
+``int`` or a ``Fraction``, never a float, and "integral means int" is an
+invariant: every place that computes a coefficient (a sum, a product, a
+scaling, a partial derivative) lowers an integral ``Fraction`` to its
+``int`` numerator, so integer models run on Python's ints alone and
+``validate`` rejects a ``Fraction`` whose denominator is 1.  Since
+``1 == Fraction(1)`` and ``hash(1) == hash(Fraction(1))``, the invariant
+changes no comparison, hash or rendering.  ``int / int`` is a float in
+Python, so no code divides two raw coefficients with ``/``: an exact
+quotient is built as ``Fraction(a, b)``.  Canonical form means:
 no zero coefficients, numerator and denominator share no polynomial
 factor, the denominator is an integer-primitive polynomial with positive
 leading coefficient, and the denominator mentions only order-0
@@ -19,7 +20,9 @@ function are equal (and hash equal) after construction; no tolerance is
 involved anywhere.
 
 Monomials are compared under a graded lexicographic order built on the
-total order of :class:`VarRef`.
+total order of :class:`VarRef`.  VarRefs are interned, so they compare
+and hash by identity, and a monomial tuple hashes without calling back
+into Python.
 
 Every polynomial expression shares one denominator dict, ``_ONE_DEN``;
 no code changes an expression's parts in place, so sharing is safe.  An
@@ -27,7 +30,9 @@ expression's first partials are computed together, in one pass over its
 numerator and one over its denominator, the first time any is asked
 for (``gradient``), and kept on the expression: ``diff``, ``dt`` and
 every Jacobian and Poisson bracket of it then read the same dict.  The
-memo takes no part in ``==`` or hashing.
+set of variables it mentions is kept the same way (``variables``), and
+``mentions`` is a lookup in it.  Neither memo takes part in ``==`` or
+hashing.
 """
 
 from __future__ import annotations
@@ -67,9 +72,14 @@ class VarRef:
     totally ordered by ``(base, indices, kind, jet_order)``.  The intern
     pool holds its VarRefs weakly: a variable nothing refers to any more
     is released, and a later request for it makes a fresh one.
+
+    Equality and hashing are by identity (``object``'s own).  That is
+    sound because of the pool: while a VarRef is alive the pool hands it
+    out for its key, so two live VarRefs with one key cannot exist, and
+    a released one can no longer be compared with its successor.
     """
 
-    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "_hash", "__weakref__")
+    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "__weakref__")
 
     _pool = weakref.WeakValueDictionary()
 
@@ -96,18 +106,11 @@ class VarRef:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "jet_order", jet_order)
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
         cls._pool[key] = self
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("VarRef is immutable")
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, VarRef) and self._key == other._key)
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self._key < other._key
@@ -255,17 +258,21 @@ _mono_sort_key = cmp_to_key(_mono_cmp)
 # --- polynomials -------------------------------------------------------------
 #
 # A polynomial is a dict {monomial: coefficient}, no zero values; a
-# coefficient is an int or a Fraction (see the module docstring).  These
-# helpers are internal; Expression is the public face.
+# coefficient is an int, or a Fraction that is not integral (see the
+# module docstring).  These helpers are internal; Expression is the
+# public face.
+
+def _lower(c):
+    """``c`` with an integral Fraction lowered to its int numerator.
+    Hot loops call it only on a result that is not already an int."""
+    return c.numerator if c.denominator == 1 else c
 
 def _p_zero():
     return {}
 
 def _p_const(c):
     if type(c) is not int:
-        c = Fraction(c)
-        if c.denominator == 1:
-            c = c.numerator
+        c = _lower(Fraction(c))
     return {} if c == 0 else {_ONE_MONO: c}
 
 def _p_var(v):
@@ -280,7 +287,7 @@ def _p_add_into(acc, p):
         else:
             cur = cur + c
             if cur:
-                acc[m] = cur
+                acc[m] = cur if type(cur) is int else _lower(cur)
             else:
                 del acc[m]
 
@@ -304,11 +311,11 @@ def _p_mul(a, b):
             c = ca * cb
             cur = acc.get(m)
             if cur is None:
-                acc[m] = c
+                acc[m] = c if type(c) is int else _lower(c)
             else:
                 cur = cur + c
                 if cur:
-                    acc[m] = cur
+                    acc[m] = cur if type(cur) is int else _lower(cur)
                 else:
                     del acc[m]
     return acc
@@ -319,9 +326,12 @@ def _p_scale(p, c):
         return p
     if c == 0:
         return {}
-    if c.denominator == 1:
-        c = c.numerator
-    return {m: v * c for m, v in p.items()}
+    c = _lower(c)
+    out = {}
+    for m, v in p.items():
+        v = v * c
+        out[m] = v if type(v) is int else _lower(v)
+    return out
 
 def _p_pow(p, n):
     out = None
@@ -350,11 +360,12 @@ def _p_gradient(p):
     for m, c in p.items():
         for k, (var, e) in enumerate(m):
             nm = m[:k] + ((var, e - 1),) + m[k + 1:] if e > 1 else m[:k] + m[k + 1:]
+            d = c * e if type(c) is int or e == 1 else _lower(c * e)
             partial = grad.get(var)
             if partial is None:
-                grad[var] = {nm: c * e}
+                grad[var] = {nm: d}
             else:
-                partial[nm] = c * e
+                partial[nm] = d
     return grad
 
 def _p_leading(p):
@@ -567,7 +578,7 @@ class Expression:
     ``==`` decides exact algebraic equality.
     """
 
-    __slots__ = ("_num", "_den", "_hash", "_grad")
+    __slots__ = ("_num", "_den", "_hash", "_grad", "_vars")
 
     def __init__(self, num, den=None):
         # internal: dict polynomials, already canonical
@@ -575,6 +586,7 @@ class Expression:
         object.__setattr__(self, "_den", den if den is not None else _ONE_DEN)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_grad", None)
+        object.__setattr__(self, "_vars", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
@@ -638,12 +650,16 @@ class Expression:
         return value if den == 1 else Fraction(value, den)
 
     def variables(self):
-        """All variables mentioned, as a set."""
-        return _p_vars(self._num) | _p_vars(self._den)
+        """All variables mentioned, as a frozenset; computed on the first
+        call and kept."""
+        vs = self._vars
+        if vs is None:
+            vs = frozenset(_p_vars(self._num) | _p_vars(self._den))
+            object.__setattr__(self, "_vars", vs)
+        return vs
 
     def mentions(self, v):
-        return any(any(var is v for var, _ in m) for m in self._num) or \
-            any(any(var is v for var, _ in m) for m in self._den)
+        return v in self.variables()
 
     def mentions_kind(self, *kinds):
         return any(v.kind in kinds for v in self.variables())
@@ -675,6 +691,7 @@ class Expression:
         """Check canonical-form invariants; raises AssertionError on breakage."""
         for c in (*self._num.values(), *self._den.values()):
             assert type(c) in (int, Fraction), f"coefficient {c!r} is not an int or a Fraction"
+            assert type(c) is int or c.denominator != 1, f"integral {c!r} is not stored as an int"
         assert all(c != 0 for c in self._num.values()), "zero coefficient survived"
         assert self._den, "empty denominator"
         assert all(c != 0 for c in self._den.values())

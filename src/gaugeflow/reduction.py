@@ -26,6 +26,7 @@ from .errors import DivisionByZero, SurfaceSamplingFailed
 from .expr import (
     Expression,
     Kind,
+    _lower,
     _mono_div,
     _mono_divides,
     _mono_mul,
@@ -113,9 +114,8 @@ class WeakReducer:
                     if _mono_divides(lead, mono):
                         shift = _mono_div(mono, lead)
                         factor = coeff if lc == 1 else Fraction(coeff, lc)
-                        _p_add_into(
-                            rem,
-                            {_mono_mul(shift, mg): -factor * gc for mg, gc in g.items()})
+                        _p_add_into(rem, {_mono_mul(shift, mg): _lower(-factor * gc)
+                                          for mg, gc in g.items()})
                         progressed = True
                         break
                 if progressed:

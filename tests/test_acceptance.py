@@ -253,14 +253,20 @@ def test_criterion_7_deterministic_json():
         json.loads(first[1])  # valid JSON
 
         # also byte-identical across separate processes, even with
-        # different interpreter hash seeds
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            proc = subprocess.run(
-                [sys.executable, "-m", "gaugeflow.cli", "compare",
-                 "--builtin", "ym_mechanics", "--format", "json"],
-                capture_output=True, env=env)
-            assert proc.returncode == 0
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1] == first[1].encode()
+        # different interpreter hash seeds (VarRefs hash by identity, so
+        # set order varies between processes as well)
+        lattice = ["compare", "--builtin", "maxwell_lattice", "-p", "N=2",
+                   "--format", "json"]
+        buf = io.StringIO()
+        assert cli_main(lattice, out=buf) == 0
+        for argv, expected in ((["compare", "--builtin", "ym_mechanics", "--format", "json"],
+                                first[1]),
+                               (lattice, buf.getvalue())):
+            outputs = []
+            for hash_seed in ("1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+                proc = subprocess.run([sys.executable, "-m", "gaugeflow.cli", *argv],
+                                      capture_output=True, env=env)
+                assert proc.returncode == 0
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1] == expected.encode()

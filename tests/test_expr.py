@@ -10,9 +10,13 @@ from gaugeflow import (
     Expression,
     Kind,
     VarRef,
+    WeakReducer,
+    builtin_model,
     canonicalize,
     coordinate,
     multiplier,
+    parse_expression,
+    primary_constraints,
 )
 from gaugeflow.errors import (
     DenominatorViolation,
@@ -25,7 +29,12 @@ import math
 
 from gaugeflow.expr import ZERO, _ONE_DEN, _p_add, _p_add_into, _p_const, _p_mul, _p_neg
 
-from conftest import random_jet_polynomial, random_point, random_polynomial
+from conftest import (
+    random_jet_polynomial,
+    random_phase_polynomial,
+    random_point,
+    random_polynomial,
+)
 
 x = coordinate("x")
 y = coordinate("y")
@@ -55,6 +64,14 @@ class TestVarRef:
         assert x.jet(2).jet(-2) is x
         assert x.jet(1).coordinate() is x
         assert multiplier(3).indices == (3,)
+
+    def test_identity_equality_and_hashing(self):
+        # interning makes equal VarRefs one object, so object's own
+        # identity __eq__ and __hash__ serve, and monomials hash in C
+        assert "__eq__" not in vars(VarRef) and "__hash__" not in vars(VarRef)
+        assert "_hash" not in VarRef.__slots__
+        assert hash(x) == object.__hash__(x)
+        assert x == coordinate("x") and x != y and x != "x" and x != x._key
 
     def test_pool_releases_unreferenced_variables(self):
         v = VarRef("pool_probe", (4, 2), Kind.MOMENTUM)
@@ -293,11 +310,27 @@ def test_filled_memo_takes_no_part_in_equality():
     rng = random.Random(5200)
     for _ in range(20):
         e = seeded_rational(rng)
-        fresh = canonicalize(e)
-        e.gradient()
-        assert fresh._grad is None and e._grad is not None
-        assert e == fresh and hash(e) == hash(fresh)
-        assert len({e, fresh}) == 1
+        for fill in (Expression.gradient, Expression.variables):
+            fresh = canonicalize(e)
+            filled = canonicalize(e)
+            fill(filled)
+            assert fresh._grad is None and fresh._vars is None
+            assert filled._grad is not None or filled._vars is not None
+            assert filled == fresh and hash(filled) == hash(fresh)
+            assert len({filled, fresh}) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_variables_are_kept_and_mentions_reads_them(seed):
+    rng = random.Random(5400 + seed)
+    for _ in range(25):
+        e = seeded_rational(rng)
+        vs = e.variables()
+        assert type(vs) is frozenset and e.variables() is vs
+        for v in GRADIENT_VARIABLES:
+            scanned = any(var is v for part in (e._num, e._den) for m in part for var, _ in m)
+            assert e.mentions(v) is scanned
+            assert (v in vs) is scanned
 
 
 def test_polynomials_share_the_unit_denominator():
@@ -330,7 +363,7 @@ def test_integral_coefficients_are_ints():
     assert third.constant_value() == Fraction(1, 3)
     assert (Expression.const(6) / 3).constant_value() == 2
     assert ZERO.constant_value() == 0 and ZERO.leading_coefficient() == 0
-    for bad in (0.5, 2.0, True):
+    for bad in (0.5, 2.0, True, Fraction(2), Fraction(-1)):
         with pytest.raises(AssertionError):
             Expression({((x, 1),): bad}).validate()
 
@@ -376,11 +409,42 @@ def all_coefficients_exact(value):
     return type(value) in (int, Fraction)
 
 
+def integral_fractions(e):
+    """Coefficients of ``e`` that are integral but stored as a Fraction."""
+    return [c for c in (*e._num.values(), *e._den.values())
+            if type(c) is Fraction and c.denominator == 1]
+
+
+# halves and thirds, as in a kinetic term: their products and sums are
+# where an integral Fraction could arise
+HALVES_AND_THIRDS = (
+    "(x' - y)^2/2",
+    "x'^2/3 - 2*x*y'/3 + y^2/2",
+    "(x*y' - y*x')/2 + x^3/3",
+    "(y'/2 - x/3)/(x + 2)",
+)
+
+# two constant-pivot rules, a divisor quadratic in momenta and an
+# affine leftover with a coordinate pivot: every path of the reducer
+HALVES_AND_THIRDS_CONSTRAINTS = (
+    "p_y - x^2/2",
+    "2*p_z/3 - x*y/2",
+    "p_x^2/2 - y^2/3",
+    "x*p_x/3 + z/2",
+)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_every_result_keeps_exact_coefficients(seed):
     # 150 seeded expressions per seed, each put through division by an int
-    # constant, normalization, substitution and evaluation at int points
+    # constant, normalization, substitution and evaluation at int points;
+    # each is also combined with a parsed expression in halves and thirds
+    # and a phase-space polynomial is reduced.  validate() rejects an
+    # integral Fraction, so every result is checked for "integral means int".
     rng = random.Random(8100 + seed)
+    other = random.Random(8150 + seed)  # keeps rng's draws as they were
+    halves = [parse_expression(t) for t in HALVES_AND_THIRDS]
+    reducer = WeakReducer([parse_expression(t) for t in HALVES_AND_THIRDS_CONSTRAINTS])
     checked = 0
     for _ in range(150):
         e = substitution_target(rng)
@@ -392,8 +456,19 @@ def test_every_result_keeps_exact_coefficients(seed):
             results.append(e.subs(seeded_assignment(rng, e.is_polynomial())))
         except DivisionByZero:
             pass
+        h = other.choice(halves)
+        results += [h, e + h, e - h, e * h, h / k, h / (ex + k), h ** 2,
+                    h.dt(), h.normalized(), *e.gradient().values(),
+                    *h.gradient().values()]
+        try:
+            results.append(h.subs(seeded_assignment(other, h.is_polynomial())))
+        except DivisionByZero:
+            pass
+        phase = random_phase_polynomial(other)
+        results += [reducer.reduce(phase), reducer.reduce(phase * phase * Fraction(2, 3))]
         for r in results:
             r.validate()
+            assert not integral_fractions(r)
             if r.is_constant():
                 assert all_coefficients_exact(r.constant_value())
             assert all_coefficients_exact(r.leading_coefficient())
@@ -405,6 +480,17 @@ def test_every_result_keeps_exact_coefficients(seed):
         assert type(value) is Fraction
         checked += len(results)
     assert checked >= 500
+
+
+@pytest.mark.parametrize("name,params", [("maxwell_lattice", {"N": 2}),
+                                         ("ym_mechanics", {"with_scalar": True})])
+def test_model_coefficients_hold_no_integral_fraction(name, params):
+    # a kinetic term's /2 turns -2 into -1: that must be stored as an int
+    m = builtin_model(name, params)
+    for e in (m.lagrangian, primary_constraints(m).canonical_hamiltonian):
+        assert not integral_fractions(e)
+        assert any(type(c) is int for c in e._num.values())
+        e.validate()
 
 
 # --- reference: the Fraction-per-step kernel loops -------------------------------
