@@ -173,7 +173,7 @@ def _rotate(matrix, vector):
     return out
 
 
-def _ym_mechanics(group="su2", with_scalar=True):
+def _ym_mechanics(with_scalar=True):
     """Spatially homogeneous Yang-Mills mechanics.
 
     Coordinates are the color components A0[a] and A[i,a] plus, when
@@ -182,8 +182,6 @@ def _ym_mechanics(group="su2", with_scalar=True):
     the gauge field (with the parameter's velocity hitting A0 only) and
     the doublet rotation on phi.
     """
-    if group != "su2":
-        raise BadParameter(f"only group=su2 is available, got '{group}'")
     colors = (1, 2, 3)
     a0 = {a: coordinate("A0", (a,)) for a in colors}
     link = {(i, a): coordinate("A", (i, a)) for i in colors for a in colors}
@@ -286,7 +284,7 @@ BUILTIN_MODELS = {
     "second_class_toy": "purely second-class pair; multipliers get fixed (no parameters)",
     "maxwell_lattice": "abelian links on a periodic N^3 grid (N: int >= 1, default 2)",
     "ym_mechanics": "homogeneous su(2) gauge mechanics "
-                    "(group: 'su2'; with_scalar: bool, default true)",
+                    "(with_scalar: bool, default true)",
 }
 
 
@@ -303,9 +301,8 @@ def builtin_model(name, params=None):
         n = _int_param(params.pop("N", 2), "N")
         factory = lambda: _maxwell_lattice(n)
     elif name == "ym_mechanics":
-        group = params.pop("group", "su2")
         with_scalar = _bool_param(params.pop("with_scalar", True), "with_scalar")
-        factory = lambda: _ym_mechanics(group, with_scalar)
+        factory = lambda: _ym_mechanics(with_scalar)
     else:
         raise UnknownBuiltin(
             f"unknown builtin '{name}'; available: {', '.join(sorted(BUILTIN_MODELS))}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     DenominatorViolation,
-    DivisionByZero,
     GenerationLimitExceeded,
     InconsistentLagrangian,
     OddSecondClassCount,
@@ -79,12 +78,6 @@ class Constraint:
         for v in self.expr.variables():
             if v.kind in (Kind.JET, Kind.MULTIPLIER):
                 raise ValueError(f"constraints live on phase space; found {v}")
-
-    def with_label(self, label):
-        return replace(self, class_label=label)
-
-    def __str__(self):
-        return str(self.expr)
 
 
 @dataclass(frozen=True)
@@ -225,6 +218,10 @@ def run_dirac(m, leg=None):
     run and then :func:`classify`.  Raises :class:`InconsistentLagrangian`
     on a constant residue and :class:`GenerationLimitExceeded` if no
     fixpoint is reached.
+
+    Candidates and constraints are polynomials over phase space
+    (:func:`constraint_form`) and every sampled point assigns all of
+    phase space, so evaluating them or their gradients meets no pole.
     """
     if leg is None:
         from .legendre import primary_constraints
@@ -280,36 +277,15 @@ def run_dirac(m, leg=None):
             for expr in candidates:
                 if any(expr == a.expr for a in accepted):
                     continue
-                values = []
-                usable = []
-                for pt, basis in bases:
-                    try:
-                        values.append(abs(expr.evaluate(pt)))
-                    except DivisionByZero:
-                        continue  # pole of the residue at this sample
-                    usable.append((pt, basis))
-                if not usable:
-                    diagnostics.append(
-                        f"generation {generation}: residue {expr} could not be "
-                        f"sampled on the current surface; accepted unguarded")
-                    accepted.append(Constraint(expr, generation, "dirac"))
-                    continue
-                if all(v <= options.numeric_tolerance for v in values):
+                if all(abs(expr.evaluate(pt)) <= options.numeric_tolerance
+                       for pt, _ in bases):
                     diagnostics.append(
                         f"generation {generation}: residue {expr} vanishes "
                         f"numerically on the current surface; dropped as dependent")
                     continue
                 grad = jacobian([expr], phase_vars)
-                independent = False
-                for pt, basis in usable:
-                    try:
-                        (row,) = evaluate_rows(grad, pt)
-                    except DivisionByZero:
-                        continue
-                    if basis.reduce(row):
-                        independent = True
-                        break
-                if not independent:
+                if not any(basis.reduce(evaluate_rows(grad, pt)[0])
+                           for pt, basis in bases):
                     diagnostics.append(
                         f"generation {generation}: residue {expr} adds no "
                         f"gradient rank on the current surface; dropped")
@@ -356,6 +332,6 @@ def classify(result, pairs, reducer):
     if count % 2:
         raise OddSecondClassCount(count)
     labelled = tuple(
-        c.with_label(SECOND if flag else FIRST)
+        replace(c, class_label=SECOND if flag else FIRST)
         for c, flag in zip(constraints, second))
     return replace(result, constraints=labelled)

@@ -23,7 +23,6 @@ from .reduction import WeakReducer
 
 @dataclass(frozen=True)
 class LegendreResult:
-    model: object
     momenta_defs: tuple      # (coordinate VarRef, Expression in (q, v)) per coordinate
     hessian: tuple           # rows {column: Expression}, rows/cols in coordinate order
     rank: int
@@ -117,7 +116,6 @@ def primary_constraints(m):
 
     discardable = tuple(q for q, pdef in momenta_defs if pdef.is_zero())
     return LegendreResult(
-        model=m,
         momenta_defs=momenta_defs,
         hessian=hessian,
         rank=ech.rank,

@@ -87,12 +87,6 @@ class GaugeGenerator:
     parameter_name: str
     components: tuple  # of GeneratorComponent
 
-    def coefficient(self, coordinate, order):
-        for comp in self.components:
-            if comp.coordinate is coordinate and comp.order == order:
-                return comp.coefficient
-        return None
-
     def max_order(self):
         return max((c.order for c in self.components), default=0)
 

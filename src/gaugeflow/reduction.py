@@ -20,6 +20,7 @@ symbolic pass left behind are solved numerically point by point.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, SurfaceSamplingFailed
@@ -232,6 +233,10 @@ def sample_surface_points(reducer, variables, options, rng=None):
     affine = []
     hard = []
     for g in reducer.leftovers:
+        # a rule absorbed after g may target a momentum g mentions
+        g = g.subs(reducer.rules)
+        if g.is_zero():
+            continue
         if g.degree_in_kind(Kind.MOMENTUM) == 1:
             affine.append(g)
         else:
@@ -269,20 +274,13 @@ def sample_surface_points(reducer, variables, options, rng=None):
     return points
 
 
+@dataclass(frozen=True)
 class NumericVerdict:
     """Outcome of the sampling oracle, with its worst witness point."""
 
-    def __init__(self, zero, witness_point, worst_value):
-        self.zero = zero
-        self.witness_point = witness_point
-        self.worst_value = worst_value
-
-    def __bool__(self):
-        return self.zero
-
-    def __repr__(self):
-        state = "zero" if self.zero else "nonzero"
-        return f"<numeric {state}, worst |value| = {self.worst_value}>"
+    zero: bool
+    witness_point: dict
+    worst_value: Fraction
 
 
 def weak_zero_numeric(e, constraint_exprs, variables, options):

@@ -90,10 +90,36 @@ class TestCommands:
     def test_option_overrides(self):
         code, text = run_cli("compare", "--builtin", "toy_gauge",
                              "--seed", "42", "--sample-count", "5",
+                             "--max-generations", "3", "--tolerance", "1e-6",
                              "--format", "json")
         tree = json.loads(text)
         assert tree["options"]["seed"] == 42
         assert tree["options"]["sample_count"] == 5
+        assert tree["options"]["max_generations"] == 3
+        assert tree["options"]["numeric_tolerance"] == 1e-6
+
+    @pytest.fixture
+    def broken_generator(self, tmp_path):
+        # y shifts by 2 eps' where x' - y needs eps'
+        text = (MODELS_DIR / "toy_gauge.model").read_text()
+        assert "y : k=1 : 1\n" in text
+        path = tmp_path / "toy_gauge.model"
+        path.write_text(text.replace("y : k=1 : 1\n", "y : k=1 : 2\n"))
+        return str(path)
+
+    def test_conjecture_json_on_a_violated_identity(self, broken_generator):
+        code, text = run_cli("conjecture", broken_generator, "--format", "json")
+        tree = json.loads(text)
+        assert code == 4
+        assert tree["model"] == "toy_gauge" and tree["error"] == "IdentityViolated"
+        assert tree["message"]
+
+    def test_check_identities_json_on_a_violated_identity(self, broken_generator):
+        code, text = run_cli("check-identities", broken_generator, "--format", "json")
+        tree = json.loads(text)
+        assert code == 4
+        assert tree["noether"]["passed"] is False
+        assert list(tree["noether"]["residues"].values()) == ["-x'' + y'"]
 
 
 class TestJson:

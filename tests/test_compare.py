@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import gaugeflow.compare
 from gaugeflow import (
     Constraint,
     Expression,
@@ -16,6 +17,7 @@ from gaugeflow import (
     span_equivalent,
 )
 from gaugeflow.cli import report_json_dict
+from gaugeflow.reduction import NumericVerdict
 
 from test_dirac import assert_extend_matches_one_shot
 
@@ -194,6 +196,34 @@ class TestBuildReport:
     ])
     def test_catalog_verdicts(self, name, params, verdict):
         assert build_report(builtin_model(name, params)).verdict == verdict
+
+
+class TestNumericOracleVote:
+    """When the symbolic span check fails at equal ranks, each witness is
+    put to the sampling oracle: nonzero on the other surface is a
+    definite mismatch, zero there is a conflict with the symbolic pass."""
+
+    @pytest.fixture
+    def shifted_conjecture(self, monkeypatch):
+        # p_x + x and the Dirac p_x cut different surfaces of equal rank
+        monkeypatch.setattr(
+            gaugeflow.compare, "conjecture_constraints",
+            lambda m, leg, noether=None: (Constraint(px + Expression.var(x), 0, "conjecture"),))
+        return builtin_model("toy_gauge")
+
+    def test_nonzero_witnesses_are_a_mismatch(self, shifted_conjecture):
+        report = build_report(shifted_conjecture)
+        assert report.verdict == "mismatch" and report.exit_code == 2
+        assert [(d.code, d.witness) for d in report.diagnostics] == [
+            ("not-in-span", "-x"), ("not-in-span", "x")]
+
+    def test_numeric_zero_is_a_conflict(self, shifted_conjecture, monkeypatch):
+        monkeypatch.setattr(gaugeflow.compare, "weak_zero_numeric",
+                            lambda *args: NumericVerdict(True, None, Fraction(0)))
+        report = build_report(shifted_conjecture)
+        assert report.verdict == "indeterminate" and report.exit_code == 4
+        assert [(d.code, d.witness) for d in report.diagnostics] == [
+            ("symbolic-numeric-conflict", "-x"), ("symbolic-numeric-conflict", "x")]
 
 
 def test_first_class_count_equals_generator_count():

@@ -1,6 +1,7 @@
 """Poisson brackets, consistency outcomes, weak equality."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from gaugeflow import (
     Identity,
     MultiplierFixed,
     NewConstraint,
+    Options,
     WeakReducer,
     builtin_model,
     consistency_step,
@@ -25,16 +27,19 @@ from gaugeflow import (
 )
 from gaugeflow.dirac import ConjugatePairs
 from gaugeflow.errors import InconsistentLagrangian
-from gaugeflow.expr import esum
+from gaugeflow.expr import Kind, esum
 from gaugeflow.reduction import sample_surface_points
 
 from conftest import PAIR_COORDS, random_phase_polynomial
 
 x = coordinate("x")
 y = coordinate("y")
+z = coordinate("z")
 ex, ey = Expression.var(x), Expression.var(y)
 px, py = Expression.var(x.momentum()), Expression.var(y.momentum())
+pz = Expression.var(z.momentum())
 PAIRS = ((x, x.momentum()), (y, y.momentum()))
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
 def dirac_constraint(expr, generation=0):
@@ -293,6 +298,48 @@ class TestNumericOracle:
                     br = poisson_bracket(exprs[i], exprs[j], pairs)
                     if WeakReducer(exprs).reduce(br).is_zero() and not br.is_zero():
                         assert weak_zero_numeric(br, exprs, phase, m.options).zero
+
+    # p_z = 1 becomes a rule after x*p_y + y*p_z is stored as a leftover
+    LATE_RULE = [ex * py + ey * pz, pz - 1]
+    LATE_RULE_PHASE = [v for q in (x, y, z) for v in (q, q.momentum())]
+
+    def test_points_honour_a_rule_absorbed_after_a_leftover(self):
+        pts = sample_surface_points(WeakReducer(self.LATE_RULE),
+                                    self.LATE_RULE_PHASE, Options())
+        assert len(pts) == Options().sample_count
+        for pt in pts:
+            assert [e.evaluate(pt) for e in self.LATE_RULE] == [0, 0]
+
+    def test_oracle_sees_what_reduction_misses_under_a_late_rule(self):
+        probe = ex * py + ey  # x*p_y + y*p_z with p_z = 1
+        assert not WeakReducer(self.LATE_RULE).reduce(probe).is_zero()
+        assert weak_zero_numeric(probe, self.LATE_RULE, self.LATE_RULE_PHASE,
+                                 Options()).zero
+
+
+def _every_shipped_model():
+    for name, params in [("toy_gauge", {}), ("oscillator", {}), ("second_class_toy", {}),
+                         ("maxwell_lattice", {"N": 2}), ("ym_mechanics", {})]:
+        yield builtin_model(name, params)
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        yield parse_model(path.read_text(), name=path.stem)
+
+
+def test_constraints_are_phase_space_polynomials():
+    # run_dirac evaluates candidates and their gradients at sampled points
+    # without a pole guard; this is the invariant that makes that sound
+    models = list(_every_shipped_model())
+    assert len(models) == 9
+    for m in models:
+        try:
+            constraints = run_dirac(m).constraints
+        except InconsistentLagrangian as exc:
+            constraints = exc.partial.constraints
+        constraints += primary_constraints(m).primary_constraints
+        assert constraints or m.name == "oscillator"
+        for c in constraints:
+            assert c.expr.is_polynomial(), (m.name, str(c.expr))
+            assert {v.kind for v in c.expr.variables()} <= {Kind.COORDINATE, Kind.MOMENTUM}
 
 
 def test_duplicate_residues_are_merged():
