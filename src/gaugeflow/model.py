@@ -25,6 +25,7 @@ parsed :class:`ModelSpec` is immutable and fully validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -57,8 +58,8 @@ class Options:
             raise ModelSyntaxError("max_generations must be positive")
         if self.sample_count < 1:
             raise ModelSyntaxError("sample_count must be positive")
-        if not self.numeric_tolerance > 0:
-            raise ModelSyntaxError("numeric_tolerance must be positive")
+        if not (math.isfinite(self.numeric_tolerance) and self.numeric_tolerance > 0):
+            raise ModelSyntaxError("numeric_tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,17 @@ Reduction strategy, in order:
 
 * constraints affine in momenta with a constant-coefficient momentum
   pivot are solved exactly and become triangular substitution rules;
-* everything else joins a division pile reduced under the graded-lex
-  monomial order (their numerators generate the same surface ideal away
-  from denominator zeros);
-* leftovers affine in momenta also feed a fraction-free momentum
-  elimination that certifies linear recombinations division misses.
+* the numerators of everything else, the leftovers, are kept linearly
+  inter-reduced (the degree-0 step of Buchberger's algorithm) and
+  divide the remainder under the graded-lex monomial order (they
+  generate the same surface ideal away from denominator zeros).
 
 A zero result certifies weak vanishing.  A nonzero remainder only means
-"not reducible by this engine"; the sampling oracle can second-guess it
-with exact rational points on the surface, where affine constraints the
-symbolic pass left behind are solved numerically point by point.
+"not reducible by this engine" (ideal membership is not radical
+membership, and no S-polynomials are formed); the sampling oracle can
+second-guess it with exact rational points on the surface, where
+affine constraints the symbolic pass left behind are solved
+numerically point by point.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .expr import (
     _mono_sort_key,
     _p_add_into,
     _p_leading,
-    _p_to_univariate,
-    esum,
 )
 from .linalg import RowReducer, evaluate_rows, jacobian, random_rational
 
@@ -55,19 +54,31 @@ def _constant_pivot(e):
     return None
 
 
+def _cancel(p, mono, lead, lc, g):
+    """Subtract from ``p``, in place, the multiple of ``g`` (leading
+    monomial ``lead``, coefficient ``lc``) that cancels its term in
+    ``mono``, which ``lead`` divides."""
+    shift = _mono_div(mono, lead)
+    factor = p[mono] if lc == 1 else Fraction(p[mono], lc)
+    _p_add_into(p, {_mono_mul(shift, m): _lower(-factor * c) for m, c in g.items()})
+
+
 class WeakReducer:
     """Reduction modulo a constraint set that only grows (``extend``).
 
-    Three mechanisms, applied in order:
+    Two mechanisms, applied in order:
 
     * ``rules``: momenta solved exactly from constraints with a constant
       pivot coefficient (fully back-substituted, cheap to apply);
-    * division of the remainder by the leftover constraints under the
-      graded-lex order;
-    * for leftovers that are affine in momenta with coordinate
-      coefficients, a fraction-free momentum elimination used as a final
-      zero certificate (division alone can stall on linear
-      recombinations of such constraints).
+    * division of the remainder under the graded-lex order by the
+      numerators of the ``leftovers``, the constraints no rule solves.
+
+    After every absorbed constraint two invariants hold: no leftover
+    mentions a rule target, because a rule takes the leftovers it
+    reaches out and absorbs them again; and no divisor's leading
+    monomial appears in another divisor, because each new divisor is
+    linearly reduced by the others and then reduces them in turn.
+    Leading coefficients are never rescaled.
 
     Nonzero remainders are reported in the division form, which stays
     free of localization denominators.
@@ -76,52 +87,64 @@ class WeakReducer:
     def __init__(self, constraint_exprs):
         self.rules = {}
         self.leftovers = []
-        self._divisors = []
-        self._eliminator = _AffineEliminator()
+        self._divisors = []  # (leading monomial, its coefficient, numerator)
         self.extend(constraint_exprs)
 
     def extend(self, constraint_exprs):
-        """Absorb more constraints, in order.  A stored leftover is never
-        rewritten by a later rule, so feeding one sequence in two calls
-        leaves exactly the state of one call."""
+        """Absorb more constraints, one at a time and in order, so
+        feeding one sequence in two calls leaves exactly the state of
+        one call."""
         for e in constraint_exprs:
-            if self.rules:
-                e = e.subs(self.rules)
-            if e.is_zero():
-                continue  # dependent constraint: no new information
-            pivot = _constant_pivot(e)
-            if pivot is None:
-                self.leftovers.append(e)
-                num = e._num  # division only needs the numerator ideal
-                lead = _p_leading(num)
-                self._divisors.append((lead, num[lead], num))
-                if e.degree_in_kind(Kind.MOMENTUM) == 1:
-                    self._eliminator.add(e)
-                continue
-            target, coeff = pivot
-            rhs = -(e - coeff * Expression.var(target)) / coeff
-            for v, r in list(self.rules.items()):
-                if r.mentions(target):
-                    self.rules[v] = r.subs({target: rhs})
-            self.rules[target] = rhs
+            self._absorb(e)
+
+    def _absorb(self, e):
+        if self.rules:
+            e = e.subs(self.rules)
+        if e.is_zero():
+            return  # dependent constraint: no new information
+        pivot = _constant_pivot(e)
+        if pivot is None:
+            self.leftovers.append(e)
+            self._add_divisor(e._num)  # division only needs the numerator ideal
+            return
+        target, coeff = pivot
+        rhs = -(e - coeff * Expression.var(target)) / coeff
+        for v, r in list(self.rules.items()):
+            if r.mentions(target):
+                self.rules[v] = r.subs({target: rhs})
+        self.rules[target] = rhs
+        stale = [g for g in self.leftovers if g.mentions(target)]
+        if stale:
+            self.leftovers = [g for g in self.leftovers if not g.mentions(target)]
+            self._divisors = []
+            for g in self.leftovers:
+                self._add_divisor(g._num)
+            for g in stale:
+                self._absorb(g)
+
+    def _add_divisor(self, num):
+        num = dict(num)
+        for lead, lc, g in self._divisors:
+            if lead in num:
+                _cancel(num, lead, lead, lc, g)
+        if not num:
+            return  # a linear combination of the divisors already held
+        lead = _p_leading(num)
+        lc = num[lead]
+        for _, _, g in self._divisors:
+            if lead in g:
+                _cancel(g, lead, lead, lc, num)
+        self._divisors.append((lead, lc, num))
 
     def _divide(self, e):
         rem = dict(e._num)
         while rem:
-            progressed = False
             for mono in sorted(rem, key=_mono_sort_key, reverse=True):
-                coeff = rem[mono]
-                for lead, lc, g in self._divisors:
-                    if _mono_divides(lead, mono):
-                        shift = _mono_div(mono, lead)
-                        factor = coeff if lc == 1 else Fraction(coeff, lc)
-                        _p_add_into(rem, {_mono_mul(shift, mg): _lower(-factor * gc)
-                                          for mg, gc in g.items()})
-                        progressed = True
-                        break
-                if progressed:
+                divisor = next((d for d in self._divisors if _mono_divides(d[0], mono)), None)
+                if divisor is not None:
+                    _cancel(rem, mono, *divisor)
                     break
-            if not progressed:
+            else:
                 break
         return Expression._make(rem, dict(e._den)) if rem else Expression.const(0)
 
@@ -130,63 +153,9 @@ class WeakReducer:
         exactly when this engine can certify weak vanishing."""
         if self.rules and not e.is_zero():
             e = e.subs(self.rules)
-        if e.is_zero():
+        if e.is_zero() or not self._divisors:
             return e
-        if self._divisors:
-            e = self._divide(e)
-            if e.is_zero():
-                return e
-        if self._eliminator.rows and self._eliminator.vanishes(e):
-            return Expression.const(0)
-        return e
-
-
-class _AffineEliminator:
-    """Fraction-free elimination of momenta pinned by affine constraints.
-
-    Each absorbed constraint contributes a pivot momentum m with
-    ``lc(q) * m ~ rest`` on the surface; eliminating a pivot from an
-    expression multiplies through by lc instead of dividing, so
-    everything stays polynomial.  Scalings by lc are harmless because
-    the eliminator only ever answers "does this vanish weakly" (away
-    from lc zeros).
-    """
-
-    def __init__(self):
-        self.rows = []  # (pivot VarRef, lc Expression, rest Expression), pivots desc
-
-    def add(self, g):
-        g = self._eliminate(g)
-        if g.is_zero():
-            return
-        momenta = [v for v in g.variables() if v.kind is Kind.MOMENTUM]
-        if not momenta:
-            return  # coordinate-only residue; division already covers it
-        pivot = max(momenta)
-        lc = g.diff(pivot)
-        rest = lc * Expression.var(pivot) - g
-        self.rows.append((pivot, lc, rest))
-        self.rows.sort(key=lambda row: row[0], reverse=True)
-
-    def _eliminate(self, e):
-        # numerator is enough: the denominator never vanishes weakly
-        work = Expression._make(dict(e._num), {(): 1})
-        for pivot, lc, rest in self.rows:
-            if not work.mentions(pivot):
-                continue
-            by_power = _p_to_univariate(work._num, pivot)
-            degree = max(by_power)
-            pieces = []
-            for k, coeff_poly in by_power.items():
-                term = Expression._make(coeff_poly, {(): 1})
-                pieces.append(term * rest ** k * lc ** (degree - k))
-            work = esum(pieces)
-            if not work.is_zero():
-                work = work.normalized()  # cheap content control
-        return work
-
-    def vanishes(self, e):
-        return self._eliminate(e).is_zero()
+        return self._divide(e)
 
 
 # --- numeric sampling on the constraint surface ----------------------------------
@@ -233,10 +202,6 @@ def sample_surface_points(reducer, variables, options, rng=None):
     affine = []
     hard = []
     for g in reducer.leftovers:
-        # a rule absorbed after g may target a momentum g mentions
-        g = g.subs(reducer.rules)
-        if g.is_zero():
-            continue
         if g.degree_in_kind(Kind.MOMENTUM) == 1:
             affine.append(g)
         else:

@@ -44,6 +44,7 @@ class TestExitCodes:
         assert run_cli("compare", "--builtin", "")[0] == 1
         assert run_cli("compare", "--builtin", "toy_gauge", "x.model")[0] == 1
         assert run_cli("analyze", "/nonexistent/x.model")[0] == 1
+        assert run_cli("compare", "--builtin", "toy_gauge", "--tolerance", "inf")[0] == 1
 
     def test_parse_error_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.model"

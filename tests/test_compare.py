@@ -93,7 +93,7 @@ class TestSpanEquivalent:
             assert check.equivalent
 
     def test_recombined_gauss_laws_extend_matches_one_shot(self):
-        # the affine eliminator decides some of these reductions
+        # division by the inter-reduced Gauss laws decides these reductions
         exprs = ym_gauss_laws(builtin_model("ym_mechanics"))
         for mix in GAUSS_MIXES:
             mixed = recombined(mix, exprs)

@@ -230,7 +230,11 @@ def assert_extend_matches_one_shot(exprs, splits, probes):
         assert list(grown.rules.items()) == list(whole.rules.items())
         assert grown.leftovers == whole.leftovers
         assert grown._divisors == whole._divisors
-        assert grown._eliminator.rows == whole._eliminator.rows
+        # a later rule rewrites every leftover it reaches
+        assert not any(g.mentions(v) for g in grown.leftovers for v in grown.rules)
+        # the divisors are linearly inter-reduced
+        assert not any(lead in g for i, (lead, _, _) in enumerate(grown._divisors)
+                       for j, (_, _, g) in enumerate(grown._divisors) if i != j)
         assert [grown.reduce(e) for e in probes] == [whole.reduce(e) for e in probes]
 
 
@@ -310,9 +314,10 @@ class TestNumericOracle:
         for pt in pts:
             assert [e.evaluate(pt) for e in self.LATE_RULE] == [0, 0]
 
-    def test_oracle_sees_what_reduction_misses_under_a_late_rule(self):
+    def test_reduction_and_oracle_agree_under_a_late_rule(self):
         probe = ex * py + ey  # x*p_y + y*p_z with p_z = 1
-        assert not WeakReducer(self.LATE_RULE).reduce(probe).is_zero()
+        assert WeakReducer(self.LATE_RULE).reduce(probe).is_zero()
+        assert_extend_matches_one_shot(self.LATE_RULE, range(3), [probe])
         assert weak_zero_numeric(probe, self.LATE_RULE, self.LATE_RULE_PHASE,
                                  Options()).zero
 

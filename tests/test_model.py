@@ -106,6 +106,8 @@ class TestParseModel:
         assert m.options.seed == 7 and m.options.sample_count == 5
         with pytest.raises(ModelSyntaxError):
             parse_model(TOY_SOURCE + "\n[options]\nwibble = 3\n")
+        with pytest.raises(ModelSyntaxError, match="finite and positive"):
+            parse_model(TOY_SOURCE + "\n[options]\nnumeric_tolerance = 1e999\n")
 
     def test_syntax_error_has_line(self):
         with pytest.raises(ModelSyntaxError) as err:
