@@ -5,10 +5,12 @@ Each generation takes the bracket of every current constraint with the
 total Hamiltonian and reduces it modulo the constraint set as it stood
 at the start of the generation (matching the merge-after-parallel-steps
 contract).  Residues classify into: identity, a new constraint, an
-equation fixing a multiplier, or an outright contradiction.  Candidate
-constraints that vanish numerically on the current surface, or whose
-gradient adds no rank there, are functionally dependent leftovers and
-are dropped with a diagnostic rather than admitted.
+equation fixing a multiplier, or an outright contradiction.  A candidate
+constraint is admitted unless it vanishes numerically at every sampled
+point of the current surface; such a leftover is dropped with a
+diagnostic.  The admitted constraints are then merged one at a time, and
+a merged set that reduces 1 to 0 has no common zero: the Lagrangian is
+inconsistent.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
 from .expr import (
     Expression,
     Kind,
+    ONE,
     _ONE_MONO,
     _p_const,
     _p_div_exact,
@@ -32,7 +35,6 @@ from .expr import (
     esum,
     multiplier,
 )
-from .linalg import RowReducer, evaluate_rows, jacobian
 from .reduction import WeakReducer, sample_surface_points
 
 FIRST = "first"
@@ -211,17 +213,19 @@ def run_dirac(m, leg=None):
     """Run the generational consistency algorithm to its fixpoint and
     return its constraints classified.
 
-    Primaries are generation 0; each later generation adds the
-    independent residues of all consistency conditions, tested against
-    the constraint set as of the start of that generation.  One
-    :class:`WeakReducer`, extended by each generation, serves the whole
-    run and then :func:`classify`.  Raises :class:`InconsistentLagrangian`
-    on a constant residue and :class:`GenerationLimitExceeded` if no
-    fixpoint is reached.
+    Primaries are generation 0; each later generation adds the residues
+    of all consistency conditions, tested against the constraint set as
+    of the start of that generation, that are nonzero at some sampled
+    surface point.  One :class:`WeakReducer`, extended by each admitted
+    constraint in turn, serves the whole run and then :func:`classify`.
+    Raises :class:`InconsistentLagrangian` on a constant residue or when
+    the merged constraints reduce 1 to 0 (the reducer only subtracts
+    members of the constraint ideal, so they have no common zero), and
+    :class:`GenerationLimitExceeded` if no fixpoint is reached.
 
     Candidates and constraints are polynomials over phase space
     (:func:`constraint_form`) and every sampled point assigns all of
-    phase space, so evaluating them or their gradients meets no pole.
+    phase space, so evaluating them meets no pole.
     """
     if leg is None:
         from .legendre import primary_constraints
@@ -240,6 +244,17 @@ def run_dirac(m, leg=None):
     rng = random.Random(options.seed)
     reducer = WeakReducer([c.expr for c in constraints])
 
+    def inconsistent(witness, c, generation):
+        partial = DiracResult(
+            constraints=tuple(constraints),
+            multiplier_equations=tuple(multiplier_equations),
+            generations_run=generation,
+            consistent=False,
+            witness=witness,
+            diagnostics=tuple(diagnostics),
+        )
+        return InconsistentLagrangian(witness, c, partial)
+
     for generation in range(1, options.max_generations + 1):
         candidates = []
         for c in constraints:
@@ -247,15 +262,7 @@ def run_dirac(m, leg=None):
             if isinstance(outcome, Identity):
                 continue
             if isinstance(outcome, Contradiction):
-                partial = DiracResult(
-                    constraints=tuple(constraints),
-                    multiplier_equations=tuple(multiplier_equations),
-                    generations_run=generation,
-                    consistent=False,
-                    witness=outcome.witness,
-                    diagnostics=tuple(diagnostics),
-                )
-                raise InconsistentLagrangian(outcome.witness, c, partial)
+                raise inconsistent(outcome.witness, c, generation)
             if isinstance(outcome, MultiplierFixed):
                 key = (outcome.multiplier, outcome.value)
                 if key not in seen_equations:
@@ -267,35 +274,24 @@ def run_dirac(m, leg=None):
         accepted = []
         if candidates:
             points = sample_surface_points(reducer, phase_vars, options, rng)
-            bases = []
-            start_grad = jacobian([c.expr for c in constraints], phase_vars)
-            for pt in points:
-                basis = RowReducer()
-                for row in evaluate_rows(start_grad, pt):
-                    basis.absorb(row)
-                bases.append((pt, basis))
             for expr in candidates:
                 if any(expr == a.expr for a in accepted):
                     continue
                 if all(abs(expr.evaluate(pt)) <= options.numeric_tolerance
-                       for pt, _ in bases):
+                       for pt in points):
                     diagnostics.append(
                         f"generation {generation}: residue {expr} vanishes "
                         f"numerically on the current surface; dropped as dependent")
-                    continue
-                grad = jacobian([expr], phase_vars)
-                if not any(basis.reduce(evaluate_rows(grad, pt)[0])
-                           for pt, basis in bases):
-                    diagnostics.append(
-                        f"generation {generation}: residue {expr} adds no "
-                        f"gradient rank on the current surface; dropped")
                     continue
                 accepted.append(Constraint(expr, generation, "dirac"))
         generations_run = generation
         if not accepted:
             break
-        constraints.extend(accepted)
-        reducer.extend([c.expr for c in accepted])
+        for c in accepted:
+            constraints.append(c)
+            reducer.extend([c.expr])
+            if reducer.reduce(ONE).is_zero():
+                raise inconsistent(ONE, c, generation)
     else:
         raise GenerationLimitExceeded(options.max_generations)
 

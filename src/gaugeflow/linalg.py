@@ -11,8 +11,7 @@ entries stay polynomial whenever the input is; because ``Expression``
 arithmetic always lands on one canonical form, the cells it computes
 equal the dense Bareiss formula's exactly.  ``RowReducer`` is the one
 Gaussian elimination over ``Fraction``: ``rational_rank`` absorbs a
-matrix's rows into one reducer, ``run_dirac`` tests rank growth at a
-surface point with one, and the surface sampler solves its
+matrix's rows into one reducer, and the surface sampler solves its
 momentum-affine constraints at each point with ``RowReducer.solve``.
 
 The generic rank of a matrix of expressions (a velocity Hessian, the

@@ -151,7 +151,7 @@ class WeakReducer:
     def reduce(self, e):
         """Canonical remainder of ``e`` modulo the constraint set; zero
         exactly when this engine can certify weak vanishing."""
-        if self.rules and not e.is_zero():
+        if self.rules and e.variables():
             e = e.subs(self.rules)
         if e.is_zero() or not self._divisors:
             return e

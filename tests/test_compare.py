@@ -186,6 +186,21 @@ class TestBuildReport:
         assert len(dropped) == 1 and "x*y" in dropped[0].message
         assert report.dirac.generations_run == 3
 
+    def test_component_selecting_residue_kept(self):
+        # p_x = x' - v*y - x, p_y = y' + v, primary p_v; then y*p_x - p_y,
+        # then p_x^2 - p_x, whose surface has the components p_x = 0 and
+        # p_x = 1.  Since p_x' = -p_x, preserving it leaves
+        # -(2p_x - 1)p_x = -p_x there: the component p_x = 1 is not
+        # preserved, so p_x is a real tertiary constraint although its
+        # gradient adds no rank at any surface point
+        src = "[vars]\nx\ny\nv\n[lagrangian]\n(x' - v*y - x)^2/2 + (y' + v)^2/2\n"
+        report = build_report(parse_model(src, name="component"))
+        assert [(str(c.expr), c.generation, c.class_label)
+                for c in report.dirac.constraints] == [
+            ("p_v", 0, "first"), ("p_x*y - p_y", 1, "first"),
+            ("p_x^2 - p_x", 2, "first"), ("p_x", 3, "first")]
+        assert not any(d.code == "dependent-residue" for d in report.diagnostics)
+
     @pytest.mark.parametrize("name,params,verdict", [
         ("toy_gauge", {}, "match"),
         ("maxwell_lattice", {"N": 2}, "match"),

@@ -166,11 +166,23 @@ class TestRunDirac:
             ("lam[1]", "-x"), ("lam[0]", "y")]
         assert d.generations_run == 1
 
-    def test_inconsistent_lagrangian(self):
-        m = parse_model("[vars]\nx\n[lagrangian]\nx\n")
+    @pytest.mark.parametrize("src,constraint,partial", [
+        # L = x: preserving p_x demands {p_x, -x} = 1 = 0
+        ("[vars]\nx\n[lagrangian]\nx\n", px, ["p_x"]),
+        # p_y = y' + 2v + 2u, primaries p_u and p_v, and
+        # H = p_y^2/2 - 2(u + v)p_y + 2u.  Preserving p_v gives p_y = 0 and
+        # preserving p_u gives p_y = 1: each is nonzero on the primary
+        # surface, so both enter generation 1, and merging them reduces 1 to 0
+        ("[vars]\ny\nu\nv\n[lagrangian]\n(y' + 2*v + 2*u)^2/2 - 2*u\n", py,
+         ["p_u", "p_v", "p_y - 1", "p_y"]),
+    ], ids=["constant_residue", "two_multipliers"])
+    def test_inconsistent_lagrangian(self, src, constraint, partial):
         with pytest.raises(InconsistentLagrangian) as err:
-            run_dirac(m)
-        assert err.value.witness.is_constant()
+            run_dirac(parse_model(src))
+        assert err.value.witness == Expression.const(1)
+        assert err.value.constraint.expr == constraint
+        assert [str(c.expr) for c in err.value.partial.constraints] == partial
+        assert not err.value.partial.consistent
 
     def test_maxwell_counts(self):
         m = builtin_model("maxwell_lattice", {"N": 2})
@@ -255,6 +267,18 @@ class TestWeakReducerExtend:
         probes = [poisson_bracket(e, h, pairs) for e in exprs] + [
             poisson_bracket(f, g, pairs) for i, f in enumerate(exprs) for g in exprs[i + 1:]]
         assert_extend_matches_one_shot(exprs, splits, probes)
+
+    @pytest.mark.parametrize("exprs", [
+        # the rule for p_y rewrites the earlier rule p_x = p_y
+        [px - py, py - ex],
+        # the late rule p_z = 1 takes out x*p_y + y*p_z and keeps x*p_x + y
+        [ex * py + ey * pz, ex * px + ey, pz - 1],
+        # the third numerator is the sum of the first two
+        [ex * py + ey, ex * pz + 1, ex * py + ex * pz + ey + 1],
+    ], ids=["rule_rewrites_rule", "late_rule_keeps_leftover", "dependent_divisor"])
+    def test_matches_one_shot_at_every_split(self, exprs):
+        probes = exprs + [ex * e for e in exprs] + [ex * py * pz + ey * px]
+        assert_extend_matches_one_shot(exprs, range(len(exprs) + 1), probes)
 
 
 class TestNumericOracle:

@@ -128,8 +128,14 @@ class TestInvariants:
         assert rational_rank(numeric) == leg.rank
 
     def test_solved_velocities_reproduce_momenta(self):
-        for name in ("toy_gauge", "oscillator"):
-            m = builtin_model(name)
+        # p_x = x' + y' and p_y = x' + 2y' couple the velocities, so the
+        # solution back-substitutes y' into x'
+        coupled = parse_model("[vars]\nx\ny\n[lagrangian]\nx'^2/2 + x'*y' + y'^2\n")
+        leg = primary_constraints(coupled)
+        assert dict(leg.solvable_velocities) == {
+            x.jet(1): 2 * px - py, y.jet(1): py - px}
+        assert leg.canonical_hamiltonian == px ** 2 - px * py + py ** 2 / 2
+        for m in (builtin_model("toy_gauge"), builtin_model("oscillator"), coupled):
             leg = primary_constraints(m)
             momenta = dict(leg.momenta_defs)
             solved = dict(leg.solvable_velocities)
