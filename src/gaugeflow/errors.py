@@ -102,17 +102,6 @@ class NonQuadraticVelocity(LegendreError):
     momentum inversion does not apply."""
 
 
-class RankNotConstant(LegendreError):
-    """Symbolic Hessian rank disagrees with the rank sampled at random
-    rational points; the model's constraint structure is not generic."""
-
-    def __init__(self, symbolic_rank, sampled_rank):
-        super().__init__(
-            f"hessian rank mismatch: symbolic {symbolic_rank}, sampled {sampled_rank}")
-        self.symbolic_rank = symbolic_rank
-        self.sampled_rank = sampled_rank
-
-
 # --- consistency algorithm --------------------------------------------------
 
 class DiracError(GaugeflowError):

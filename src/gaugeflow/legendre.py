@@ -1,30 +1,40 @@
 """Momentum definitions, Hessian rank analysis, primary constraints and
-the canonical Hamiltonian.
+the canonical Hamiltonian, by one exact elimination.
 
-The velocity Hessian of an (at most) quadratic Lagrangian is eliminated
-fraction-free; rows that eliminate to zero leave relations among
-coordinates and momenta, which are the primary constraints.  A numeric
-rank check at random rational points guards against measure-zero pivot
-cancellations, and coordinates whose momentum vanishes identically are
-flagged as incompatible with canonical brackets.
+The momenta of an (at most) quadratic Lagrangian read ``W(q) v = p - b(q)``
+with ``W`` the velocity Hessian.  Fraction-free elimination of
+``[W | p - b]`` applies an invertible row transform, rational in ``q``,
+and no sampled rank or reducer test could catch an error of it:
+
+- ``eliminate`` is exact, so its rank is the generic rank of ``W``; the
+  rank at a point is lower only on the singular locus.
+- A row that hosts no pivot has no velocity cell left.  Its right-hand
+  side ``g_r(q) phi_r`` is nonzero, as the transform is invertible and
+  the ``p_k`` independent; ``phi_r`` is a primary constraint.
+- Every pivot row holds at the back-substituted velocities, which are
+  affine in the unsolved ``v_u``.  So each ``p_k - dL/dv_k``, and with it
+  ``dH/dv_u = sum_k (p_k - dL/dv_k) dv_k/dv_u`` for ``H = p.v - L``, is a
+  velocity-free q-rational combination of the ``phi_r``: setting the
+  ``v_u`` to 0 gives the canonical Hamiltonian (Henneaux & Teitelboim,
+  *Quantization of Gauge Systems*, sections 1.1-1.2).
+
+Coordinates whose momentum vanishes identically are flagged as
+incompatible with canonical brackets.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .dirac import Constraint, constraint_form
-from .errors import LegendreError, NonQuadraticVelocity, RankNotConstant
+from .errors import NonQuadraticVelocity
 from .expr import ZERO, Expression, Kind, esum
-from .linalg import eliminate, jacobian, sampled_rank
-from .reduction import WeakReducer
+from .linalg import eliminate, jacobian
 
 
 @dataclass(frozen=True)
 class LegendreResult:
     momenta_defs: tuple      # (coordinate VarRef, Expression in (q, v)) per coordinate
-    hessian: tuple           # rows {column: Expression}, rows/cols in coordinate order
     rank: int
     solvable_velocities: tuple   # (velocity VarRef, Expression in (q, p, unsolved v))
     primary_constraints: tuple   # of Constraint, generation 0
@@ -41,8 +51,7 @@ def primary_constraints(m):
     """Full Legendre analysis of a model.
 
     Raises :class:`NonQuadraticVelocity` when momentum inversion is not
-    linear, and :class:`RankNotConstant` when the symbolic Hessian rank
-    disagrees with the rank sampled at random rational points.
+    linear; the elimination itself cannot fail.
     """
     lagrangian = m.lagrangian
     if lagrangian.degree_in_kind(Kind.JET) > 2:
@@ -53,7 +62,7 @@ def primary_constraints(m):
     momenta = [q.momentum() for q in coords]
     momenta_defs = compute_momenta(m)
 
-    hessian = tuple(jacobian([pdef for _, pdef in momenta_defs], velocities))
+    hessian = jacobian([pdef for _, pdef in momenta_defs], velocities)
     at_rest = {v: Expression.const(0) for v in velocities}
     # rows of the linear system W.v = p - b, the right-hand side in column n
     rhs = [Expression.var(p) - pdef.subs(at_rest)
@@ -64,23 +73,11 @@ def primary_constraints(m):
     column_order = sorted(range(n), key=lambda i: velocities[i])
     ech = eliminate(matrix, column_order)
 
-    sampled = sampled_rank(hessian, n, m.options, random.Random(m.options.seed))
-    if sampled != ech.rank:
-        raise RankNotConstant(ech.rank, sampled)
-
-    # rows that never hosted a pivot carry the primary constraints;
-    # emit them in declaration order despite pivot row swaps
-    primaries = []
-    pivot_rows = {row for row, _ in ech.pivots}
-    non_pivot = sorted((r for r in range(n) if r not in pivot_rows),
-                       key=lambda r: ech.row_order[r])
-    for r in non_pivot:
-        row = ech.rows[r]
-        if row.keys() - {n}:
-            raise LegendreError("elimination left an unreduced velocity row")
-        if n not in row:
-            raise LegendreError("momentum relation collapsed to zero")
-        primaries.append(Constraint(constraint_form(row[n]), 0, "dirac"))
+    # rows below the last pivot hold only a right-hand side, which carries
+    # a primary constraint; emit them in declaration order despite swaps
+    non_pivot = sorted(range(ech.rank, n), key=lambda r: ech.row_order[r])
+    primaries = tuple(Constraint(constraint_form(ech.rows[r][n]), 0, "dirac")
+                      for r in non_pivot)
 
     # back-substitution for the solvable velocities, bottom pivot first
     solved = {}
@@ -95,32 +92,17 @@ def primary_constraints(m):
         solved[velocities[col]] = expr / row[col]
     solvable = tuple((v, solved[v]) for v in velocities if v in solved)
 
+    unsolved = {v: ZERO for v in velocities if v not in solved}
     hamiltonian = esum(
         [Expression.var(p) * Expression.var(v) for p, v in zip(momenta, velocities)]
-        + [-lagrangian]).subs(solved)
-    unsolved = [v for v in velocities if v not in solved]
-    if unsolved:
-        reducer = WeakReducer([c.expr for c in primaries])
-        for v in unsolved:
-            coeff = hamiltonian.diff(v)
-            if coeff.mentions_kind(Kind.JET):
-                raise LegendreError(
-                    f"canonical Hamiltonian is not linear in unsolved velocity {v}")
-            if not reducer.reduce(coeff).is_zero():
-                raise LegendreError(
-                    f"coefficient of unsolved velocity {v} is not a combination "
-                    f"of primary constraints")
-        hamiltonian = hamiltonian.subs({v: Expression.const(0) for v in unsolved})
-    if hamiltonian.mentions_kind(Kind.JET):
-        raise LegendreError("canonical Hamiltonian still mentions velocities")
+        + [-lagrangian]).subs(solved).subs(unsolved)
 
     discardable = tuple(q for q, pdef in momenta_defs if pdef.is_zero())
     return LegendreResult(
         momenta_defs=momenta_defs,
-        hessian=hessian,
         rank=ech.rank,
         solvable_velocities=solvable,
-        primary_constraints=tuple(primaries),
+        primary_constraints=primaries,
         discardable=discardable,
         canonical_hamiltonian=hamiltonian,
     )

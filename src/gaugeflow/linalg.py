@@ -14,10 +14,10 @@ Gaussian elimination over ``Fraction``: ``rational_rank`` absorbs a
 matrix's rows into one reducer, and the surface sampler solves its
 momentum-affine constraints at each point with ``RowReducer.solve``.
 
-The generic rank of a matrix of expressions (a velocity Hessian, the
-generator columns, a constraint Jacobian) is sampled: ``sampled_rank``
-takes the best exact rank over seeded random rational points, which by
-the Schwartz-Zippel bound equals the generic rank with high probability.
+The generic rank of a matrix of expressions (the generator columns, a
+constraint Jacobian) is sampled: ``sampled_rank`` takes the best exact
+rank over seeded random rational points, which by the Schwartz-Zippel
+bound equals the generic rank with high probability.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ class RowReducer:
     against the current basis and, if a nonzero remainder survives,
     keeps it and reports True.  A basis row's pivot is its lowest
     column, and reducing a row touches only the cells of the basis rows
-    that meet it.  Used for rank-growth tests, for :func:`rational_rank`
-    and, reading one column as a right-hand side, by ``solve``.
+    that meet it.  Used by :func:`rational_rank` and, reading one
+    column as a right-hand side, by ``solve``.
     """
 
     def __init__(self):

@@ -46,6 +46,19 @@ class TestExitCodes:
         assert run_cli("analyze", "/nonexistent/x.model")[0] == 1
         assert run_cli("compare", "--builtin", "toy_gauge", "--tolerance", "inf")[0] == 1
 
+    def test_param_errors_are_exit_1(self, capsys):
+        assert run_cli("compare", "--builtin", "maxwell_lattice", "-p", "N")[0] == 1
+        path = str(MODELS_DIR / "toy_gauge.model")
+        assert run_cli("compare", path, "-p", "N=2")[0] == 1
+        assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_non_quadratic_analyze_is_exit_4(self, tmp_path, capsys):
+        cubic = tmp_path / "cubic.model"
+        cubic.write_text("[vars]\nx\n[lagrangian]\nx'^3\n")
+        assert run_cli("analyze", str(cubic)) == (4, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonQuadraticVelocity: ") and err.count("\n") == 1
+
     def test_parse_error_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("[vars]\nx\n[lagrangian]\nx +\n")
@@ -135,6 +148,14 @@ class TestJson:
         assert tree["conjecture"] == ["p_x"]
         assert tree["span"]["equivalent"] is True
         assert "timings" not in json.dumps(tree)
+
+    def test_compare_json_on_an_inconsistent_lagrangian(self):
+        path = str(MODELS_DIR / "inconsistent.model")
+        code, text = run_cli("compare", path, "--format", "json")
+        tree = json.loads(text)
+        assert code == tree["exit_code"] == 3
+        assert tree["dirac"]["witness"] == "1"
+        assert [d["code"] for d in tree["diagnostics"]] == ["inconsistent-lagrangian"]
 
     def test_byte_identical_reruns(self):
         a = run_cli("compare", "--builtin", "ym_mechanics", "--format", "json")

@@ -14,6 +14,7 @@ from gaugeflow import (
     NewConstraint,
     Options,
     WeakReducer,
+    build_report,
     builtin_model,
     consistency_step,
     coordinate,
@@ -183,6 +184,23 @@ class TestRunDirac:
         assert err.value.constraint.expr == constraint
         assert [str(c.expr) for c in err.value.partial.constraints] == partial
         assert not err.value.partial.consistent
+
+    @pytest.mark.parametrize("seed", [1, 7, 1729])
+    def test_momentum_coefficient_keeps_the_whole_residue(self, seed):
+        # p_y = y' + 2y - u^2 and p_u = 0, so H_c = p_y^2/2 - 2y p_y
+        # + u^2 p_y + u.  {p_u, H_T} = -(2u p_y + 1) gives u*p_y + 1/2.
+        # {u p_y + 1/2, H_T} = 2u p_y + lam[0] p_y reduces to
+        # lam[0] p_y - 1; solving for lam[0] would put p_y in a
+        # denominator, so the residue itself is the multiplier equation.
+        # {p_u, u p_y + 1/2} = -p_y is weakly nonzero: both second class
+        m = parse_model("[vars]\ny\nu\n[lagrangian]\n(y' + 2*y - u^2)^2/2 - u\n")
+        report = build_report(m.with_options(seed=seed))
+        d = report.dirac
+        assert [(str(c.expr), c.class_label) for c in d.constraints] == [
+            ("p_u", "second"), ("u*p_y + 1/2", "second")]
+        assert [(str(v), str(e)) for v, e in d.multiplier_equations] == [
+            ("lam[0]", "lam[0]*p_y - 1")]
+        assert report.verdict == "no_gauge_sector"
 
     def test_maxwell_counts(self):
         m = builtin_model("maxwell_lattice", {"N": 2})

@@ -10,15 +10,36 @@ import pytest
 
 from gaugeflow import (
     Expression,
+    WeakReducer,
+    build_report,
     builtin_model,
     compute_momenta,
     coordinate,
     parse_model,
     primary_constraints,
 )
-from gaugeflow.errors import NonQuadraticVelocity, RankNotConstant
-from gaugeflow.linalg import rational_rank
+from gaugeflow.errors import NonQuadraticVelocity
+from gaugeflow.expr import Kind, esum
+from gaugeflow.linalg import jacobian, rational_rank
 from conftest import random_point
+
+# a builtin's name, or "<coordinates>: <Lagrangian>"
+HESSIAN_MODELS = [
+    ("toy_gauge", {}), ("second_class_toy", {}), ("ym_mechanics", {}),
+    ("x: x*xdot^2/2", {}),
+    ("x y: (x + 7/4)*x'^2/2 + y'^2/2", {}),
+    ("x y u: (u*x' - y*y')^2/2 - x*y", {}),
+    ("x y u: x*(x' - u*y')^2/2 + u'^2/2", {}),
+]
+
+
+def _model(spec, params=None):
+    if ":" not in spec:
+        return builtin_model(spec, params)
+    coords, lagrangian = spec.split(":", 1)
+    declarations = "\n".join(coords.split())
+    return parse_model(f"[vars]\n{declarations}\n[lagrangian]\n{lagrangian}\n")
+
 
 x = coordinate("x")
 y = coordinate("y")
@@ -111,21 +132,41 @@ class TestInvariants:
         for c in leg.primary_constraints:
             assert not (c.expr.variables() & velocities)
 
-    @pytest.mark.parametrize("name,params", [
-        ("toy_gauge", {}), ("second_class_toy", {}), ("ym_mechanics", {}),
-    ])
+    @pytest.mark.parametrize("name,params", HESSIAN_MODELS)
     def test_hessian_rank_matches_sampling(self, name, params):
-        m = builtin_model(name, params)
+        m = _model(name, params)
         leg = primary_constraints(m)
-        rng = random.Random(5)
+        velocities = [q.jet(1) for q in m.coordinate_vars]
+        hessian = jacobian([pdef for _, pdef in leg.momenta_defs], velocities)
         variables = set()
-        for row in leg.hessian:
+        for row in hessian:
             for e in row.values():
                 variables |= e.variables()
-        pt = random_point(rng, variables)
-        numeric = [{c: e.evaluate(pt) if variables else e.evaluate({}) for c, e in row.items()}
-                   for row in leg.hessian]
+        pt = random_point(random.Random(5), variables)
+        numeric = [{c: e.evaluate(pt) for c, e in row.items()} for row in hessian]
         assert rational_rank(numeric) == leg.rank
+
+    @pytest.mark.parametrize("name,params", HESSIAN_MODELS + [
+        # the primary u*p_y + p_x*y has no constant momentum coefficient
+        ("x y u: (u*x' - y*y')^2/2 + u'*x - y^2/2", {}),
+    ])
+    def test_unsolved_velocities_drop_out_weakly(self, name, params):
+        # p.v - L at the solved velocities is linear in each unsolved
+        # velocity, with a velocity-free coefficient that vanishes on the
+        # primary surface; zeroing those velocities gives H_c
+        m = _model(name, params)
+        leg = primary_constraints(m)
+        solved = dict(leg.solvable_velocities)
+        energy = esum([Expression.var(q.momentum()) * Expression.var(q.jet(1))
+                       for q in m.coordinate_vars] + [-m.lagrangian]).subs(solved)
+        unsolved = [q.jet(1) for q in m.coordinate_vars if q.jet(1) not in solved]
+        reducer = WeakReducer([c.expr for c in leg.primary_constraints])
+        for v in unsolved:
+            coeff = energy.diff(v)
+            assert not coeff.mentions_kind(Kind.JET)
+            assert reducer.reduce(coeff).is_zero()
+        at_zero = energy.subs({v: Expression.const(0) for v in unsolved})
+        assert at_zero == leg.canonical_hamiltonian
 
     def test_solved_velocities_reproduce_momenta(self):
         # p_x = x' + y' and p_y = x' + 2y' couple the velocities, so the
@@ -145,20 +186,34 @@ class TestInvariants:
                 assert reproduced == Expression.var(q.momentum())
 
     def test_rank_not_constant_detected(self):
-        # W = [[x]] has symbolic rank 1 but vanishes at x = 0; the best of
-        # several sampled points still finds rank 1
+        # W = [[x]] vanishes at x = 0, but its generic rank, which the
+        # exact elimination finds, is 1
         m = parse_model("[vars]\nx\n[lagrangian]\nx*xdot^2/2\n")
-        leg = primary_constraints(m)  # generic sampling agrees
+        leg = primary_constraints(m)
         assert leg.rank == 1
 
-    def test_rank_not_constant_raised_at_a_singular_sample(self):
-        # W = diag(x + 7/4, 1); the first draw of seed 1729 is x = -7/4
-        m = parse_model("[vars]\nx\ny\n[lagrangian]\n(x + 7/4)*x'^2/2 + y'^2/2\n")
+    def test_unsolved_coefficient_vanishes_through_a_coordinate_denominator(self):
+        # p_u = p_w = p_x/y on the primary surface, so the coefficient
+        # p_w - p_u of the unsolved w' is weakly zero where y != 0,
+        # although no polynomial combination of the primaries gives it:
+        # y*(p_w - p_u) is the difference of two primaries
+        m = _model("x y u w: (y*x' + u' + w')^2/2")
+        leg = primary_constraints(m)
+        primaries = [c.expr for c in leg.primary_constraints]
+        assert [str(e) for e in primaries] == ["p_y", "p_u*y - p_x", "p_w*y - p_x"]
+        u, w = coordinate("u"), coordinate("w")
+        pu, pw = Expression.var(u.momentum()), Expression.var(w.momentum())
+        assert ey * (pw - pu) == primaries[2] - primaries[1]
+        assert leg.canonical_hamiltonian == (pu * px * ey - px ** 2 / 2) / ey ** 2
+
+    def test_rank_is_exact_at_a_singular_sample(self):
+        # W = diag(x + 7/4, 1); the first draw of seed 1729 is x = -7/4,
+        # where W drops rank, and the exact elimination never samples
+        m = _model("x y: (x + 7/4)*x'^2/2 + y'^2/2").with_options(sample_count=1)
         assert m.options.seed == 1729
-        with pytest.raises(RankNotConstant) as info:
-            primary_constraints(m.with_options(sample_count=1))
-        assert (info.value.symbolic_rank, info.value.sampled_rank) == (2, 1)
-        assert primary_constraints(m.with_options(sample_count=2)).rank == 2
+        assert primary_constraints(m).rank == 2
+        report = build_report(m)
+        assert (report.verdict, report.exit_code) == ("no_gauge_sector", 0)
 
 
 class TestLegendreTransformConsistency:

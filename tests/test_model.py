@@ -1,5 +1,6 @@
 """Model files, validation, and the builtin catalog."""
 
+import io
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from gaugeflow import (
     parse_model,
     render_model,
 )
+from gaugeflow.cli import main
 from gaugeflow.errors import (
     BadParameter,
     DuplicateCoordinate,
@@ -113,6 +115,67 @@ class TestParseModel:
         with pytest.raises(ModelSyntaxError) as err:
             parse_model("[vars]\nx\n[wrong]\n")
         assert err.value.line == 3
+
+
+BASE = "[vars]\nx\ny\n[lagrangian]\n(x' - y)^2/2\n"  # lines 1-5
+GEN = BASE + "[generators]\ngen e\n"                    # components from line 8
+
+# (model text, error class, line number in the message or None)
+HOSTILE = [
+    pytest.param(BASE + "[options]\nmax_generations = 0\n", ModelSyntaxError, None,
+                 id="zero-generations"),
+    pytest.param(BASE + "[options]\nsample_count = 0\n", ModelSyntaxError, None,
+                 id="zero-samples"),
+    pytest.param(GEN + "x : k=0 : 1\ngen e\ny : k=1 : 1\n", MalformedGenerator, None,
+                 id="repeated-parameter"),
+    pytest.param(GEN, MalformedGenerator, None, id="empty-generator"),
+    pytest.param(GEN + "x : k=4 : 1\n", MalformedGenerator, None, id="order-past-cap"),
+    pytest.param("[vars]\nx y\n[lagrangian]\nx'^2\n", ModelSyntaxError, 2,
+                 id="two-names"),
+    pytest.param("[vars]\nA[0:2\n[lagrangian]\n1\n", ModelSyntaxError, 2,
+                 id="unclosed-range"),
+    pytest.param("[vars]\nA[a:b]\n[lagrangian]\n1\n", ModelSyntaxError, 2,
+                 id="non-integer-range"),
+    pytest.param("[vars]\n1x\n[lagrangian]\n1\n", ModelSyntaxError, 2,
+                 id="bad-coordinate-name"),
+    pytest.param(GEN + "x + y : k=0 : 1\n", MalformedGenerator, 8, id="target-not-a-name"),
+    pytest.param(GEN + "p_x : k=0 : 1\n", MalformedGenerator, 8, id="target-a-momentum"),
+    pytest.param("[vars]\nx\n[vars]\ny\n[lagrangian]\n1\n", ModelSyntaxError, 3,
+                 id="duplicate-section"),
+    pytest.param("x\n[vars]\nx\n[lagrangian]\nx'^2\n", ModelSyntaxError, 1,
+                 id="content-before-header"),
+    pytest.param("[lagrangian]\n1\n", ModelSyntaxError, None, id="no-vars"),
+    pytest.param("[vars]\nx\n", ModelSyntaxError, None, id="no-lagrangian"),
+    pytest.param("[model]\ncolour = red\n" + BASE, ModelSyntaxError, 2,
+                 id="unknown-model-entry"),
+    pytest.param(BASE + "[generators]\ngen 1e\n", MalformedGenerator, 7,
+                 id="bad-parameter-name"),
+    pytest.param(GEN + "x : k=0\n", MalformedGenerator, 8, id="two-fields"),
+    pytest.param(GEN + "x : j=0 : 1\n", MalformedGenerator, 8, id="bad-order"),
+    pytest.param(BASE + "[options]\nseed\n", ModelSyntaxError, 7, id="option-without-value"),
+    pytest.param(BASE + "[options]\nseed = abc\n", ModelSyntaxError, 7,
+                 id="non-integer-option"),
+]
+
+
+class TestHostileModels:
+    @pytest.mark.parametrize("source,error,line", HOSTILE)
+    def test_typed_error(self, source, error, line):
+        with pytest.raises(error) as err:
+            parse_model(source)
+        assert type(err.value) is error
+        if line is None:
+            assert "(line" not in str(err.value)
+        else:
+            assert f"(line {line})" in str(err.value)
+
+    @pytest.mark.parametrize("source,error,line", HOSTILE)
+    def test_cli_usage_error(self, source, error, line, tmp_path, capsys):
+        path = tmp_path / "hostile.model"
+        path.write_text(source)
+        assert main(["analyze", str(path)], out=io.StringIO()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRoundTrip:

@@ -47,7 +47,7 @@ def test_counted_name_exists(module, owner, attribute, counter):
 
 
 def test_tracer_counts_one_report():
-    # one reducer for Legendre, one for the whole Dirac run and two for
+    # Legendre builds no reducer: one for the whole Dirac run and two for
     # the span comparison; one bracket pair classified
     compare = _module("compare")
     _module("cli")  # the tracer wraps names in every traced module
@@ -60,5 +60,5 @@ def test_tracer_counts_one_report():
         tracer.uninstall()
     assert report.verdict == "match"
     counts = tracer.op_counts("toy_gauge")
-    assert counts["reduction.weak_reducer_build:calls"] == 4
+    assert counts["reduction.weak_reducer_build:calls"] == 3
     assert counts["dirac.classify_pairs"] == 1
