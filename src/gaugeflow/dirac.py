@@ -6,8 +6,9 @@ total Hamiltonian and reduces it modulo the constraint set as it stood
 at the start of the generation (matching the merge-after-parallel-steps
 contract).  Residues classify into: identity, a new constraint, an
 equation fixing a multiplier, or an outright contradiction.  A candidate
-constraint is admitted unless it vanishes numerically at every sampled
-point of the current surface; such a leftover is dropped with a
+constraint is admitted at the first sampled point of the current surface
+where it is nonzero; points are drawn only as candidates need them, and
+a candidate that vanishes at ``sample_count`` of them is dropped with a
 diagnostic.  The admitted constraints are then merged one at a time, and
 a merged set that reduces 1 to 0 has no common zero: the Lagrangian is
 inconsistent.
@@ -35,7 +36,7 @@ from .expr import (
     esum,
     multiplier,
 )
-from .reduction import WeakReducer, sample_surface_points
+from .reduction import SurfaceSampler, WeakReducer, sample_surface_points
 
 FIRST = "first"
 SECOND = "second"
@@ -216,8 +217,9 @@ def run_dirac(m, leg=None):
     Primaries are generation 0; each later generation adds the residues
     of all consistency conditions, tested against the constraint set as
     of the start of that generation, that are nonzero at some sampled
-    surface point.  One :class:`WeakReducer`, extended by each admitted
-    constraint in turn, serves the whole run and then :func:`classify`.
+    surface point (:func:`_vanishes_at_sampled_points`).  One
+    :class:`WeakReducer`, extended by each admitted constraint in turn,
+    serves the whole run and then :func:`classify`.
     Raises :class:`InconsistentLagrangian` on a constant residue or when
     the merged constraints reduce 1 to 0 (the reducer only subtracts
     members of the constraint ideal, so they have no common zero), and
@@ -273,12 +275,12 @@ def run_dirac(m, leg=None):
 
         accepted = []
         if candidates:
-            points = sample_surface_points(reducer, phase_vars, options, rng)
+            sampler = SurfaceSampler(reducer, phase_vars, options, rng)
+            points = []
             for expr in candidates:
                 if any(expr == a.expr for a in accepted):
                     continue
-                if all(abs(expr.evaluate(pt)) <= options.numeric_tolerance
-                       for pt in points):
+                if _vanishes_at_sampled_points(expr, points, sampler, options):
                     diagnostics.append(
                         f"generation {generation}: residue {expr} vanishes "
                         f"numerically on the current surface; dropped as dependent")
@@ -304,21 +306,44 @@ def run_dirac(m, leg=None):
     ), pairs, reducer)
 
 
+def _vanishes_at_sampled_points(expr, points, sampler, options):
+    """Is ``expr`` zero, within tolerance, at each of the first
+    ``options.sample_count`` points of ``sampler``?  ``points`` holds the
+    points drawn so far; it grows by one only when ``expr`` vanishes at
+    every one of them, since one nonzero value decides."""
+    for k in range(options.sample_count):
+        if k == len(points):
+            points += sample_surface_points(sampler, 1)
+        if abs(expr.evaluate(points[k])) > options.numeric_tolerance:
+            return False
+    return True
+
+
 def classify(result, pairs, reducer):
     """Attach first/second class labels by pairwise weak brackets.
 
     ``reducer`` is a :class:`WeakReducer` over ``result.constraints``.
     A constraint is first class when its bracket with every constraint
-    reduces weakly to zero.  An odd number of second-class constraints
-    signals a rank anomaly and raises :class:`OddSecondClassCount`.
+    reduces weakly to zero.  Only pairs where a variable of one
+    constraint has its conjugate in the other are bracketed; every
+    other bracket is identically zero.  An odd number of second-class
+    constraints signals a rank anomaly and raises
+    :class:`OddSecondClassCount`.
     """
     constraints = result.constraints
     exprs = [c.expr for c in constraints]
-    n = len(constraints)
-    second = [False] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = poisson_bracket(exprs[i], exprs[j], pairs)
+    pairs = ConjugatePairs(pairs)
+    conjugates = pairs.conjugates
+    holders = {}  # variable -> indices of the constraints that mention it
+    for i, e in enumerate(exprs):
+        for v in e.variables():
+            holders.setdefault(v, []).append(i)
+    second = [False] * len(constraints)
+    for i, e in enumerate(exprs):
+        partners = {j for v in e.variables() if v in conjugates
+                    for j in holders.get(conjugates[v][0], ()) if j > i}
+        for j in sorted(partners):
+            bracket = poisson_bracket(e, exprs[j], pairs)
             if bracket.is_zero():
                 continue
             if not reducer.reduce(bracket).is_zero():

@@ -40,7 +40,6 @@ from __future__ import annotations
 import enum
 import weakref
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd as _int_gcd
 
 from .errors import (
@@ -71,7 +70,8 @@ class VarRef:
     ``jet_order`` 0.  VarRefs are immutable, interned per process, and
     totally ordered by ``(base, indices, kind, jet_order)``.  The intern
     pool holds its VarRefs weakly: a variable nothing refers to any more
-    is released, and a later request for it makes a fresh one.
+    is released, and a later request for it makes a fresh one.  Its text
+    (``str``) is rendered once, when it is interned.
 
     Equality and hashing are by identity (``object``'s own).  That is
     sound because of the pool: while a VarRef is alive the pool hands it
@@ -79,7 +79,7 @@ class VarRef:
     a released one can no longer be compared with its successor.
     """
 
-    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "__weakref__")
+    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "_text", "__weakref__")
 
     _pool = weakref.WeakValueDictionary()
 
@@ -106,6 +106,7 @@ class VarRef:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "jet_order", jet_order)
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_text", render_varref(self))
         cls._pool[key] = self
         return self
 
@@ -128,7 +129,7 @@ class VarRef:
         return f"VarRef({self.base!r}, {self.indices!r}, {self.kind.name}, jet={self.jet_order})"
 
     def __str__(self):
-        return render_varref(self)
+        return self._text
 
     # -- derived variables --------------------------------------------------
 
@@ -207,10 +208,6 @@ def _mono_mul(a, b):
     return tuple(out)
 
 
-def _mono_degree(m):
-    return sum(e for _, e in m)
-
-
 def _mono_divides(a, b):
     """True if monomial ``a`` divides monomial ``b``."""
     pos = {v: e for v, e in b}
@@ -227,32 +224,19 @@ def _mono_div(b, a):
     return tuple(sorted(rem.items()))
 
 
-def _mono_cmp(a, b):
-    """Graded lexicographic comparison; returns -1, 0 or 1."""
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va is vb:
-            if ea != eb:
-                return 1 if ea > eb else -1
-            i += 1
-            j += 1
-        elif va < vb:
-            return 1  # a has the earlier variable, so a is larger
-        else:
-            return -1
-    if i < len(a):
-        return 1
-    if j < len(b):
-        return -1
-    return 0
-
-
-_mono_sort_key = cmp_to_key(_mono_cmp)
+def _mono_sort_key(m):
+    """Sort key of the graded lexicographic order, largest monomial
+    first.  Higher degree sorts first; at equal degree the first
+    position where two monomials differ decides, a smaller variable or,
+    on one variable, a higher exponent being larger.  Neither of two
+    monomials of equal degree is a proper prefix of the other, so the
+    pairs never run out before they differ."""
+    degree = 0
+    pairs = []
+    for v, e in m:
+        degree += e
+        pairs.append((v._key, -e))
+    return (-degree, *pairs)
 
 
 # --- polynomials -------------------------------------------------------------
@@ -369,7 +353,7 @@ def _p_gradient(p):
     return grad
 
 def _p_leading(p):
-    return max(p, key=_mono_sort_key)
+    return min(p, key=_mono_sort_key)
 
 def _p_eval(p, point):
     """Value of ``p`` at ``point`` (VarRef -> int, Fraction or float).
@@ -832,10 +816,7 @@ class Expression:
             if v.jet_order + 1 > max_order:
                 raise JetOrderExceeded(
                     f"time derivative of {v} exceeds the jet order cap {max_order}")
-        out = ZERO
-        for v, d in grad.items():
-            out = out + d * Expression.var(v.jet(1))
-        return out
+        return esum([d * Expression.var(v.jet(1)) for v, d in grad.items()])
 
     def subs(self, assignment):
         """Simultaneous substitution ``{VarRef: Expression}``, then

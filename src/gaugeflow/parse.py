@@ -28,7 +28,6 @@ from .expr import (
     Kind,
     VarRef,
     _mono_sort_key,
-    render_varref,
 )
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^]))")
@@ -239,7 +238,7 @@ def parse_expression(text, resolver=None, line_offset=0):
 
 def _render_monomial(mono, coeff):
     mag = abs(coeff)
-    factors = [render_varref(v) + (f"^{e}" if e > 1 else "") for v, e in mono]
+    factors = [v._text + (f"^{e}" if e > 1 else "") for v, e in mono]
     if not factors:
         return str(mag)
     if mag == 1:
@@ -250,9 +249,9 @@ def _render_monomial(mono, coeff):
 def _render_poly(p):
     if not p:
         return "0"
-    terms = sorted(p.items(), key=lambda item: _mono_sort_key(item[0]), reverse=True)
     chunks = []
-    for i, (mono, coeff) in enumerate(terms):
+    for i, mono in enumerate(sorted(p, key=_mono_sort_key)):
+        coeff = p[mono]
         body = _render_monomial(mono, coeff)
         if i == 0:
             chunks.append("-" + body if coeff < 0 else body)

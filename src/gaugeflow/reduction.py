@@ -139,7 +139,7 @@ class WeakReducer:
     def _divide(self, e):
         rem = dict(e._num)
         while rem:
-            for mono in sorted(rem, key=_mono_sort_key, reverse=True):
+            for mono in sorted(rem, key=_mono_sort_key):
                 divisor = next((d for d in self._divisors if _mono_divides(d[0], mono)), None)
                 if divisor is not None:
                     _cancel(rem, mono, *divisor)
@@ -188,54 +188,75 @@ def _solve_affine_at_point(affine, coefficients, unknowns, base_point, rng):
     return point
 
 
-def sample_surface_points(reducer, variables, options, rng=None):
+class SurfaceSampler:
     """Deterministic exact-rational points on the surface of the
-    constraints ``reducer`` (a :class:`WeakReducer`) has absorbed.
+    constraints ``reducer`` (a :class:`WeakReducer`) has absorbed, drawn
+    one at a time.
 
     Free variables get random rationals; momenta covered by the affine
     rules are substituted exactly, momentum-affine leftovers are solved
     per point, and any remaining constraint must vanish within
-    tolerance or the point is rejected.  Raises
-    :class:`SurfaceSamplingFailed` when not enough points survive.
+    tolerance or the attempt is rejected.  All draws share one budget of
+    60 × ``options.sample_count`` attempts.
     """
-    rng = rng or random.Random(options.seed)
-    affine = []
-    hard = []
-    for g in reducer.leftovers:
-        if g.degree_in_kind(Kind.MOMENTUM) == 1:
-            affine.append(g)
-        else:
-            hard.append(g)
-    unknowns = sorted({v for g in affine for v in g.variables()
-                       if v.kind is Kind.MOMENTUM})
-    coefficients = jacobian(affine, unknowns)
-    needed = set(variables)
-    for e in [*reducer.leftovers, *reducer.rules.values()]:
-        needed |= e.variables()
-    free = sorted(needed - set(reducer.rules) - set(unknowns))
-    tol = options.numeric_tolerance
-    points = []
-    attempts = 0
-    limit = 60 * options.sample_count
-    while len(points) < options.sample_count and attempts < limit:
-        attempts += 1
-        pt = {v: random_rational(rng) for v in free}
-        if affine:
-            pt = _solve_affine_at_point(affine, coefficients, unknowns, pt, rng)
-            if pt is None:
+
+    def __init__(self, reducer, variables, options, rng=None):
+        self.rng = rng or random.Random(options.seed)
+        self.rules = dict(reducer.rules)
+        self.affine = []
+        self.hard = []
+        for g in reducer.leftovers:
+            if g.degree_in_kind(Kind.MOMENTUM) == 1:
+                self.affine.append(g)
+            else:
+                self.hard.append(g)
+        self.unknowns = sorted({v for g in self.affine for v in g.variables()
+                                if v.kind is Kind.MOMENTUM})
+        self.coefficients = jacobian(self.affine, self.unknowns)
+        needed = set(variables)
+        for e in [*reducer.leftovers, *reducer.rules.values()]:
+            needed |= e.variables()
+        self.free = sorted(needed - set(reducer.rules) - set(self.unknowns))
+        self.tolerance = options.numeric_tolerance
+        self.limit = 60 * options.sample_count
+        self.attempts = 0
+        self.found = 0
+
+    def draw(self):
+        """The next surface point, or None once the budget is spent."""
+        while self.attempts < self.limit:
+            self.attempts += 1
+            pt = {v: random_rational(self.rng) for v in self.free}
+            if self.affine:
+                pt = _solve_affine_at_point(self.affine, self.coefficients,
+                                            self.unknowns, pt, self.rng)
+                if pt is None:
+                    continue
+            try:
+                for v, rhs in self.rules.items():
+                    pt[v] = rhs.evaluate(pt)
+            except DivisionByZero:
                 continue
-        try:
-            for v, rhs in reducer.rules.items():
-                pt[v] = rhs.evaluate(pt)
-        except DivisionByZero:
-            continue
-        if any(abs(g.evaluate(pt)) > tol for g in hard):
-            continue
+            if any(abs(g.evaluate(pt)) > self.tolerance for g in self.hard):
+                continue
+            self.found += 1
+            return pt
+        return None
+
+
+def sample_surface_points(sampler, count):
+    """The next ``count`` points of ``sampler`` (a :class:`SurfaceSampler`),
+    as a list.  Raises :class:`SurfaceSamplingFailed` when its budget
+    runs out first."""
+    wanted = sampler.found + count
+    points = []
+    while len(points) < count:
+        pt = sampler.draw()
+        if pt is None:
+            raise SurfaceSamplingFailed(
+                f"only {sampler.found} of {wanted} surface points found "
+                f"after {sampler.attempts} attempts")
         points.append(pt)
-    if len(points) < options.sample_count:
-        raise SurfaceSamplingFailed(
-            f"only {len(points)} of {options.sample_count} surface points "
-            f"found after {attempts} attempts")
     return points
 
 
@@ -256,7 +277,8 @@ def weak_zero_numeric(e, constraint_exprs, variables, options):
     point with the largest magnitude as a witness.
     """
     variables = set(variables) | e.variables()
-    points = sample_surface_points(WeakReducer(constraint_exprs), variables, options)
+    sampler = SurfaceSampler(WeakReducer(constraint_exprs), variables, options)
+    points = sample_surface_points(sampler, options.sample_count)
     worst = Fraction(0)
     worst_pt = None
     evaluated = 0

@@ -19,7 +19,7 @@ from gaugeflow import (
 from gaugeflow.cli import report_json_dict
 from gaugeflow.reduction import NumericVerdict
 
-from test_dirac import assert_extend_matches_one_shot
+from test_dirac import CIRCLE_SOURCE, assert_extend_matches_one_shot
 
 x = coordinate("x")
 y = coordinate("y")
@@ -293,3 +293,24 @@ def test_report_does_not_depend_on_the_seed(name, params):
         assert tree["options"].pop("seed") == seed
         trees[seed] = tree
     assert all(tree == trees[1] for tree in trees.values())
+
+
+@pytest.mark.parametrize("source", [
+    CIRCLE_SOURCE,
+    "[vars]\nx\ny\nl\n[lagrangian]\n(x'^2+y'^2)/2 - l*(x + 2*y - 1)\n",
+    "[vars]\nx\ny\nz\n[lagrangian]\nx'^2/2 + y'^2/2 + z*(x*y - 1)\n",
+], ids=["circle", "line", "hyperbola"])
+def test_surface_models_give_one_report_at_every_seed(source):
+    # the sampler draws the coordinates at random and keeps a point only
+    # when it lies on x^2+y^2-1, x+2y-1 or x*y-1, so it finds few points
+    # within its attempt budget.  Dirac draws another point only while a
+    # candidate vanishes at every point so far, and one or two points
+    # decide every candidate here
+    m = parse_model(source)
+    trees = []
+    for seed in range(1, 41):
+        tree = report_json_dict(build_report(m.with_options(seed=seed)))
+        assert tree["options"].pop("seed") == seed
+        assert (tree["verdict"], tree["exit_code"]) == ("no_gauge_sector", 0), seed
+        trees.append(tree)
+    assert all(tree == trees[0] for tree in trees)

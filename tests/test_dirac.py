@@ -26,12 +26,13 @@ from gaugeflow import (
     total_hamiltonian,
     weak_zero_numeric,
 )
-from gaugeflow.dirac import ConjugatePairs
-from gaugeflow.errors import InconsistentLagrangian
+import gaugeflow.dirac
+from gaugeflow.dirac import FIRST, SECOND, ConjugatePairs, classify
+from gaugeflow.errors import InconsistentLagrangian, OddSecondClassCount, SurfaceSamplingFailed
 from gaugeflow.expr import Kind, esum
-from gaugeflow.reduction import sample_surface_points
+from gaugeflow.reduction import SurfaceSampler, sample_surface_points
 
-from conftest import PAIR_COORDS, random_phase_polynomial
+from conftest import PAIR_COORDS, random_phase_polynomial, random_polynomial
 
 x = coordinate("x")
 y = coordinate("y")
@@ -215,6 +216,74 @@ class TestRunDirac:
         assert a == b
 
 
+# x^2+y^2-1 is a hard surface: the only sampled points on it are (±1, 0)
+# and (0, ±1), too few for sample_count of them within the attempt budget
+CIRCLE_SOURCE = """[model]
+name = circle
+
+[vars]
+x
+y
+l
+
+[lagrangian]
+(x'^2 + y'^2) / 2 - l * (x^2 + y^2 - 1) / 2
+"""
+
+
+def record_draws(monkeypatch):
+    """Record every batch of surface points ``run_dirac`` draws, as
+    ``(sampler, points)``."""
+    draws = []
+    draw = gaugeflow.dirac.sample_surface_points
+
+    def recording(sampler, count):
+        points = draw(sampler, count)
+        draws.append((sampler, points))
+        return points
+
+    monkeypatch.setattr(gaugeflow.dirac, "sample_surface_points", recording)
+    return draws
+
+
+def test_candidate_zero_at_the_first_point_is_admitted_at_a_later_one(monkeypatch):
+    # at seed 19 generation 2's first point on the circle is a zero of
+    # x*p_x + y*p_y; a second point is drawn, and there it is nonzero
+    draws = record_draws(monkeypatch)
+    d = run_dirac(parse_model(CIRCLE_SOURCE).with_options(seed=19))
+    candidate = next(c for c in d.constraints if c.generation == 2)
+    assert str(candidate.expr) == "x*p_x + y*p_y"
+    samplers = list(dict.fromkeys(sampler for sampler, _ in draws))
+    points = [p for sampler, batch in draws if sampler is samplers[1] for p in batch]
+    assert len(points) == 2
+    assert candidate.expr.evaluate(points[0]) == 0
+    assert candidate.expr.evaluate(points[1]) != 0
+    assert [c.generation for c in d.constraints] == [0, 1, 2, 3]
+    assert not d.diagnostics
+
+
+def classify_all_pairs(constraints, pairs, reducer):
+    """Reference labels: every pair bracketed, none skipped."""
+    exprs = [c.expr for c in constraints]
+    second = [False] * len(exprs)
+    for i in range(len(exprs)):
+        for j in range(i + 1, len(exprs)):
+            if not reducer.reduce(poisson_bracket(exprs[i], exprs[j], pairs)).is_zero():
+                second[i] = second[j] = True
+    if sum(second) % 2:
+        return sum(second)
+    return [SECOND if flag else FIRST for flag in second]
+
+
+def classify_labels(constraints, pairs, reducer):
+    result = gaugeflow.DiracResult(tuple(constraints), (), 1, True)
+    try:
+        labelled = classify(result, pairs, reducer)
+    except OddSecondClassCount as exc:
+        return exc.count
+    return [c.class_label for c in labelled.constraints]
+
+
 class TestClassify:
     def test_toy_gauge_first_class(self):
         m = builtin_model("toy_gauge")
@@ -232,6 +301,75 @@ class TestClassify:
         d = run_dirac(m)
         assert all(c.class_label == "first" for c in d.constraints)
         assert len(d.first_class()) == 6
+
+    def test_indexed_pairs_match_all_pairs_on_random_sets(self):
+        rng = random.Random(4242)
+        phase = [v for q in PAIR_COORDS for v in (q, q.momentum())]
+        pairs = ConjugatePairs((q, q.momentum()) for q in PAIR_COORDS)
+        outcomes = set()
+        for _ in range(60):
+            exprs = []
+            size = rng.randint(2, 5)
+            while len(exprs) < size:
+                # two variables each, so that many pairs share no conjugate
+                e = random_polynomial(rng, rng.sample(phase, 2), max_terms=2)
+                if not e.is_constant():
+                    exprs.append(e)
+            constraints = [dirac_constraint(e) for e in exprs]
+            reducer = WeakReducer(exprs)
+            expected = classify_all_pairs(constraints, pairs, reducer)
+            assert classify_labels(constraints, pairs, reducer) == expected
+            outcomes.add(expected if isinstance(expected, int) else tuple(sorted(expected)))
+        # both labels and the odd-count refusal were exercised
+        assert any(isinstance(o, int) for o in outcomes)
+        assert any(isinstance(o, tuple) and FIRST in o for o in outcomes)
+        assert any(isinstance(o, tuple) and SECOND in o for o in outcomes)
+
+    def test_indexed_pairs_match_all_pairs_on_second_class_toy(self):
+        m = builtin_model("second_class_toy")
+        constraints = run_dirac(m).constraints
+        pairs = ConjugatePairs(m.canonical_pairs())
+        reducer = WeakReducer([c.expr for c in constraints])
+        labels = classify_labels(constraints, pairs, reducer)
+        assert labels == classify_all_pairs(constraints, pairs, reducer) == [SECOND, SECOND]
+
+    def test_rank_anomaly_still_refused(self):
+        # three second-class constraints, one combination first class
+        # (ROADMAP item 1): pairwise labels count them as odd
+        m = parse_model("[vars]\nx\ny\nu\nw\n[lagrangian]\n(y*x' + u' + w')^2/2\n")
+        with pytest.raises(OddSecondClassCount) as err:
+            run_dirac(m)
+        assert err.value.count == 3
+
+    def test_lattice_work_counts(self, monkeypatch):
+        # every lattice constraint is momentum-only, so no pair shares a
+        # conjugate; every Gauss-law candidate is nonzero at the first point
+        brackets = []
+        bracket = gaugeflow.dirac.poisson_bracket
+        monkeypatch.setattr(gaugeflow.dirac, "poisson_bracket",
+                            lambda f, g, pairs: brackets.append(f) or bracket(f, g, pairs))
+        in_classify = []
+        classify_fn = gaugeflow.dirac.classify
+
+        def counting_classify(*args):
+            before = len(brackets)
+            result = classify_fn(*args)
+            in_classify.append(len(brackets) - before)
+            return result
+
+        monkeypatch.setattr(gaugeflow.dirac, "classify", counting_classify)
+        evaluated = []
+        evaluate = Expression.evaluate
+        monkeypatch.setattr(Expression, "evaluate",
+                            lambda self, point: evaluated.append(self) or evaluate(self, point))
+        draws = record_draws(monkeypatch)
+
+        d = run_dirac(builtin_model("maxwell_lattice", {"N": 2}))
+        candidates = [c.expr for c in d.constraints if c.generation >= 1]
+        assert len(candidates) == 8 and not d.diagnostics
+        assert in_classify == [0]
+        assert [len(points) for _, points in draws] == [1]
+        assert [sum(1 for e in evaluated if e is c) for c in candidates] == [1] * 8
 
 
 class TestWeakReduce:
@@ -323,7 +461,8 @@ class TestNumericOracle:
         d = run_dirac(m)
         exprs = [c.expr for c in d.constraints]
         phase = [v for pair in m.canonical_pairs() for v in pair]
-        pts = sample_surface_points(WeakReducer(exprs), phase, m.options)
+        pts = sample_surface_points(SurfaceSampler(WeakReducer(exprs), phase, m.options),
+                                    m.options.sample_count)
         assert len(pts) == m.options.sample_count
         for pt in pts:
             for e in exprs:
@@ -350,11 +489,19 @@ class TestNumericOracle:
     LATE_RULE_PHASE = [v for q in (x, y, z) for v in (q, q.momentum())]
 
     def test_points_honour_a_rule_absorbed_after_a_leftover(self):
-        pts = sample_surface_points(WeakReducer(self.LATE_RULE),
-                                    self.LATE_RULE_PHASE, Options())
+        sampler = SurfaceSampler(WeakReducer(self.LATE_RULE), self.LATE_RULE_PHASE, Options())
+        pts = sample_surface_points(sampler, Options().sample_count)
         assert len(pts) == Options().sample_count
         for pt in pts:
             assert [e.evaluate(pt) for e in self.LATE_RULE] == [0, 0]
+
+    def test_sampler_gives_up_when_its_budget_is_spent(self):
+        # x^2 + y^2 = 3 has no rational point
+        sampler = SurfaceSampler(WeakReducer([ex ** 2 + ey ** 2 - 3]), [], Options())
+        with pytest.raises(SurfaceSamplingFailed,
+                           match="^only 0 of 20 surface points found after 1200 attempts$"):
+            sample_surface_points(sampler, 20)
+        assert sampler.draw() is None
 
     def test_reduction_and_oracle_agree_under_a_late_rule(self):
         probe = ex * py + ey  # x*p_y + y*p_z with p_z = 1

@@ -17,6 +17,7 @@ from gaugeflow import (
     multiplier,
     parse_expression,
     primary_constraints,
+    render_expression,
 )
 from gaugeflow.errors import (
     DenominatorViolation,
@@ -27,7 +28,17 @@ from gaugeflow.errors import (
 
 import math
 
-from gaugeflow.expr import ZERO, _ONE_DEN, _p_add, _p_add_into, _p_const, _p_mul, _p_neg
+from gaugeflow.expr import (
+    ZERO,
+    _ONE_DEN,
+    _mono_sort_key,
+    _p_add,
+    _p_add_into,
+    _p_const,
+    _p_leading,
+    _p_mul,
+    _p_neg,
+)
 
 from conftest import (
     random_jet_polynomial,
@@ -620,3 +631,50 @@ def test_subs_brings_back_a_plain_variable():
         assert result == reference_subs(e, assignment)
     assert cases[0][0].subs(cases[0][1]) == ex ** 3 * ey
     assert cases[1][0].subs(cases[1][1]) == 1 + vy
+
+
+def _graded_lex_cmp(a, b, variables):
+    """Reference graded lexicographic comparison of two monomials as
+    dense exponent vectors over ``variables`` in ascending order: the
+    higher degree is larger, then the first variable where the vectors
+    differ decides, the higher exponent being larger."""
+    va = [dict(a).get(v, 0) for v in variables]
+    vb = [dict(b).get(v, 0) for v in variables]
+    if sum(va) != sum(vb):
+        return 1 if sum(va) > sum(vb) else -1
+    for ea, eb in zip(va, vb):
+        if ea != eb:
+            return 1 if ea > eb else -1
+    return 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mono_sort_key_is_graded_lex(seed):
+    rng = random.Random(seed)
+    a = coordinate("A", (1,))
+    # a jet and the momentum of one base sit next to their coordinate
+    variables = sorted([x, x.jet(1), x.jet(2), x.momentum(), y, y.momentum(),
+                        a, a.momentum(), multiplier(0)])
+    monos = set()
+    while len(monos) < 60:
+        picked = sorted(rng.sample(variables, rng.randint(0, 3)))
+        mono = tuple((v, rng.randint(1, 3)) for v in picked)
+        monos.add(mono)
+        if mono:
+            monos.add(mono[:-1])  # a proper prefix
+            # the same degree, moved to another variable
+            monos.add(tuple(sorted({**dict(mono[:-1]), variables[0]: mono[-1][1]}.items())))
+    monos = list(monos)
+    for m1 in monos:
+        for m2 in monos:
+            expected = _graded_lex_cmp(m1, m2, variables)
+            k1, k2 = _mono_sort_key(m1), _mono_sort_key(m2)
+            # the key sorts ascending into descending monomial order
+            assert (k1 < k2, k1 == k2) == (expected > 0, expected == 0), (m1, m2)
+    descending = sorted(monos, key=_mono_sort_key)
+    poly = {m: 1 for m in monos}
+    assert _p_leading(poly) == descending[0]
+    assert all(_graded_lex_cmp(m1, m2, variables) > 0
+               for m1, m2 in zip(descending, descending[1:]))
+    e = Expression._make(poly, _p_const(1))
+    assert parse_expression(render_expression(e)) == e

@@ -62,3 +62,13 @@ def test_tracer_counts_one_report():
     counts = tracer.op_counts("toy_gauge")
     assert counts["reduction.weak_reducer_build:calls"] == 3
     assert counts["dirac.classify_pairs"] == 1
+
+
+def test_sample_surface_points_returns_a_list():
+    # the tracer's _sample_done takes len() of the result
+    reduction = _module("reduction")
+    options = _module("model").Options()
+    x = _module("expr").coordinate("x")
+    sampler = reduction.SurfaceSampler(reduction.WeakReducer([]), [x, x.momentum()], options)
+    points = reduction.sample_surface_points(sampler, 3)
+    assert type(points) is list and len(points) == 3
