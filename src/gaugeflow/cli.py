@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .catalog import BUILTIN_MODELS, builtin_model
-from .compare import build_report
+from .compare import EXIT_INAPPLICABLE, EXIT_INCONSISTENT, EXIT_OK, build_report
 from .dirac import run_dirac
 from .errors import (
     GaugeflowError,
@@ -34,14 +35,10 @@ from .errors import (
     DegenerateGenerator,
 )
 from .legendre import primary_constraints
-from .model import parse_model
+from .model import Options, parse_model
 from .noether import conjecture_constraints, independence_check, noether_identity_check
 
-EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_MISMATCH = 2
-EXIT_INCONSISTENT = 3
-EXIT_INAPPLICABLE = 4
 
 
 def _parser():
@@ -61,7 +58,8 @@ def _parser():
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-generations", type=int)
         p.add_argument("--sample-count", type=int)
-        p.add_argument("--tolerance", type=float)
+        p.add_argument("--tolerance", type=float, dest="numeric_tolerance",
+                       metavar="TOLERANCE")
         p.add_argument("--seed", type=int)
 
     for name, doc in (
@@ -97,15 +95,8 @@ def _load_model(args):
             raise GaugeflowError(
                 f"{path}: not UTF-8 text (byte {exc.start} cannot be decoded)") from None
         model = parse_model(text, name=path.stem)
-    overrides = {}
-    if args.max_generations is not None:
-        overrides["max_generations"] = args.max_generations
-    if args.sample_count is not None:
-        overrides["sample_count"] = args.sample_count
-    if args.tolerance is not None:
-        overrides["numeric_tolerance"] = args.tolerance
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {f.name: getattr(args, f.name) for f in fields(Options)
+                 if getattr(args, f.name) is not None}
     return model.with_options(**overrides) if overrides else model
 
 
@@ -148,17 +139,12 @@ def _noether_dict(rep):
     }
 
 
-def _options_dict(o):
-    return {"max_generations": o.max_generations, "sample_count": o.sample_count,
-            "numeric_tolerance": o.numeric_tolerance, "seed": o.seed}
-
-
 def report_json_dict(report):
     """Stable JSON tree for a full analysis report (no timings)."""
     out = {
         "schema": "gaugeflow-report/1",
         "model": report.model_name,
-        "options": _options_dict(report.options),
+        "options": asdict(report.options),
         "verdict": report.verdict,
         "diagnostics": [
             {"severity": d.severity, "code": d.code, "message": d.message,
@@ -263,7 +249,7 @@ def _cmd_analyze(model, args, out):
                       f"{exc.constraint.expr} demands {exc.witness} = 0\n")
         return EXIT_INCONSISTENT
     if args.format == "json":
-        tree = {"model": model.name, "options": _options_dict(model.options),
+        tree = {"model": model.name, "options": asdict(model.options),
                 "legendre": _legendre_dict(leg), "dirac": _dirac_dict(d)}
         _dump_json(tree, out)
     else:

@@ -42,6 +42,11 @@ NO_GAUGE_SECTOR = "no_gauge_sector"
 INAPPLICABLE = "inapplicable"
 INDETERMINATE = "indeterminate"
 
+EXIT_OK = 0
+EXIT_MISMATCH = 2
+EXIT_INCONSISTENT = 3
+EXIT_INAPPLICABLE = 4
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -110,12 +115,12 @@ class AnalysisReport:
         """0 match/informational, 2 mismatch, 3 inconsistent Lagrangian,
         4 no definitive comparison."""
         if any(d.code == "inconsistent-lagrangian" for d in self.diagnostics):
-            return 3
+            return EXIT_INCONSISTENT
         if self.verdict == MISMATCH:
-            return 2
+            return EXIT_MISMATCH
         if self.verdict in (INAPPLICABLE, INDETERMINATE):
-            return 4
-        return 0
+            return EXIT_INAPPLICABLE
+        return EXIT_OK
 
 
 def _canonical_sector(constraint, discardable):
@@ -266,7 +271,7 @@ def build_report(m):
                 definite = True
                 note("error", "not-in-span",
                      f"{constraint.expr} is nonzero on the other constraint "
-                     f"surface (worst |value| {verdict.worst_value})",
+                     f"surface (|value| {verdict.value})",
                      witness=str(residue))
     if definite or not contradicted:
         return finish(MISMATCH)

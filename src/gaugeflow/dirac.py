@@ -7,11 +7,11 @@ at the start of the generation (matching the merge-after-parallel-steps
 contract).  Residues classify into: identity, a new constraint, an
 equation fixing a multiplier, or an outright contradiction.  A candidate
 constraint is admitted at the first sampled point of the current surface
-where it is nonzero; points are drawn only as candidates need them, and
-a candidate that vanishes at ``sample_count`` of them is dropped with a
-diagnostic.  The admitted constraints are then merged one at a time, and
-a merged set that reduces 1 to 0 has no common zero: the Lagrangian is
-inconsistent.
+where it is nonzero (:meth:`SurfaceSampler.nonzero_point`, which draws
+points only as candidates need them), and a candidate that vanishes at
+``sample_count`` of them is dropped with a diagnostic.  The admitted
+constraints are then merged one at a time, and a merged set that reduces
+1 to 0 has no common zero: the Lagrangian is inconsistent.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .expr import (
     esum,
     multiplier,
 )
-from .reduction import SurfaceSampler, WeakReducer, sample_surface_points
+from .reduction import SurfaceSampler, WeakReducer
 
 FIRST = "first"
 SECOND = "second"
@@ -217,7 +217,8 @@ def run_dirac(m, leg=None):
     Primaries are generation 0; each later generation adds the residues
     of all consistency conditions, tested against the constraint set as
     of the start of that generation, that are nonzero at some sampled
-    surface point (:func:`_vanishes_at_sampled_points`).  One
+    surface point (:meth:`SurfaceSampler.nonzero_point`, one sampler per
+    generation, shared by its candidates).  One
     :class:`WeakReducer`, extended by each admitted constraint in turn,
     serves the whole run and then :func:`classify`.
     Raises :class:`InconsistentLagrangian` on a constant residue or when
@@ -276,11 +277,10 @@ def run_dirac(m, leg=None):
         accepted = []
         if candidates:
             sampler = SurfaceSampler(reducer, phase_vars, options, rng)
-            points = []
             for expr in candidates:
                 if any(expr == a.expr for a in accepted):
                     continue
-                if _vanishes_at_sampled_points(expr, points, sampler, options):
+                if sampler.nonzero_point(expr) is None:
                     diagnostics.append(
                         f"generation {generation}: residue {expr} vanishes "
                         f"numerically on the current surface; dropped as dependent")
@@ -304,19 +304,6 @@ def run_dirac(m, leg=None):
         consistent=True,
         diagnostics=tuple(diagnostics),
     ), pairs, reducer)
-
-
-def _vanishes_at_sampled_points(expr, points, sampler, options):
-    """Is ``expr`` zero, within tolerance, at each of the first
-    ``options.sample_count`` points of ``sampler``?  ``points`` holds the
-    points drawn so far; it grows by one only when ``expr`` vanishes at
-    every one of them, since one nonzero value decides."""
-    for k in range(options.sample_count):
-        if k == len(points):
-            points += sample_surface_points(sampler, 1)
-        if abs(expr.evaluate(points[k])) > options.numeric_tolerance:
-            return False
-    return True
 
 
 def classify(result, pairs, reducer):

@@ -26,7 +26,7 @@ parsed :class:`ModelSpec` is immutable and fully validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import (
     DuplicateCoordinate,
@@ -46,7 +46,11 @@ from .parse import (
 
 @dataclass(frozen=True)
 class Options:
-    """Numeric-oracle and algorithm knobs; seeded for reproducibility."""
+    """Numeric-oracle and algorithm knobs; seeded for reproducibility.
+
+    The one option schema: model files, the CLI and the JSON report read
+    its fields; a field's default gives the type its text parses to.
+    """
 
     max_generations: int = 10
     sample_count: int = 20
@@ -347,18 +351,16 @@ def parse_model(source, name="model"):
         coeff = parse_expression(parts[2].strip(), resolver, line_offset=line_no - 1)
         pending_gen[1].append(GeneratorComponent(coord, int(korder[2:]), coeff))
 
+    option_types = {f.name: type(f.default) for f in fields(Options)}
     opts = {}
     for line_no, line in sections.get("options", []):
         key, sep, value = (p.strip() for p in line.partition("="))
         if not sep:
             raise ModelSyntaxError(f"expected 'key = value', got '{line}'", line_no)
+        if key not in option_types:
+            raise ModelSyntaxError(f"unknown option '{key}'", line_no)
         try:
-            if key in ("max_generations", "sample_count", "seed"):
-                opts[key] = int(value)
-            elif key == "numeric_tolerance":
-                opts[key] = float(value)
-            else:
-                raise ModelSyntaxError(f"unknown option '{key}'", line_no)
+            opts[key] = option_types[key](value)
         except ValueError:
             raise ModelSyntaxError(f"bad value for option '{key}'", line_no) from None
 
@@ -389,10 +391,6 @@ def render_model(m):
             for comp in g.components:
                 lines.append(f"{comp.coordinate} : k={comp.order} : "
                              f"{render_expression(comp.coefficient)}")
-    o = m.options
-    lines += ["", "[options]",
-              f"max_generations = {o.max_generations}",
-              f"sample_count = {o.sample_count}",
-              f"numeric_tolerance = {o.numeric_tolerance!r}",
-              f"seed = {o.seed}"]
+    lines += ["", "[options]"]
+    lines += [f"{f.name} = {getattr(m.options, f.name)}" for f in fields(Options)]
     return "\n".join(lines) + "\n"

@@ -24,8 +24,7 @@ from .linalg import sampled_rank
 
 @dataclass(frozen=True)
 class NoetherReport:
-    euler_lagrange: tuple   # (coordinate VarRef, Expression) pairs
-    residues: tuple         # (parameter_name, Expression) pairs
+    residues: tuple  # (parameter_name, Expression) pairs
 
     def passed(self):
         return all(residue.is_zero() for _, residue in self.residues)
@@ -61,8 +60,7 @@ def noether_identity_check(m, el=None):
     in precomputed Euler-Lagrange expressions when checking many
     generator variants against one Lagrangian.
     """
-    el = tuple(el) if el is not None else euler_lagrange(m)
-    table = dict(el)
+    table = dict(el if el is not None else euler_lagrange(m))
     cap = max(DEFAULT_JET_CAP,
               2 + max((g.max_order() for g in m.generators), default=0))
     residues = []
@@ -72,7 +70,7 @@ def noether_identity_check(m, el=None):
             term = table[comp.coordinate] * comp.coefficient
             parts.append(_alternating_derivative(term, comp.order, cap))
         residues.append((gen.parameter_name, esum(parts)))
-    report = NoetherReport(el, tuple(residues))
+    report = NoetherReport(tuple(residues))
     if not report.passed():
         raise IdentityViolated(report)
     return report
@@ -102,14 +100,19 @@ def conjecture_constraints(m, leg, noether=None):
     contracted with the generator's k = 0 coefficients on the canonical
     sector.
 
-    Preconditions enforced here: the gauge identities hold (checked via
-    ``noether`` or recomputed), and every differentiated-parameter
-    component targets a coordinate whose momentum vanishes identically.
-    Raises :class:`ConjectureInapplicable` otherwise, and
-    :class:`DegenerateGenerator` when a contraction collapses to zero.
+    Preconditions enforced here: the gauge identities hold (``noether``,
+    a :class:`NoetherReport` of ``m``, or one recomputed when it is
+    None), and every differentiated-parameter component targets a
+    coordinate whose momentum vanishes identically.  Raises
+    :class:`IdentityViolated` when the report did not pass,
+    :class:`ConjectureInapplicable` when a component breaks the second
+    condition, and :class:`DegenerateGenerator` when a contraction
+    collapses to zero.
     """
     if noether is None:
         noether = noether_identity_check(m)
+    if not noether.passed():
+        raise IdentityViolated(noether)
     discard = set(leg.discardable)
     out = []
     for gen in m.generators:

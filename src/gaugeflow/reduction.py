@@ -15,7 +15,10 @@ A zero result certifies weak vanishing.  A nonzero remainder only means
 membership, and no S-polynomials are formed); the sampling oracle can
 second-guess it with exact rational points on the surface, where
 affine constraints the symbolic pass left behind are solved
-numerically point by point.
+numerically point by point.  :meth:`SurfaceSampler.nonzero_point` is
+the one numeric weak-zero test: Dirac's admission of a candidate and
+the oracle (:func:`weak_zero_numeric`) both ask it, and it draws a
+point only while the expression has vanished at every earlier one.
 """
 
 from __future__ import annotations
@@ -191,7 +194,7 @@ def _solve_affine_at_point(affine, coefficients, unknowns, base_point, rng):
 class SurfaceSampler:
     """Deterministic exact-rational points on the surface of the
     constraints ``reducer`` (a :class:`WeakReducer`) has absorbed, drawn
-    one at a time.
+    one at a time and kept in ``points``.
 
     Free variables get random rationals; momenta covered by the affine
     rules are substituted exactly, momentum-affine leftovers are solved
@@ -218,9 +221,10 @@ class SurfaceSampler:
             needed |= e.variables()
         self.free = sorted(needed - set(reducer.rules) - set(self.unknowns))
         self.tolerance = options.numeric_tolerance
+        self.sample_count = options.sample_count
         self.limit = 60 * options.sample_count
         self.attempts = 0
-        self.found = 0
+        self.points = []
 
     def draw(self):
         """The next surface point, or None once the budget is spent."""
@@ -239,8 +243,35 @@ class SurfaceSampler:
                 continue
             if any(abs(g.evaluate(pt)) > self.tolerance for g in self.hard):
                 continue
-            self.found += 1
+            self.points.append(pt)
             return pt
+        return None
+
+    def nonzero_point(self, e):
+        """The first of the first ``sample_count`` points where ``|e|``
+        exceeds the tolerance, as ``(point, |value|)``, or None when
+        ``e`` vanishes at all of them.
+
+        One nonzero value at an exact surface point proves ``e`` is not
+        weakly zero, so a point is drawn only when ``e`` vanished at
+        every earlier one.  A pole of ``e`` decides nothing.  Raises
+        :class:`SurfaceSamplingFailed` when the budget runs out before
+        a decision, or when ``e`` has a pole at every point.
+        """
+        poles = 0
+        for k in range(self.sample_count):
+            if k == len(self.points):
+                sample_surface_points(self, 1)  # draw() keeps the point
+            try:
+                value = abs(e.evaluate(self.points[k]))
+            except DivisionByZero:
+                poles += 1
+                continue
+            if value > self.tolerance:
+                return self.points[k], value
+        if poles == self.sample_count:
+            raise SurfaceSamplingFailed(
+                "the expression's denominator vanishes at every sampled point")
         return None
 
 
@@ -248,13 +279,13 @@ def sample_surface_points(sampler, count):
     """The next ``count`` points of ``sampler`` (a :class:`SurfaceSampler`),
     as a list.  Raises :class:`SurfaceSamplingFailed` when its budget
     runs out first."""
-    wanted = sampler.found + count
+    wanted = len(sampler.points) + count
     points = []
     while len(points) < count:
         pt = sampler.draw()
         if pt is None:
             raise SurfaceSamplingFailed(
-                f"only {sampler.found} of {wanted} surface points found "
+                f"only {len(sampler.points)} of {wanted} surface points found "
                 f"after {sampler.attempts} attempts")
         points.append(pt)
     return points
@@ -262,36 +293,22 @@ def sample_surface_points(sampler, count):
 
 @dataclass(frozen=True)
 class NumericVerdict:
-    """Outcome of the sampling oracle, with its worst witness point."""
+    """Outcome of the sampling oracle: for a nonzero verdict the
+    deciding point and ``|e|`` there, for a zero one None and 0."""
 
     zero: bool
     witness_point: dict
-    worst_value: Fraction
+    value: Fraction
 
 
 def weak_zero_numeric(e, constraint_exprs, variables, options):
     """Does ``e`` vanish numerically on the constraint surface?
 
-    Samples ``options.sample_count`` exact points and compares |value|
-    against ``options.numeric_tolerance``.  The verdict carries the
-    point with the largest magnitude as a witness.
+    Asks a fresh :class:`SurfaceSampler` over ``constraint_exprs`` for
+    the first of ``options.sample_count`` exact points where ``|e|``
+    exceeds ``options.numeric_tolerance`` (:meth:`SurfaceSampler.nonzero_point`).
     """
     variables = set(variables) | e.variables()
     sampler = SurfaceSampler(WeakReducer(constraint_exprs), variables, options)
-    points = sample_surface_points(sampler, options.sample_count)
-    worst = Fraction(0)
-    worst_pt = None
-    evaluated = 0
-    for pt in points:
-        try:
-            val = abs(e.evaluate(pt))
-        except DivisionByZero:
-            continue
-        evaluated += 1
-        if val > worst or worst_pt is None:
-            worst = val
-            worst_pt = pt
-    if not evaluated:
-        raise SurfaceSamplingFailed(
-            "the expression's denominator vanishes at every sampled point")
-    return NumericVerdict(worst <= options.numeric_tolerance, worst_pt, worst)
+    found = sampler.nonzero_point(e)
+    return NumericVerdict(False, *found) if found else NumericVerdict(True, None, Fraction(0))

@@ -52,6 +52,11 @@ class TestExitCodes:
         assert run_cli("compare", path, "-p", "N=2")[0] == 1
         assert capsys.readouterr().err.count("error: ") == 2
 
+    def test_bad_boolean_parameter_is_exit_1(self, capsys):
+        assert run_cli("compare", "--builtin", "ym_mechanics",
+                       "-p", "with_scalar=maybe") == (1, "")
+        assert capsys.readouterr().err == "error: with_scalar must be a boolean, got 'maybe'\n"
+
     def test_non_quadratic_analyze_is_exit_4(self, tmp_path, capsys):
         cubic = tmp_path / "cubic.model"
         cubic.write_text("[vars]\nx\n[lagrangian]\nx'^3\n")
@@ -127,6 +132,10 @@ class TestCommands:
         assert code == 4
         assert tree["model"] == "toy_gauge" and tree["error"] == "IdentityViolated"
         assert tree["message"]
+
+    def test_conjecture_text_on_a_violated_identity(self, broken_generator):
+        assert run_cli("conjecture", broken_generator) == (
+            4, "IdentityViolated: gauge identity violated for generator(s): eps\n")
 
     def test_check_identities_json_on_a_violated_identity(self, broken_generator):
         code, text = run_cli("check-identities", broken_generator, "--format", "json")

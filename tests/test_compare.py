@@ -17,6 +17,7 @@ from gaugeflow import (
     span_equivalent,
 )
 from gaugeflow.cli import report_json_dict
+from gaugeflow.errors import SurfaceSamplingFailed
 from gaugeflow.reduction import NumericVerdict
 
 from test_dirac import CIRCLE_SOURCE, assert_extend_matches_one_shot
@@ -239,6 +240,17 @@ class TestNumericOracleVote:
         assert report.verdict == "indeterminate" and report.exit_code == 4
         assert [(d.code, d.witness) for d in report.diagnostics] == [
             ("symbolic-numeric-conflict", "-x"), ("symbolic-numeric-conflict", "x")]
+
+
+    def test_sampling_failures_leave_a_mismatch(self, shifted_conjecture, monkeypatch):
+        def refuse(*args):
+            raise SurfaceSamplingFailed("no surface points")
+
+        monkeypatch.setattr(gaugeflow.compare, "weak_zero_numeric", refuse)
+        report = build_report(shifted_conjecture)
+        assert report.verdict == "mismatch" and report.exit_code == 2
+        assert [(d.severity, d.code, d.message) for d in report.diagnostics] == [
+            ("warning", "surface-sampling-failed", "no surface points")] * 2
 
 
 def test_first_class_count_equals_generator_count():

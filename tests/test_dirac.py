@@ -27,10 +27,11 @@ from gaugeflow import (
     weak_zero_numeric,
 )
 import gaugeflow.dirac
+import gaugeflow.reduction
 from gaugeflow.dirac import FIRST, SECOND, ConjugatePairs, classify
 from gaugeflow.errors import InconsistentLagrangian, OddSecondClassCount, SurfaceSamplingFailed
 from gaugeflow.expr import Kind, esum
-from gaugeflow.reduction import SurfaceSampler, sample_surface_points
+from gaugeflow.reduction import NumericVerdict, SurfaceSampler, sample_surface_points
 
 from conftest import PAIR_COORDS, random_phase_polynomial, random_polynomial
 
@@ -232,17 +233,17 @@ l
 
 
 def record_draws(monkeypatch):
-    """Record every batch of surface points ``run_dirac`` draws, as
+    """Record every batch of surface points a sampler draws, as
     ``(sampler, points)``."""
     draws = []
-    draw = gaugeflow.dirac.sample_surface_points
+    draw = gaugeflow.reduction.sample_surface_points
 
     def recording(sampler, count):
         points = draw(sampler, count)
         draws.append((sampler, points))
         return points
 
-    monkeypatch.setattr(gaugeflow.dirac, "sample_surface_points", recording)
+    monkeypatch.setattr(gaugeflow.reduction, "sample_surface_points", recording)
     return draws
 
 
@@ -453,7 +454,44 @@ class TestNumericOracle:
         verdict = weak_zero_numeric(ex, [c.expr for c in leg.primary_constraints],
                                     phase, m.options)
         assert not verdict.zero
-        assert abs(ex.evaluate(verdict.witness_point)) == verdict.worst_value
+        assert abs(ex.evaluate(verdict.witness_point)) == verdict.value
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_circle_witness_is_decided_at_every_seed(self, seed):
+        # the only sampled points on the circle are (±1, 0) and (0, ±1),
+        # too few for sample_count of them within the budget; x + y is
+        # nonzero at each, so the first one decides
+        verdict = weak_zero_numeric(ex + ey, [ex ** 2 + ey ** 2 - 1], [x, y],
+                                    Options(seed=seed))
+        assert not verdict.zero
+        assert verdict.value == abs((ex + ey).evaluate(verdict.witness_point)) == 1
+
+    def test_points_are_drawn_only_until_a_nonzero_value(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        m = builtin_model("toy_gauge")
+        primaries = [c.expr for c in primary_constraints(m).primary_constraints]
+        phase = [v for pair in m.canonical_pairs() for v in pair]
+        assert not weak_zero_numeric(ex, primaries, phase, m.options).zero
+        assert [len(points) for _, points in draws] == [1]
+        draws.clear()
+        verdict = weak_zero_numeric(ex * py, primaries, phase, m.options)
+        assert verdict == NumericVerdict(True, None, 0)
+        assert [len(points) for _, points in draws] == [1] * m.options.sample_count
+
+    def test_a_pole_decides_nothing(self, monkeypatch):
+        # on x*y = 0 the points with x = 0 are poles of 1/x; at seed 3
+        # the first four points have x = 0, and the fifth decides
+        draws = record_draws(monkeypatch)
+        verdict = weak_zero_numeric(1 / ex, [ex * ey], [x, y], Options(seed=3))
+        points = [p for _, batch in draws for p in batch]
+        assert [p[x] for p in points[:4]] == [0] * 4
+        assert not verdict.zero and verdict.witness_point is points[4]
+        assert verdict.value == abs(1 / points[4][x])
+
+    def test_a_pole_at_every_point_is_refused(self):
+        with pytest.raises(SurfaceSamplingFailed, match="^the expression's denominator "
+                                                       "vanishes at every sampled point$"):
+            weak_zero_numeric(1 / ex, [ex], [x], Options())
 
     def test_points_satisfy_affine_leftovers(self):
         # coordinate-coefficient constraints are solved per point

@@ -1,12 +1,14 @@
 """Model files, validation, and the builtin catalog."""
 
 import io
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from gaugeflow import (
     Expression,
+    Options,
     builtin_model,
     coordinate,
     parse_model,
@@ -188,6 +190,13 @@ class TestRoundTrip:
     ])
     def test_render_reparse_identical(self, name, params):
         m = builtin_model(name, params)
+        again = parse_model(render_model(m))
+        assert again == m
+
+    def test_non_default_options(self):
+        m = builtin_model("toy_gauge").with_options(
+            max_generations=3, sample_count=7, numeric_tolerance=2.5e-7, seed=99)
+        assert all(getattr(m.options, f.name) != f.default for f in fields(Options))
         again = parse_model(render_model(m))
         assert again == m
 

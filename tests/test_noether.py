@@ -108,6 +108,15 @@ class TestConjecture:
         assert [c.expr for c in constraints] == [px]
         assert constraints[0].origin == "conjecture"
 
+    def test_a_failed_identity_report_is_refused(self):
+        # y shifts by 2 eps' where x' - y needs eps'
+        m = corrupt(builtin_model("toy_gauge"), 0, 1)
+        with pytest.raises(IdentityViolated) as err:
+            noether_identity_check(m)
+        with pytest.raises(IdentityViolated) as refused:
+            conjecture_constraints(m, primary_constraints(m), err.value.report)
+        assert refused.value.report is err.value.report
+
     def test_matches_dirac_secondaries_exactly_on_ym(self):
         m = builtin_model("ym_mechanics")
         leg = primary_constraints(m)
@@ -145,7 +154,7 @@ class TestConjecture:
         m = m.with_generators([fake])
         leg = primary_constraints(m)
         with pytest.raises(ConjectureInapplicable):
-            conjecture_constraints(m, leg, noether=NoetherReport((), ()))
+            conjecture_constraints(m, leg, noether=NoetherReport(()))
 
     def test_weakly_contained_in_dirac_set(self):
         for name, params in [("toy_gauge", {}), ("maxwell_lattice", {"N": 2}),
