@@ -29,10 +29,15 @@ from .expr import (
     Expression,
     Kind,
     ONE,
+    ZERO,
+    _ONE_DEN,
     _ONE_MONO,
+    _p_add_into,
     _p_const,
     _p_div_exact,
     _p_gcd_many,
+    _p_mul,
+    _p_sub_into,
     esum,
     multiplier,
 )
@@ -151,19 +156,30 @@ def poisson_bracket(f, g, pairs):
 
     Only the variables in ``f``'s gradient are visited: a pair adds a
     term when one of its variables is there and the other is in ``g``'s.
+    Polynomial terms are multiplied and summed in one accumulator.
     """
     conjugates = ConjugatePairs(pairs).conjugates
     ggrad = g.gradient()
-    terms = []
+    acc = {}
+    fractional = []
     for v, df in f.gradient().items():
         partner = conjugates.get(v)
         if partner is None:
             continue
         w, sign = partner
         dg = ggrad.get(w)
-        if dg is not None:
-            terms.append(df * dg if sign > 0 else -(df * dg))
-    return esum(terms)
+        if dg is None:
+            continue
+        if df._den is _ONE_DEN and dg._den is _ONE_DEN:
+            term = _p_mul(df._num, dg._num)
+            if sign > 0:
+                _p_add_into(acc, term)
+            else:
+                _p_sub_into(acc, term)
+        else:
+            fractional.append(df * dg if sign > 0 else -(df * dg))
+    out = Expression(acc) if acc else ZERO
+    return esum([out, *fractional]) if fractional else out
 
 
 def total_hamiltonian(leg):
@@ -277,14 +293,16 @@ def run_dirac(m, leg=None):
         accepted = []
         if candidates:
             sampler = SurfaceSampler(reducer, phase_vars, options, rng)
+            admitted = set()
             for expr in candidates:
-                if any(expr == a.expr for a in accepted):
+                if expr in admitted:
                     continue
                 if sampler.nonzero_point(expr) is None:
                     diagnostics.append(
                         f"generation {generation}: residue {expr} vanishes "
                         f"numerically on the current surface; dropped as dependent")
                     continue
+                admitted.add(expr)
                 accepted.append(Constraint(expr, generation, "dirac"))
         generations_run = generation
         if not accepted:

@@ -25,14 +25,21 @@ and hash by identity, and a monomial tuple hashes without calling back
 into Python.
 
 Every polynomial expression shares one denominator dict, ``_ONE_DEN``;
-no code changes an expression's parts in place, so sharing is safe.  An
-expression's first partials are computed together, in one pass over its
-numerator and one over its denominator, the first time any is asked
-for (``gradient``), and kept on the expression: ``diff``, ``dt`` and
-every Jacobian and Poisson bracket of it then read the same dict.  The
-set of variables it mentions is kept the same way (``variables``), and
-``mentions`` is a lookup in it.  Neither memo takes part in ``==`` or
-hashing.
+no code changes an expression's parts in place, so sharing is safe.  The
+sharing is an invariant: an expression is a polynomial exactly when
+``_den is _ONE_DEN``.  The constructor defaults to it, ``_make`` gives
+every constant denominator up for it, only ``_make`` and ``__neg__``
+pass a denominator to the constructor, and ``validate`` checks it.  The
+fast paths read it: ``_make`` returns at once on it, and ``+``, ``-``,
+``*`` and ``**`` on polynomials, ``dt`` and ``subs`` of a polynomial,
+``esum`` and the Poisson bracket build a polynomial result from raw
+dicts, with no gcd and no denominator.  An expression's first partials
+are computed together, in one pass over its numerator and one over its
+denominator, the first time any is asked for (``gradient``), and kept on
+the expression: ``diff``, ``dt`` and every Jacobian and Poisson bracket
+of it then read the same dict.  The set of variables it mentions is kept
+the same way (``variables``), and ``mentions`` is a lookup in it.
+Neither memo takes part in ``==`` or hashing.
 """
 
 from __future__ import annotations
@@ -132,6 +139,14 @@ class VarRef:
         return self._text
 
     # -- derived variables --------------------------------------------------
+    #
+    # A sibling shares ``base`` and ``indices``, which are already
+    # normalized, so its pool key is built directly and ``VarRef(...)``
+    # runs only when the sibling is not interned yet.
+
+    def _sibling(self, kind, jet_order):
+        v = VarRef._pool.get((self.base, self.indices, kind, jet_order))
+        return v if v is not None else VarRef(self.base, self.indices, kind, jet_order)
 
     def jet(self, order):
         """The variable's ``order``-th total time derivative."""
@@ -139,20 +154,20 @@ class VarRef:
             raise MomentumInTimeDerivative(f"{self} has no time derivatives")
         total = self.jet_order + order
         if total == 0:
-            return VarRef(self.base, self.indices, Kind.COORDINATE, 0)
-        return VarRef(self.base, self.indices, Kind.JET, total)
+            return self._sibling(Kind.COORDINATE, 0)
+        return self._sibling(Kind.JET, total)
 
     def momentum(self):
         """The momentum conjugate to this coordinate."""
         if self.kind is not Kind.COORDINATE:
             raise ValueError(f"momenta are conjugate to coordinates, not {self.kind.name}")
-        return VarRef(self.base, self.indices, Kind.MOMENTUM, 0)
+        return self._sibling(Kind.MOMENTUM, 0)
 
     def coordinate(self):
         """The underlying order-0 coordinate of a jet or momentum."""
         if self.kind is Kind.MULTIPLIER:
             raise ValueError("multipliers have no underlying coordinate")
-        return VarRef(self.base, self.indices, Kind.COORDINATE, 0)
+        return self._sibling(Kind.COORDINATE, 0)
 
 
 def coordinate(base, indices=()):
@@ -275,9 +290,26 @@ def _p_add_into(acc, p):
             else:
                 del acc[m]
 
+def _p_sub_into(acc, p):
+    for m, c in p.items():
+        cur = acc.get(m)
+        if cur is None:
+            acc[m] = -c
+        else:
+            cur = cur - c
+            if cur:
+                acc[m] = cur if type(cur) is int else _lower(cur)
+            else:
+                del acc[m]
+
 def _p_add(a, b):
     acc = dict(a)
     _p_add_into(acc, b)
+    return acc
+
+def _p_sub(a, b):
+    acc = dict(a)
+    _p_sub_into(acc, b)
     return acc
 
 def _p_neg(p):
@@ -580,6 +612,8 @@ class Expression:
     @staticmethod
     def _make(num, den):
         """Reduce a raw numerator/denominator pair to canonical form."""
+        if den is _ONE_DEN:
+            return Expression(num) if num else ZERO
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
@@ -623,7 +657,7 @@ class Expression:
         return not self._num
 
     def is_constant(self):
-        return (not self._num or set(self._num) == {_ONE_MONO}) and set(self._den) == {_ONE_MONO}
+        return self._den is _ONE_DEN and (not self._num or set(self._num) == {_ONE_MONO})
 
     def constant_value(self):
         """The constant, an int or a Fraction."""
@@ -649,7 +683,7 @@ class Expression:
         return any(v.kind in kinds for v in self.variables())
 
     def is_polynomial(self):
-        return set(self._den) == {_ONE_MONO}
+        return self._den is _ONE_DEN
 
     def degree_in_kind(self, *kinds):
         """Largest total degree of the given kinds in any numerator monomial."""
@@ -688,6 +722,7 @@ class Expression:
             assert set(g) == {_ONE_MONO}, "reducible fraction survived"
         else:
             assert self._den[_ONE_MONO] == 1
+            assert self._den is _ONE_DEN, "constant denominator is not the shared _ONE_DEN"
         return True
 
     # -- arithmetic -------------------------------------------------------------
@@ -708,6 +743,9 @@ class Expression:
             return other
         if other.is_zero():
             return self
+        if self._den is _ONE_DEN and other._den is _ONE_DEN:
+            acc = _p_add(self._num, other._num)
+            return Expression(acc) if acc else ZERO
         if self._den == other._den:
             return Expression._make(_p_add(self._num, other._num), self._den)
         num = _p_add(_p_mul(self._num, other._den), _p_mul(other._num, self._den))
@@ -722,6 +760,9 @@ class Expression:
         other = Expression._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._den is _ONE_DEN and other._den is _ONE_DEN:
+            acc = _p_sub(self._num, other._num)
+            return Expression(acc) if acc else ZERO
         return self + (-other)
 
     def __rsub__(self, other):
@@ -733,6 +774,8 @@ class Expression:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
+        if self._den is _ONE_DEN and other._den is _ONE_DEN:
+            return Expression(_p_mul(self._num, other._num))
         return Expression._make(_p_mul(self._num, other._num), _p_mul(self._den, other._den))
 
     __rmul__ = __mul__
@@ -757,6 +800,8 @@ class Expression:
             return Expression.const(1) / self ** (-n)
         if n == 0:
             return ONE
+        if self._den is _ONE_DEN:
+            return Expression(_p_pow(self._num, n))
         return Expression._make(_p_pow(self._num, n), _p_pow(self._den, n))
 
     def __eq__(self, other):
@@ -785,8 +830,8 @@ class Expression:
         if grad is not None:
             return grad
         dnum = _p_gradient(self._num)
-        if set(self._den) == {_ONE_MONO}:
-            grad = {v: Expression._make(dn, self._den) for v, dn in dnum.items()}
+        if self._den is _ONE_DEN:
+            grad = {v: Expression(dn) for v, dn in dnum.items()}
         else:
             # quotient rule: (dn*den - num*dd) / den^2
             dden = _p_gradient(self._den)
@@ -816,7 +861,13 @@ class Expression:
             if v.jet_order + 1 > max_order:
                 raise JetOrderExceeded(
                     f"time derivative of {v} exceeds the jet order cap {max_order}")
-        return esum([d * Expression.var(v.jet(1)) for v, d in grad.items()])
+        if self._den is not _ONE_DEN:
+            return esum([d * Expression.var(v.jet(1)) for v, d in grad.items()])
+        # each partial times one jet variable: a monomial shift per term
+        acc = {}
+        for v, d in grad.items():
+            _p_add_into(acc, {_mono_mul(m, ((v.jet(1), 1),)): c for m, c in d._num.items()})
+        return Expression(acc) if acc else ZERO
 
     def subs(self, assignment):
         """Simultaneous substitution ``{VarRef: Expression}``, then
@@ -866,9 +917,12 @@ def _subs_poly(p, live):
     Polynomial substitutes are multiplied as raw polynomials into one
     accumulator, canonicalized once at the end; only a monomial with a
     substitute that has a denominator goes through Expression arithmetic.
+    Each power ``(variable, exponent)`` is computed once per call, and a
+    monomial no substitute touches is added as it is.
     """
     acc = {}
     fractional = None
+    powers = {}
     for m, c in p.items():
         poly = None
         rational = None
@@ -877,12 +931,18 @@ def _subs_poly(p, live):
             sub = live.get(v)
             if sub is None:
                 plain.append((v, e))
-            elif sub._den is _ONE_DEN:
-                power = _p_pow(sub._num, e)
+                continue
+            power = powers.get((v, e))
+            if power is None:
+                power = _p_pow(sub._num, e) if sub._den is _ONE_DEN else sub ** e
+                powers[v, e] = power
+            if sub._den is _ONE_DEN:
                 poly = power if poly is None else _p_mul(poly, power)
             else:
-                power = sub ** e
                 rational = power if rational is None else rational * power
+        if poly is None and rational is None:
+            _p_add_into(acc, {m: c})
+            continue
         term = {tuple(plain): c}
         if poly is not None:
             term = _p_mul(poly, term)
@@ -893,7 +953,7 @@ def _subs_poly(p, live):
                 continue
             term = rational._num
         _p_add_into(acc, term)
-    out = Expression._make(acc, _ONE_DEN)
+    out = Expression(acc) if acc else ZERO
     return out + fractional if fractional is not None else out
 
 
@@ -903,11 +963,11 @@ def esum(terms):
     fractional = None
     for t in terms:
         t = Expression._coerce(t)
-        if t.is_polynomial():
+        if t._den is _ONE_DEN:
             _p_add_into(acc, t._num)
         else:
             fractional = t if fractional is None else fractional + t
-    out = Expression._make(acc, _p_const(1)) if acc else ZERO
+    out = Expression(acc) if acc else ZERO
     return out + fractional if fractional is not None else out
 
 

@@ -13,6 +13,10 @@ equal the dense Bareiss formula's exactly.  ``RowReducer`` is the one
 Gaussian elimination over ``Fraction``: ``rational_rank`` absorbs a
 matrix's rows into one reducer, and the surface sampler solves its
 momentum-affine constraints at each point with ``RowReducer.solve``.
+Both index their rows by column, so a step visits only the rows and
+basis rows it changes: ``eliminate`` keeps the rows with a cell in each
+column, and ``RowReducer`` keeps its basis by pivot column (see each
+docstring for why the result is the same as the full scan's).
 
 The generic rank of a matrix of expressions (the generator columns, a
 constraint Jacobian) is sampled: ``sampled_rank`` takes the best exact
@@ -22,10 +26,11 @@ bound equals the generic rank with high probability.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .errors import DivisionByZero, SamplingDegenerate
-from .expr import ZERO
+from .expr import ZERO, _lower
 
 
 class Echelon:
@@ -59,34 +64,53 @@ def eliminate(matrix, column_order):
     in the pivot column.  A row without that cell is left alone when
     ``piv == prev_pivot``; cells that cancel leave the row.  Expressions
     are canonical, so each cell equals the dense formula's value exactly.
+
+    ``holders`` maps each column to the slots of the rows below the
+    pivots that have a cell there, so the pivot search is a ``min`` and
+    a step with ``piv == prev_pivot`` visits only the rows it changes;
+    any other step still rescales every row below the pivot.
     """
     rows = [dict(r) for r in matrix]
     n = len(rows)
     pivots = []
     row_order = list(range(n))
+    holders = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(r)
     level = 0
     prev_pivot = None
     for col in column_order:
-        pivot_row = next((r for r in range(level, n) if col in rows[r]), None)
-        if pivot_row is None:
+        slots = holders.get(col)
+        if not slots:
             continue
+        pivot_row = min(slots)
+        for c in rows[pivot_row]:
+            holders[c].discard(pivot_row)
         if pivot_row != level:
+            for c in rows[level]:
+                moved = holders[c]
+                moved.discard(level)
+                moved.add(pivot_row)
             rows[level], rows[pivot_row] = rows[pivot_row], rows[level]
             row_order[level], row_order[pivot_row] = row_order[pivot_row], row_order[level]
         top = rows[level]
         piv = top[col]
         same_pivot = piv == prev_pivot
-        for r in range(level + 1, n):
+        # rows without a cell in col are rescaled only, which leaves
+        # their cells in place; a row with one always loses it
+        for r in (list(slots) if same_pivot else range(level + 1, n)):
             entry = rows[r].get(col)
-            if entry is None and same_pivot:
-                continue  # row * piv / prev_pivot is the row itself
             new_row = {c: x * piv for c, x in rows[r].items()}
             if entry is not None:
                 for c, t in top.items():
                     x = new_row.get(c, ZERO) - t * entry
                     if x.is_zero():
                         del new_row[c]
+                        holders[c].discard(r)
                     else:
+                        if c not in new_row:
+                            holders.setdefault(c, set()).add(r)
                         new_row[c] = x
             if prev_pivot is not None:
                 new_row = {c: x / prev_pivot for c, x in new_row.items()}
@@ -120,10 +144,10 @@ def jacobian(exprs, variables):
 
 
 def evaluate_rows(matrix, point):
-    """Exact values of a matrix of expressions at ``point``; a cell that
-    evaluates to 0 leaves its row.  Raises :class:`DivisionByZero` at a
-    pole."""
-    return [{c: value for c, e in row.items() if (value := e.evaluate(point))}
+    """Exact values of a matrix of expressions at ``point``, an integral
+    value as an ``int``; a cell that evaluates to 0 leaves its row.
+    Raises :class:`DivisionByZero` at a pole."""
+    return [{c: _lower(value) for c, e in row.items() if (value := e.evaluate(point))}
             for row in matrix]
 
 
@@ -161,7 +185,7 @@ def sampled_rank(matrix, width, options, rng):
 
 
 class RowReducer:
-    """Incremental exact row reduction over Fractions.
+    """Incremental exact row reduction over ints and Fractions.
 
     Feed rows ``{column: value}`` one at a time; ``absorb`` reduces a row
     against the current basis and, if a nonzero remainder survives,
@@ -169,26 +193,50 @@ class RowReducer:
     column, and reducing a row touches only the cells of the basis rows
     that meet it.  Used by :func:`rational_rank` and, reading one
     column as a right-hand side, by ``solve``.
+
+    ``reduce`` looks basis rows up by pivot column and clears the row's
+    pivot columns in increasing order.  Every basis row's cells lie at
+    or right of its pivot, so a cleared column stays clear.  The
+    remainder, zero at every pivot column, is unique: a nonzero
+    combination of basis rows is nonzero at the lowest pivot among the
+    rows it uses.  So any order of clearing gives the same remainder,
+    and the basis is the same whatever the walk.
     """
 
     def __init__(self):
         self.basis = []  # (pivot column, row) pairs in absorption order
+        self._by_pivot = {}
 
     def reduce(self, row):
         """``row`` reduced against the basis, as its nonzero cells."""
         row = dict(row)
-        for col, base in self.basis:
+        by_pivot = self._by_pivot
+        todo = [c for c in row if c in by_pivot]
+        heapq.heapify(todo)
+        while todo:
+            col = heapq.heappop(todo)
             f = row.get(col)
-            if f:
-                factor = f / base[col]
-                for c, b in base.items():
-                    row[c] = row.get(c, 0) - factor * b
+            if not f:
+                continue  # cleared already, or queued twice
+            base = by_pivot[col]
+            p = base[col]
+            if type(f) is int and type(p) is int:
+                factor = f // p if f % p == 0 else Fraction(f, p)
+            else:
+                factor = f / p
+            for c, b in base.items():
+                value = row.get(c, 0)
+                if not value and c in by_pivot:
+                    heapq.heappush(todo, c)  # fill-in, always right of col
+                row[c] = value - factor * b
         return {c: value for c, value in row.items() if value}
 
     def absorb(self, row):
         row = self.reduce(row)
         if row:
-            self.basis.append((min(row), row))
+            col = min(row)
+            self.basis.append((col, row))
+            self._by_pivot[col] = row
         return bool(row)
 
     @property

@@ -83,12 +83,19 @@ class WeakReducer:
     linearly reduced by the others and then reduces them in turn.
     Leading coefficients are never rescaled.
 
+    ``_users`` maps each variable to the targets of the rules whose
+    right-hand side may mention it (a superset: a rewrite can cancel a
+    variable), so a new rule rewrites only the rules that mention its
+    target.  Rewrites replace values under existing keys, so ``rules``
+    keeps the order in which its targets were solved.
+
     Nonzero remainders are reported in the division form, which stays
     free of localization denominators.
     """
 
     def __init__(self, constraint_exprs):
         self.rules = {}
+        self._users = {}  # variable -> {rule target: None}
         self.leftovers = []
         self._divisors = []  # (leading monomial, its coefficient, numerator)
         self.extend(constraint_exprs)
@@ -112,10 +119,9 @@ class WeakReducer:
             return
         target, coeff = pivot
         rhs = -(e - coeff * Expression.var(target)) / coeff
-        for v, r in list(self.rules.items()):
-            if r.mentions(target):
-                self.rules[v] = r.subs({target: rhs})
-        self.rules[target] = rhs
+        for v in self._users.pop(target, ()):
+            self._rule(v, self.rules[v].subs({target: rhs}))
+        self._rule(target, rhs)
         stale = [g for g in self.leftovers if g.mentions(target)]
         if stale:
             self.leftovers = [g for g in self.leftovers if not g.mentions(target)]
@@ -124,6 +130,11 @@ class WeakReducer:
                 self._add_divisor(g._num)
             for g in stale:
                 self._absorb(g)
+
+    def _rule(self, target, rhs):
+        self.rules[target] = rhs
+        for v in rhs.variables():
+            self._users.setdefault(v, {})[target] = None
 
     def _add_divisor(self, num):
         num = dict(num)
@@ -149,7 +160,7 @@ class WeakReducer:
                     break
             else:
                 break
-        return Expression._make(rem, dict(e._den)) if rem else Expression.const(0)
+        return Expression._make(rem, e._den) if rem else Expression.const(0)
 
     def reduce(self, e):
         """Canonical remainder of ``e`` modulo the constraint set; zero

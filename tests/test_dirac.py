@@ -31,7 +31,12 @@ import gaugeflow.reduction
 from gaugeflow.dirac import FIRST, SECOND, ConjugatePairs, classify
 from gaugeflow.errors import InconsistentLagrangian, OddSecondClassCount, SurfaceSamplingFailed
 from gaugeflow.expr import Kind, esum
-from gaugeflow.reduction import NumericVerdict, SurfaceSampler, sample_surface_points
+from gaugeflow.reduction import (
+    NumericVerdict,
+    SurfaceSampler,
+    _constant_pivot,
+    sample_surface_points,
+)
 
 from conftest import PAIR_COORDS, random_phase_polynomial, random_polynomial
 
@@ -438,6 +443,83 @@ class TestWeakReducerExtend:
         assert_extend_matches_one_shot(exprs, range(len(exprs) + 1), probes)
 
 
+class ScanWeakReducer(WeakReducer):
+    """The reference for the rule index: a new rule scans every stored
+    rule for its target, as ``_absorb`` did before the index."""
+
+    def _absorb(self, e):
+        if self.rules:
+            e = e.subs(self.rules)
+        if e.is_zero():
+            return
+        pivot = _constant_pivot(e)
+        if pivot is None:
+            self.leftovers.append(e)
+            self._add_divisor(e._num)
+            return
+        target, coeff = pivot
+        rhs = -(e - coeff * Expression.var(target)) / coeff
+        for v, r in list(self.rules.items()):
+            if r.mentions(target):
+                self.rules[v] = r.subs({target: rhs})
+        self.rules[target] = rhs
+        stale = [g for g in self.leftovers if g.mentions(target)]
+        if stale:
+            self.leftovers = [g for g in self.leftovers if not g.mentions(target)]
+            self._divisors = []
+            for g in self.leftovers:
+                self._add_divisor(g._num)
+            for g in stale:
+                self._absorb(g)
+
+
+def chained_constraints(rng):
+    """Constraints affine in momenta, each with a constant coefficient on
+    one momentum and coordinate coefficients on others, so that later
+    rules rewrite earlier ones; now and then a quadratic one becomes a
+    leftover."""
+    coords = [coordinate(name) for name in "xyzuvw"]
+    momenta = [Expression.var(q.momentum()) for q in coords]
+    for _ in range(rng.randint(3, 9)):
+        if rng.random() < 0.15:
+            yield rng.choice(momenta) ** 2 + random_polynomial(rng, coords[:3], max_terms=1)
+            continue
+        picked = rng.sample(momenta, rng.randint(1, 3))
+        e = rng.choice([1, 2, -3]) * picked[0] + random_polynomial(rng, coords[:3], max_terms=2)
+        for p in picked[1:]:
+            e = e + random_polynomial(rng, coords[:3], max_terms=1, max_factors=1) * p
+        yield e
+
+
+def assert_index_matches_scan(exprs):
+    indexed, scanned = WeakReducer([]), ScanWeakReducer([])
+    for e in exprs:
+        indexed.extend([e])
+        scanned.extend([e])
+        assert list(indexed.rules.items()) == list(scanned.rules.items())
+        assert indexed.leftovers == scanned.leftovers
+        assert indexed._divisors == scanned._divisors
+        # the rules stay fully back-substituted
+        assert not any(r.mentions(v) for r in indexed.rules.values() for v in indexed.rules)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rule_index_matches_the_scan_after_every_absorb(seed):
+    assert_index_matches_scan(list(chained_constraints(random.Random(6100 + seed))))
+
+
+def test_rule_index_follows_a_rewritten_rule():
+    # p_c = x*p_b, then p_b = y*p_a rewrites it to p_c = x*y*p_a, which
+    # the rule for p_a must rewrite in turn
+    pa, pb, pc = (Expression.var(coordinate(name).momentum()) for name in "abc")
+    assert_index_matches_scan([pc - ex * pb, pb - ey * pa, pa - 1])
+
+
+def test_rule_index_matches_the_scan_on_the_lattice():
+    m = builtin_model("maxwell_lattice", {"N": 2})
+    assert_index_matches_scan([c.expr for c in run_dirac(m).constraints])
+
+
 class TestNumericOracle:
     def test_constraint_is_zero_on_surface(self):
         m = builtin_model("toy_gauge")
@@ -584,6 +666,19 @@ def test_duplicate_residues_are_merged():
     assert [str(c.expr) for c in d.constraints if c.generation == 0] == ["p_y", "p_w"]
     assert [str(c.expr) for c in d.constraints if c.generation == 1] == ["p_x"]
     assert d.generations_run == 2
+
+
+def test_a_dropped_duplicate_is_dropped_again(monkeypatch):
+    # both primaries of the twin shift give the secondary p_x; with the
+    # sampler calling it zero everywhere, each copy is dropped with its
+    # own diagnostic, since only admitted candidates are skipped as repeats
+    m = parse_model("[vars]\nx\ny\nw\n[lagrangian]\n(xdot - y - w)^2 / 2\n",
+                    name="twin_shift")
+    monkeypatch.setattr(SurfaceSampler, "nonzero_point", lambda self, e: None)
+    d = run_dirac(m)
+    assert [str(c.expr) for c in d.constraints] == ["p_y", "p_w"]
+    assert [message.split(": ", 1)[1] for message in d.diagnostics] == [
+        "residue p_x vanishes numerically on the current surface; dropped as dependent"] * 2
 
 
 def test_rational_hamiltonian_constraints_stay_polynomial():

@@ -379,6 +379,15 @@ def test_integral_coefficients_are_ints():
             Expression({((x, 1),): bad}).validate()
 
 
+def test_a_constant_denominator_is_the_shared_one():
+    # the polynomial fast paths test ``_den is _ONE_DEN``; an equal copy
+    # would send a polynomial down the canonicalizing path unnoticed
+    for e in (ex, ex + ey, ex - ex, ex * ey, (ex / ey) * ey, ex.subs({y: ex}), ex.dt()):
+        assert e._den is _ONE_DEN and e.validate()
+    with pytest.raises(AssertionError):
+        Expression({((x, 1),): 1}, {(): 1}).validate()
+
+
 def seeded_assignment(rng, polynomial):
     """Substitutes for some of x, y, x', y'.  Every kind is drawn: a
     constant (possibly 0), a polynomial that brings back the other,

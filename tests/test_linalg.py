@@ -148,6 +148,41 @@ def test_unit_pivots_leave_zero_entry_rows_alone():
     assert ech.rows[3] == rows([[ZERO, ZERO, ZERO, -4 * px]])[0]
 
 
+def indexed_system(rng, n, width):
+    """Rows of a few nonzero cells, mostly small integers: about half of
+    them 1, so consecutive pivots are often equal (the indexed sweep
+    visits only the rows with a cell in the pivot column) and often not
+    (every lower row is rescaled); rows whose first cells are empty force
+    swaps, and a coordinate cell now and then keeps the cells
+    polynomial."""
+    constants = [1, 1, 1, 2, -1, 3]
+    matrix = []
+    for _ in range(n):
+        row = [ZERO] * width
+        for c in rng.sample(range(width), rng.randint(1, 3)):
+            row[c] = (Expression.var(rng.choice(COORDS)) + rng.choice(constants)
+                      if rng.random() < 0.15 else Expression.const(rng.choice(constants)))
+        matrix.append(row)
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_indexed_elimination_matches_dense(seed):
+    rng = random.Random(4900 + seed)
+    seen = set()
+    for _ in range(8):
+        n = rng.randint(3, 8)
+        matrix = indexed_system(rng, n, n + 1)
+        order = list(range(n + 1))
+        rng.shuffle(order)
+        ech = assert_same_echelon(matrix, order[:n])  # one column rides along
+        pivots = [ech.rows[level][col] for level, col in ech.pivots]
+        seen.update("same" if a == b else "rescaled" for a, b in zip(pivots, pivots[1:]))
+        if ech.row_order != list(range(n)):
+            seen.add("swapped")
+    assert seen == {"same", "rescaled", "swapped"}
+
+
 def test_rational_entries():
     rng = random.Random(77)
     ex = Expression.var(X)
@@ -293,6 +328,40 @@ def test_sparse_row_reducer_matches_dense(seed):
     probes = sparse_fraction_matrix(rng, 6, width)
     for row, cells in zip(probes, rows(probes)):
         assert [sparse.reduce(cells)] == rows([dense.reduce(row)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_reducer_clears_fill_in_on_later_pivots(seed):
+    # banded rows: the row with pivot k also has a cell in column k + 1,
+    # another row's pivot, so clearing one pivot column fills in the
+    # next; absorbing in a shuffled order reduces the rows against each
+    # other on the way in.  Cells are ints where integral, as
+    # evaluate_rows gives them, and Fractions in the dense reference.
+    rng = random.Random(5000 + seed)
+    width = rng.randint(4, 12)
+    band = [[Fraction(0)] * width for _ in range(width - 1)]
+    for k, row in enumerate(band):
+        row[k] = random_rational(rng) or Fraction(1)
+        row[k + 1] = random_rational(rng) or Fraction(-1)
+    if seed % 2:
+        rng.shuffle(band)
+    probes = sparse_fraction_matrix(rng, 8, width)
+    sparse, dense = RowReducer(), DenseRowReducer(width)
+    for row in band:
+        cells = evaluate_rows(rows([[Expression.const(x) for x in row]]), {})[0]
+        assert sparse.absorb(cells) == dense.absorb(row)
+    assert sparse.rank == len(dense.basis) == width - 1
+    for row, cells in zip(probes, rows(probes)):
+        assert [sparse.reduce(cells)] == rows([dense.reduce(row)])
+    # the unit probe fills in every later pivot column in turn
+    assert list(sparse.reduce({0: 1})) == [width - 1]
+
+
+def test_evaluate_rows_gives_integral_values_as_ints():
+    half = Expression.const(Fraction(1, 2))
+    cells = evaluate_rows(rows([[Expression.var(X), half, 2 * half]]), {X: Fraction(6, 3)})[0]
+    assert cells == {0: 2, 1: Fraction(1, 2), 2: 1}
+    assert [type(v) for v in cells.values()] == [int, Fraction, int]
 
 
 # --- the augmented solve ---------------------------------------------------------

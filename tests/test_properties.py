@@ -7,6 +7,8 @@ anywhere in the symbolic checks.
 import random
 
 from gaugeflow import Expression, canonicalize, coordinate, poisson_bracket
+from gaugeflow.errors import DivisionByZero
+from gaugeflow.expr import _p_add, _p_mul, _p_neg
 
 from conftest import (
     PAIR_COORDS,
@@ -95,3 +97,149 @@ def test_fraction_reduction_cancels_common_factors():
         assert (a * g) / (b * g) == a / b
         assert ((a * g) / g) == a
         checked += 1
+
+
+# --- the polynomial fast paths against canonicalization ---------------------------
+#
+# A polynomial's denominator is the shared ``_ONE_DEN``, and ``+ - * dt``,
+# ``poisson_bracket`` and ``subs`` build polynomial results without
+# canonicalizing.  The slow path below hands ``_make`` a private copy of
+# every denominator, so it always takes the canonicalizing route.
+
+
+def slow(num, den):
+    return Expression._make(dict(num), dict(den))
+
+
+def slow_add(a, b):
+    return slow(_p_add(_p_mul(a._num, b._den), _p_mul(b._num, a._den)), _p_mul(a._den, b._den))
+
+
+def slow_neg(a):
+    return slow(_p_neg(a._num), a._den)
+
+
+def slow_sub(a, b):
+    return slow_add(a, slow_neg(b))
+
+
+def slow_mul(a, b):
+    return slow(_p_mul(a._num, b._num), _p_mul(a._den, b._den))
+
+
+def slow_sum(terms):
+    total = Expression.const(0)
+    for t in terms:
+        total = slow_add(total, t)
+    return total
+
+
+def slow_subs(e, assignment):
+    """Every monomial rebuilt factor by factor, then numerator over
+    denominator."""
+    def poly(p):
+        terms = []
+        for m, c in p.items():
+            term = Expression.const(c)
+            for v, k in m:
+                for _ in range(k):
+                    term = slow_mul(term, assignment.get(v, Expression.var(v)))
+            terms.append(term)
+        return slow_sum(terms)
+    num, den = poly(e._num), poly(e._den)
+    return slow(_p_mul(num._num, den._den), _p_mul(num._den, den._num))
+
+
+def checked(fast, reference):
+    assert fast == reference
+    assert fast.validate()
+    assert canonicalize(fast) == fast
+
+
+def fast_path_operands(rng):
+    """Pairs of polynomials and rational functions, some pairs built to
+    cancel to zero in a sum or difference.  Rational operands stay small:
+    the gcds that canonicalize their sums grow fast with size."""
+    pool = list(phase_variables())
+    for i in range(120):
+        terms = 4 if i % 3 == 2 else 2
+        a = random_polynomial(rng, pool, max_terms=terms, max_factors=2)
+        b = random_polynomial(rng, pool, max_terms=terms, max_factors=2)
+        if i % 4 == 1:
+            b = -a  # a + b cancels
+        elif i % 4 == 2:
+            b = a + random_polynomial(rng, [x], max_terms=1)  # a - b leaves one term
+        den = random_polynomial(rng, [x, y], max_terms=2, max_factors=1)
+        if den.is_zero():
+            den = Expression.var(y)
+        if i % 3 == 0:
+            a = a / den
+            if i % 4 == 1:
+                b = -a
+        elif i % 3 == 1:
+            b = b / den
+        yield a, b
+
+
+def test_fast_paths_equal_the_canonicalizing_path():
+    rng = random.Random(60221)
+    kinds = set()
+    for a, b in fast_path_operands(rng):
+        kinds.add((a.is_polynomial(), b.is_polynomial(), (a + b).is_zero()))
+        checked(a + b, slow_add(a, b))
+        checked(a - b, slow_sub(a, b))
+        checked(a * b, slow_mul(a, b))
+        checked(poisson_bracket(a, b, PAIRS), slow_sum(
+            [slow_mul(a.diff(q), b.diff(p)) for q, p in PAIRS]
+            + [slow_neg(slow_mul(a.diff(p), b.diff(q))) for q, p in PAIRS]))
+    assert (True, True, True) in kinds and (False, False, True) in kinds
+    assert (True, False, False) in kinds and (False, True, False) in kinds
+
+
+def test_fast_dt_equals_the_canonicalizing_path():
+    rng = random.Random(60222)
+    pool = [x, y, x.jet(1), y.jet(1)]
+    ex, ey = Expression.var(x), Expression.var(y)
+    for i in range(90):
+        if i % 3:
+            e = random_polynomial(rng, pool, max_terms=4, max_factors=3)
+            if i % 5 == 0:
+                # terms of the derivative cancel: x*y' - y*x' gives x*y'' - y*x''
+                e = e + ex * Expression.var(y.jet(1)) - ey * Expression.var(x.jet(1))
+        else:
+            # kept small: the quotient rule's gcds grow fast with size
+            e = random_polynomial(rng, pool, max_terms=2, max_factors=2)
+            den = random_polynomial(rng, [x], max_terms=2, max_factors=1)
+            if not den.is_zero():
+                e = e / den
+        reference = slow_sum(slow_mul(e.diff(v), Expression.var(v.jet(1)))
+                             for v in sorted(e.variables()))
+        checked(e.dt(), reference)
+
+
+def test_fast_subs_with_repeated_powers_equals_the_canonicalizing_path():
+    rng = random.Random(60223)
+    z = coordinate("z")
+    pool = [x, y, z]
+    for i in range(60):
+        # the same powers of x and y recur across monomials
+        e = random_polynomial(rng, pool, max_terms=5, max_factors=3, max_exp=3)
+        e = e + Expression.var(x) ** 2 * (Expression.var(y) ** 2 + Expression.var(z) ** 2)
+        e = e + (Expression.var(x) + Expression.var(y)) * Expression.var(z)
+        if i % 4 == 0:
+            den = random_polynomial(rng, [x, z], max_terms=2, max_factors=1)
+            if not den.is_zero():
+                e = e / den
+        assignment = {x: random_polynomial(rng, pool, max_terms=2, max_factors=2)}
+        if i % 3 == 1:
+            # a rational substitute
+            den = random_polynomial(rng, [z], max_terms=2, max_factors=1)
+            assignment[y] = (random_polynomial(rng, [x, z], max_terms=2) / den
+                             if not den.is_zero() else Expression.var(z))
+        elif i % 3 == 2:
+            assignment[y] = -assignment[x]  # x + y goes to 0
+        try:
+            reference = slow_subs(e, assignment)
+        except DivisionByZero:  # the denominator vanished identically
+            continue
+        checked(e.subs(assignment), reference)
