@@ -6,8 +6,9 @@ says what the comparison established.
 
 Verdicts: ``match`` (the single-step rule reproduces the canonical
 sector first-class constraints, span for span), ``mismatch`` (a
-witnessed difference), ``no_gauge_sector`` (nothing to compare on
-either side), ``inapplicable`` (a stage could not run), and
+witnessed difference), ``no_gauge_sector`` (no generators and no
+canonical-sector first-class constraints: nothing to compare on either
+side), ``inapplicable`` (a stage could not run), and
 ``indeterminate`` (symbolic reduction failed but the numeric oracle
 contradicts it).
 """
@@ -134,6 +135,16 @@ def _canonical_sector(constraint, discardable):
     return True
 
 
+def _timed(timings, name, stage, *args):
+    """``stage(*args)``, with its wall time stored under ``name`` even
+    when it raises."""
+    t0 = time.perf_counter()
+    try:
+        return stage(*args)
+    finally:
+        timings[name] = time.perf_counter() - t0
+
+
 def build_report(m):
     """Run the full pipeline on a model and assemble the report.
 
@@ -141,7 +152,6 @@ def build_report(m):
     """
     report = AnalysisReport(model_name=m.name, options=m.options)
     diagnostics = []
-    timings = {}
 
     def note(severity, code, message, witness=None):
         diagnostics.append(Diagnostic(severity, code, message, witness))
@@ -149,17 +159,13 @@ def build_report(m):
     def finish(verdict):
         report.verdict = verdict
         report.diagnostics = tuple(diagnostics)
-        report.timings = timings
         return report
 
-    t0 = time.perf_counter()
     try:
-        leg = primary_constraints(m)
+        leg = _timed(report.timings, "legendre", primary_constraints, m)
     except (LegendreError, ModelError) as exc:
         note("error", "legendre-failed", str(exc))
         return finish(INAPPLICABLE)
-    finally:
-        timings["legendre"] = time.perf_counter() - t0
     report.legendre = leg
 
     hinted = set(m.hinted_discardable())
@@ -169,9 +175,8 @@ def build_report(m):
         note("warning", "hint-not-confirmed",
              f"declared discardable but momentum not identically zero: {missed}")
 
-    t0 = time.perf_counter()
     try:
-        dirac = run_dirac(m, leg)
+        dirac = _timed(report.timings, "dirac", run_dirac, m, leg)
     except InconsistentLagrangian as exc:
         report.dirac = exc.partial
         note("error", "inconsistent-lagrangian", str(exc), witness=str(exc.witness))
@@ -179,34 +184,25 @@ def build_report(m):
     except DiracError as exc:
         note("error", "dirac-failed", f"{type(exc).__name__}: {exc}")
         return finish(INAPPLICABLE)
-    finally:
-        timings["dirac"] = time.perf_counter() - t0
     report.dirac = dirac
     for message in dirac.diagnostics:
         note("warning", "dependent-residue", message)
 
-    t0 = time.perf_counter()
-    noether = None
     try:
-        noether = noether_identity_check(m)
-        report.noether = noether
+        noether = _timed(report.timings, "noether", noether_identity_check, m)
     except IdentityViolated as exc:
         report.noether = exc.report
         note("error", "identity-violated", str(exc))
         return finish(INAPPLICABLE)
-    finally:
-        timings["noether"] = time.perf_counter() - t0
+    report.noether = noether
 
-    t0 = time.perf_counter()
     try:
-        report.independent = independence_check(m)
+        report.independent = _timed(report.timings, "independence", independence_check, m)
         if not report.independent:
             note("warning", "dependent-generators",
                  "the declared generators are not independent")
     except GaugeflowError as exc:
         note("warning", "independence-unknown", str(exc))
-    finally:
-        timings["independence"] = time.perf_counter() - t0
 
     canonical_first = tuple(
         c for c in dirac.first_class() if _canonical_sector(c, leg.discardable))
@@ -216,23 +212,19 @@ def build_report(m):
              "every first-class constraint involves discarded coordinates; "
              "the canonical-sector comparison is vacuous")
 
-    t0 = time.perf_counter()
     try:
-        conjecture = conjecture_constraints(m, leg, noether)
+        conjecture = _timed(report.timings, "conjecture", conjecture_constraints, m, leg, noether)
     except (ConjectureInapplicable, DegenerateGenerator) as exc:
         note("error", "conjecture-inapplicable", f"{type(exc).__name__}: {exc}")
         return finish(INAPPLICABLE)
-    finally:
-        timings["conjecture"] = time.perf_counter() - t0
     report.conjecture = conjecture
 
-    if not m.generators and not dirac.first_class():
+    if not m.generators and not canonical_first:
         return finish(NO_GAUGE_SECTOR)
 
-    t0 = time.perf_counter()
     phase_vars = [v for pair in m.canonical_pairs() for v in pair]
-    span = span_equivalent(canonical_first, conjecture, phase_vars, m.options)
-    timings["compare"] = time.perf_counter() - t0
+    span = _timed(report.timings, "compare", span_equivalent,
+                  canonical_first, conjecture, phase_vars, m.options)
     report.span = span
 
     if span.equivalent:

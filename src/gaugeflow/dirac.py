@@ -226,7 +226,7 @@ def consistency_step(c, h_total, reducer, pairs):
     return NewConstraint(constraint_form(residue))
 
 
-def run_dirac(m, leg=None):
+def run_dirac(m, leg):
     """Run the generational consistency algorithm to its fixpoint and
     return its constraints classified.
 
@@ -246,9 +246,6 @@ def run_dirac(m, leg=None):
     (:func:`constraint_form`) and every sampled point assigns all of
     phase space, so evaluating them meets no pole.
     """
-    if leg is None:
-        from .legendre import primary_constraints
-        leg = primary_constraints(m)
     options = m.options
     constraints = list(leg.primary_constraints)
     if not constraints:

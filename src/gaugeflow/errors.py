@@ -115,7 +115,7 @@ class InconsistentLagrangian(DiracError):
     the witness attached.
     """
 
-    def __init__(self, witness, constraint=None, partial=None):
+    def __init__(self, witness, constraint, partial):
         super().__init__(f"consistency condition reduces to the nonzero constant {witness}")
         self.witness = witness
         self.constraint = constraint

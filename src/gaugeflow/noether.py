@@ -51,16 +51,14 @@ def _alternating_derivative(e, order, cap):
     return e
 
 
-def noether_identity_check(m, el=None):
+def noether_identity_check(m):
     """Verify that every declared generator annihilates the equations of
     motion, symbolically and exactly.
 
     Returns a :class:`NoetherReport`; raises :class:`IdentityViolated`
-    (carrying the report) when any residue is nonzero.  ``el`` may pass
-    in precomputed Euler-Lagrange expressions when checking many
-    generator variants against one Lagrangian.
+    (carrying the report) when any residue is nonzero.
     """
-    table = dict(el if el is not None else euler_lagrange(m))
+    table = dict(euler_lagrange(m))
     cap = max(DEFAULT_JET_CAP,
               2 + max((g.max_order() for g in m.generators), default=0))
     residues = []
@@ -95,22 +93,19 @@ def independence_check(m):
     return rank == len(gens)
 
 
-def conjecture_constraints(m, leg, noether=None):
+def conjecture_constraints(m, leg, noether):
     """One candidate constraint per gauge parameter: conjugate momenta
     contracted with the generator's k = 0 coefficients on the canonical
     sector.
 
     Preconditions enforced here: the gauge identities hold (``noether``,
-    a :class:`NoetherReport` of ``m``, or one recomputed when it is
-    None), and every differentiated-parameter component targets a
-    coordinate whose momentum vanishes identically.  Raises
-    :class:`IdentityViolated` when the report did not pass,
-    :class:`ConjectureInapplicable` when a component breaks the second
-    condition, and :class:`DegenerateGenerator` when a contraction
-    collapses to zero.
+    the :class:`NoetherReport` of ``m``), and every
+    differentiated-parameter component targets a coordinate whose
+    momentum vanishes identically.  Raises :class:`IdentityViolated`
+    when the report did not pass, :class:`ConjectureInapplicable` when a
+    component breaks the second condition, and
+    :class:`DegenerateGenerator` when a contraction collapses to zero.
     """
-    if noether is None:
-        noether = noether_identity_check(m)
     if not noether.passed():
         raise IdentityViolated(noether)
     discard = set(leg.discardable)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gaugeflow.cli
 from gaugeflow.cli import main
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -145,6 +146,39 @@ class TestCommands:
         assert list(tree["noether"]["residues"].values()) == ["-x'' + y'"]
 
 
+# every command but compare: (command, JSON golden, inputs, exit code); the
+# text golden has the same name with the suffix .txt
+COMMAND_GOLDENS = [
+    ("analyze", "analyze_ym_mechanics.json", ("--builtin", "ym_mechanics"), 0),
+    ("analyze", "analyze_maxwell_lattice_N2.json",
+     ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
+    ("analyze", "analyze_inconsistent.json",
+     (str(MODELS_DIR / "inconsistent.model"),), 3),
+    ("conjecture", "conjecture_ym_mechanics.json", ("--builtin", "ym_mechanics"), 0),
+    ("conjecture", "conjecture_maxwell_lattice_N2.json",
+     ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
+    ("check-identities", "check-identities_ym_mechanics.json",
+     ("--builtin", "ym_mechanics"), 0),
+    ("check-identities", "check-identities_maxwell_lattice_N2.json",
+     ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
+]
+
+# the stages a command must not run, since each can fail on its own
+NOT_RUN = {
+    "analyze": ("noether_identity_check", "independence_check", "conjecture_constraints"),
+    "conjecture": ("run_dirac", "independence_check"),
+    "check-identities": ("primary_constraints", "run_dirac", "conjecture_constraints"),
+}
+
+
+def forbid_unneeded_stages(monkeypatch, command):
+    def forbidden(*args):
+        raise AssertionError(f"{command} ran a stage it does not need")
+
+    for stage in NOT_RUN[command]:
+        monkeypatch.setattr(gaugeflow.cli, stage, forbidden)
+
+
 class TestJson:
     def test_compare_json_shape(self):
         code, text = run_cli("compare", "--builtin", "toy_gauge", "--format", "json")
@@ -192,25 +226,35 @@ class TestJson:
         assert code == 0
         assert text.encode() == (GOLDEN_DIR / golden).read_bytes()
 
-    @pytest.mark.parametrize("command, golden, inputs, exit_code", [
-        ("analyze", "analyze_ym_mechanics.json", ("--builtin", "ym_mechanics"), 0),
-        ("analyze", "analyze_maxwell_lattice_N2.json",
-         ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
-        ("analyze", "analyze_inconsistent.json",
-         (str(MODELS_DIR / "inconsistent.model"),), 3),
-        ("conjecture", "conjecture_ym_mechanics.json", ("--builtin", "ym_mechanics"), 0),
-        ("conjecture", "conjecture_maxwell_lattice_N2.json",
-         ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
-        ("check-identities", "check-identities_ym_mechanics.json",
-         ("--builtin", "ym_mechanics"), 0),
-        ("check-identities", "check-identities_maxwell_lattice_N2.json",
-         ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
-    ])
-    def test_command_json_matches_golden(self, command, golden, inputs, exit_code):
+    @pytest.mark.parametrize("command, golden, inputs, exit_code", COMMAND_GOLDENS)
+    def test_command_json_matches_golden(self, monkeypatch, command, golden, inputs,
+                                         exit_code):
         # the other commands have their own JSON shapes; pin those bytes too
+        forbid_unneeded_stages(monkeypatch, command)
         code, text = run_cli(command, *inputs, "--format", "json")
         assert code == exit_code
         assert text.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
+class TestText:
+    @pytest.mark.parametrize("command, golden, inputs, exit_code", COMMAND_GOLDENS)
+    def test_command_text_matches_golden(self, monkeypatch, command, golden, inputs,
+                                         exit_code):
+        forbid_unneeded_stages(monkeypatch, command)
+        code, text = run_cli(command, *inputs)
+        assert code == exit_code
+        assert text.encode() == (GOLDEN_DIR / golden).with_suffix(".txt").read_bytes()
+
+    @pytest.mark.parametrize("golden, inputs", [
+        ("toy_gauge.txt", (str(MODELS_DIR / "toy_gauge.model"),)),
+        ("maxwell_lattice_N2.txt", ("--builtin", "maxwell_lattice", "-p", "N=2")),
+    ])
+    def test_compare_text_matches_golden(self, golden, inputs):
+        # wall-clock timings are the one line that changes from run to run
+        code, text = run_cli("compare", *inputs)
+        kept = [line for line in text.splitlines(True) if not line.startswith("timings: ")]
+        assert code == 0 and len(kept) == text.count("\n") - 1
+        assert "".join(kept).encode() == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_console_script_entry():

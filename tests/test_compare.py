@@ -13,6 +13,7 @@ from gaugeflow import (
     builtin_model,
     coordinate,
     parse_model,
+    primary_constraints,
     run_dirac,
     span_equivalent,
 )
@@ -52,7 +53,8 @@ def cons(*exprs):
 
 
 def ym_gauss_laws(m):
-    return [c.expr for c in run_dirac(m).constraints if c.generation == 1]
+    return [c.expr for c in run_dirac(m, primary_constraints(m)).constraints
+            if c.generation == 1]
 
 
 def recombined(mix, exprs):
@@ -176,7 +178,7 @@ class TestBuildReport:
         report = build_report(parse_model(src, name="unused_y"))
         assert [d.code for d in report.diagnostics] == ["no-canonical-gauge-sector"]
         assert report.canonical_first_class == ()
-        assert report.verdict == "match" and report.exit_code == 0
+        assert report.verdict == "no_gauge_sector" and report.exit_code == 0
 
     def test_dependent_residue_dropped(self):
         # p_y, then x^2, then p_x; the third generation's residue x*y
@@ -224,7 +226,7 @@ class TestNumericOracleVote:
         # p_x + x and the Dirac p_x cut different surfaces of equal rank
         monkeypatch.setattr(
             gaugeflow.compare, "conjecture_constraints",
-            lambda m, leg, noether=None: (Constraint(px + Expression.var(x), 0, "conjecture"),))
+            lambda m, leg, noether: (Constraint(px + Expression.var(x), 0, "conjecture"),))
         return builtin_model("toy_gauge")
 
     def test_nonzero_witnesses_are_a_mismatch(self, shifted_conjecture):
@@ -273,6 +275,16 @@ def test_inconsistent_report_carries_partial_result():
     assert report.dirac.consistent is False
     assert report.dirac.witness is not None and report.dirac.witness.is_constant()
     assert [str(c.expr) for c in report.dirac.constraints] == ["p_x"]
+
+
+def test_timings_cover_the_stages_that_ran_in_order():
+    report = build_report(builtin_model("toy_gauge"))
+    assert list(report.timings) == [
+        "legendre", "dirac", "noether", "independence", "conjecture", "compare"]
+    assert all(t >= 0 for t in report.timings.values())
+    # a stage that raises is still timed, and the stages after it are not run
+    m = parse_model("[vars]\nx\n[lagrangian]\nx\n", name="inconsistent")
+    assert list(build_report(m).timings) == ["legendre", "dirac"]
 
 
 def test_chain_model_file_matches():

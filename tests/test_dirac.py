@@ -160,7 +160,7 @@ class TestConsistencyStep:
 class TestRunDirac:
     def test_toy_gauge_two_generations(self):
         m = builtin_model("toy_gauge")
-        d = run_dirac(m)
+        d = run_dirac(m, primary_constraints(m))
         assert [(str(c.expr), c.generation) for c in d.constraints] == [
             ("p_y", 0), ("p_x", 1)]
         assert d.generations_run == 2
@@ -168,7 +168,7 @@ class TestRunDirac:
 
     def test_second_class_toy_multipliers(self):
         m = builtin_model("second_class_toy")
-        d = run_dirac(m)
+        d = run_dirac(m, primary_constraints(m))
         assert [str(c.expr) for c in d.constraints] == ["p_x - y", "p_y"]
         assert [(str(v), str(e)) for v, e in d.multiplier_equations] == [
             ("lam[1]", "-x"), ("lam[0]", "y")]
@@ -186,7 +186,8 @@ class TestRunDirac:
     ], ids=["constant_residue", "two_multipliers"])
     def test_inconsistent_lagrangian(self, src, constraint, partial):
         with pytest.raises(InconsistentLagrangian) as err:
-            run_dirac(parse_model(src))
+            m = parse_model(src)
+            run_dirac(m, primary_constraints(m))
         assert err.value.witness == Expression.const(1)
         assert err.value.constraint.expr == constraint
         assert [str(c.expr) for c in err.value.partial.constraints] == partial
@@ -211,14 +212,15 @@ class TestRunDirac:
 
     def test_maxwell_counts(self):
         m = builtin_model("maxwell_lattice", {"N": 2})
-        d = run_dirac(m)
+        d = run_dirac(m, primary_constraints(m))
         by_gen = d.by_generation()
         assert len(by_gen[0]) == 8 and len(by_gen[1]) == 8
         assert d.generations_run == 2
 
     def test_deterministic(self):
-        a = run_dirac(builtin_model("ym_mechanics"))
-        b = run_dirac(builtin_model("ym_mechanics"))
+        ma, mb = builtin_model("ym_mechanics"), builtin_model("ym_mechanics")
+        a = run_dirac(ma, primary_constraints(ma))
+        b = run_dirac(mb, primary_constraints(mb))
         assert a == b
 
 
@@ -256,7 +258,8 @@ def test_candidate_zero_at_the_first_point_is_admitted_at_a_later_one(monkeypatc
     # at seed 19 generation 2's first point on the circle is a zero of
     # x*p_x + y*p_y; a second point is drawn, and there it is nonzero
     draws = record_draws(monkeypatch)
-    d = run_dirac(parse_model(CIRCLE_SOURCE).with_options(seed=19))
+    m = parse_model(CIRCLE_SOURCE).with_options(seed=19)
+    d = run_dirac(m, primary_constraints(m))
     candidate = next(c for c in d.constraints if c.generation == 2)
     assert str(candidate.expr) == "x*p_x + y*p_y"
     samplers = list(dict.fromkeys(sampler for sampler, _ in draws))
@@ -293,18 +296,18 @@ def classify_labels(constraints, pairs, reducer):
 class TestClassify:
     def test_toy_gauge_first_class(self):
         m = builtin_model("toy_gauge")
-        d = run_dirac(m)
+        d = run_dirac(m, primary_constraints(m))
         assert all(c.class_label == "first" for c in d.constraints)
 
     def test_second_class_pair(self):
         m = builtin_model("second_class_toy")
-        d = run_dirac(m)
+        d = run_dirac(m, primary_constraints(m))
         assert all(c.class_label == "second" for c in d.constraints)
         assert poisson_bracket(px - ey, py, PAIRS) == Expression.const(-1)
 
     def test_ym_all_first_class(self):
         m = builtin_model("ym_mechanics")
-        d = run_dirac(m)
+        d = run_dirac(m, primary_constraints(m))
         assert all(c.class_label == "first" for c in d.constraints)
         assert len(d.first_class()) == 6
 
@@ -333,7 +336,7 @@ class TestClassify:
 
     def test_indexed_pairs_match_all_pairs_on_second_class_toy(self):
         m = builtin_model("second_class_toy")
-        constraints = run_dirac(m).constraints
+        constraints = run_dirac(m, primary_constraints(m)).constraints
         pairs = ConjugatePairs(m.canonical_pairs())
         reducer = WeakReducer([c.expr for c in constraints])
         labels = classify_labels(constraints, pairs, reducer)
@@ -344,7 +347,7 @@ class TestClassify:
         # (ROADMAP item 1): pairwise labels count them as odd
         m = parse_model("[vars]\nx\ny\nu\nw\n[lagrangian]\n(y*x' + u' + w')^2/2\n")
         with pytest.raises(OddSecondClassCount) as err:
-            run_dirac(m)
+            run_dirac(m, primary_constraints(m))
         assert err.value.count == 3
 
     def test_lattice_work_counts(self, monkeypatch):
@@ -370,7 +373,8 @@ class TestClassify:
                             lambda self, point: evaluated.append(self) or evaluate(self, point))
         draws = record_draws(monkeypatch)
 
-        d = run_dirac(builtin_model("maxwell_lattice", {"N": 2}))
+        m = builtin_model("maxwell_lattice", {"N": 2})
+        d = run_dirac(m, primary_constraints(m))
         candidates = [c.expr for c in d.constraints if c.generation >= 1]
         assert len(candidates) == 8 and not d.diagnostics
         assert in_classify == [0]
@@ -418,7 +422,7 @@ class TestWeakReducerExtend:
         ("ym_mechanics", {}), ("ym_mechanics", {"with_scalar": False})])
     def test_matches_one_shot_at_generation_boundaries(self, name, params):
         m = builtin_model(name, params)
-        constraints = run_dirac(m).constraints
+        constraints = run_dirac(m, primary_constraints(m)).constraints
         exprs = [c.expr for c in constraints]
         # the empty start, then every point where a run extends its reducer
         splits = [0] + [k for k in range(1, len(constraints))
@@ -517,7 +521,7 @@ def test_rule_index_follows_a_rewritten_rule():
 
 def test_rule_index_matches_the_scan_on_the_lattice():
     m = builtin_model("maxwell_lattice", {"N": 2})
-    assert_index_matches_scan([c.expr for c in run_dirac(m).constraints])
+    assert_index_matches_scan([c.expr for c in run_dirac(m, primary_constraints(m)).constraints])
 
 
 class TestNumericOracle:
@@ -578,7 +582,7 @@ class TestNumericOracle:
     def test_points_satisfy_affine_leftovers(self):
         # coordinate-coefficient constraints are solved per point
         m = builtin_model("ym_mechanics", {"with_scalar": False})
-        d = run_dirac(m)
+        d = run_dirac(m, primary_constraints(m))
         exprs = [c.expr for c in d.constraints]
         phase = [v for pair in m.canonical_pairs() for v in pair]
         pts = sample_surface_points(SurfaceSampler(WeakReducer(exprs), phase, m.options),
@@ -592,7 +596,7 @@ class TestNumericOracle:
         for name, params in [("toy_gauge", {}), ("second_class_toy", {}),
                              ("ym_mechanics", {"with_scalar": False})]:
             m = builtin_model(name, params)
-            d = run_dirac(m)
+            d = run_dirac(m, primary_constraints(m))
             exprs = [c.expr for c in d.constraints]
             if not exprs:
                 continue
@@ -646,7 +650,7 @@ def test_constraints_are_phase_space_polynomials():
     assert len(models) == 9
     for m in models:
         try:
-            constraints = run_dirac(m).constraints
+            constraints = run_dirac(m, primary_constraints(m)).constraints
         except InconsistentLagrangian as exc:
             constraints = exc.partial.constraints
         constraints += primary_constraints(m).primary_constraints
@@ -662,7 +666,7 @@ def test_duplicate_residues_are_merged():
     from gaugeflow import parse_model
     src = "[vars]\nx\ny\nw\n[lagrangian]\n(xdot - y - w)^2 / 2\n"
     m = parse_model(src, name="twin_shift")
-    d = run_dirac(m)
+    d = run_dirac(m, primary_constraints(m))
     assert [str(c.expr) for c in d.constraints if c.generation == 0] == ["p_y", "p_w"]
     assert [str(c.expr) for c in d.constraints if c.generation == 1] == ["p_x"]
     assert d.generations_run == 2
@@ -675,7 +679,7 @@ def test_a_dropped_duplicate_is_dropped_again(monkeypatch):
     m = parse_model("[vars]\nx\ny\nw\n[lagrangian]\n(xdot - y - w)^2 / 2\n",
                     name="twin_shift")
     monkeypatch.setattr(SurfaceSampler, "nonzero_point", lambda self, e: None)
-    d = run_dirac(m)
+    d = run_dirac(m, primary_constraints(m))
     assert [str(c.expr) for c in d.constraints] == ["p_y", "p_w"]
     assert [message.split(": ", 1)[1] for message in d.diagnostics] == [
         "residue p_x vanishes numerically on the current surface; dropped as dependent"] * 2
@@ -686,7 +690,7 @@ def test_rational_hamiltonian_constraints_stay_polynomial():
     # and the consistency residues carry poles, but stored constraints
     # are minimal polynomial representatives
     m = parse_model("[vars]\nx\ny\n[lagrangian]\nx^2*ydot^2/2\n", name="weighted")
-    d = run_dirac(m)
+    d = run_dirac(m, primary_constraints(m))
     assert [(str(c.expr), c.generation) for c in d.constraints] == [
         ("p_x", 0), ("p_y^2", 1)]
     assert all(c.class_label == "first" for c in d.constraints)
@@ -705,7 +709,7 @@ def test_generation_limit_exceeded():
     from gaugeflow.errors import GenerationLimitExceeded
     m = builtin_model("toy_gauge").with_options(max_generations=1)
     with pytest.raises(GenerationLimitExceeded):
-        run_dirac(m)
+        run_dirac(m, primary_constraints(m))
     from gaugeflow import build_report
     report = build_report(m)
     assert report.verdict == "inapplicable" and report.exit_code == 4

@@ -104,7 +104,7 @@ class TestConjecture:
     def test_toy_gauge(self):
         m = builtin_model("toy_gauge")
         leg = primary_constraints(m)
-        constraints = conjecture_constraints(m, leg)
+        constraints = conjecture_constraints(m, leg, noether_identity_check(m))
         assert [c.expr for c in constraints] == [px]
         assert constraints[0].origin == "conjecture"
 
@@ -120,14 +120,14 @@ class TestConjecture:
     def test_matches_dirac_secondaries_exactly_on_ym(self):
         m = builtin_model("ym_mechanics")
         leg = primary_constraints(m)
-        conj = conjecture_constraints(m, leg)
+        conj = conjecture_constraints(m, leg, noether_identity_check(m))
         secondaries = [c.expr for c in run_dirac(m, leg).constraints if c.generation == 1]
         assert sorted(map(str, (c.expr for c in conj))) == sorted(map(str, secondaries))
 
     def test_gauss_law_shape_on_lattice(self):
         m = builtin_model("maxwell_lattice", {"N": 2})
         leg = primary_constraints(m)
-        conj = conjecture_constraints(m, leg)
+        conj = conjecture_constraints(m, leg, noether_identity_check(m))
         assert len(conj) == 8
         # hand-built signed neighbor sum at one site
         def p_link(i, site):
@@ -143,7 +143,7 @@ class TestConjecture:
         m = builtin_model("maxwell_lattice", {"N": 1})
         leg = primary_constraints(m)
         with pytest.raises(DegenerateGenerator):
-            conjecture_constraints(m, leg)
+            conjecture_constraints(m, leg, noether_identity_check(m))
 
     def test_inapplicable_when_kplus_hits_canonical(self):
         # give the oscillator a fake generator with k=1 on a canonical
@@ -162,7 +162,7 @@ class TestConjecture:
             m = builtin_model(name, params)
             leg = primary_constraints(m)
             dirac_exprs = [c.expr for c in run_dirac(m, leg).constraints]
-            for c in conjecture_constraints(m, leg):
+            for c in conjecture_constraints(m, leg, noether_identity_check(m)):
                 assert WeakReducer(dirac_exprs).reduce(c.expr).is_zero()
 
     def test_first_class_against_full_dirac_set(self):
@@ -172,7 +172,7 @@ class TestConjecture:
             leg = primary_constraints(m)
             dirac_exprs = [c.expr for c in run_dirac(m, leg).constraints]
             pairs = m.canonical_pairs()
-            for c in conjecture_constraints(m, leg):
+            for c in conjecture_constraints(m, leg, noether_identity_check(m)):
                 for other in dirac_exprs:
                     br = poisson_bracket(c.expr, other, pairs)
                     assert WeakReducer(dirac_exprs).reduce(br).is_zero()
