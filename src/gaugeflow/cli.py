@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from .catalog import BUILTIN_MODELS, builtin_model
@@ -95,8 +94,8 @@ def _load_model(args):
             raise GaugeflowError(
                 f"{path}: not UTF-8 text (byte {exc.start} cannot be decoded)") from None
         model = parse_model(text, name=path.stem)
-    overrides = {f.name: getattr(args, f.name) for f in fields(Options)
-                 if getattr(args, f.name) is not None}
+    overrides = {key: getattr(args, key) for key in Options._fields
+                 if getattr(args, key) is not None}
     return model.with_options(**overrides) if overrides else model
 
 
@@ -144,7 +143,7 @@ def report_json_dict(report):
     out = {
         "schema": "gaugeflow-report/1",
         "model": report.model_name,
-        "options": asdict(report.options),
+        "options": report.options._asdict(),
         "verdict": report.verdict,
         "diagnostics": [
             {"severity": d.severity, "code": d.code, "message": d.message,
@@ -249,7 +248,7 @@ def _cmd_analyze(model, args, out):
                       f"{exc.constraint.expr} demands {exc.witness} = 0\n")
         return EXIT_INCONSISTENT
     if args.format == "json":
-        tree = {"model": model.name, "options": asdict(model.options),
+        tree = {"model": model.name, "options": model.options._asdict(),
                 "legendre": _legendre_dict(leg), "dirac": _dirac_dict(d)}
         _dump_json(tree, out)
     else:

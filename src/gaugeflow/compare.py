@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .dirac import run_dirac
 from .errors import (
@@ -49,21 +49,20 @@ EXIT_INCONSISTENT = 3
 EXIT_INAPPLICABLE = 4
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "info" | "warning" | "error"
-    code: str
-    message: str
-    witness: str = None
+class Diagnostic(namedtuple("Diagnostic", "severity code message witness",
+                             defaults=(None,))):
+    """``severity`` is "info", "warning" or "error"; a named tuple (equal
+    to any tuple)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpanCheck:
-    equivalent: bool
-    rank_left: int
-    rank_right: int
-    left_witnesses: tuple   # constraints not reducible modulo the right set
-    right_witnesses: tuple
+class SpanCheck(namedtuple("SpanCheck", "equivalent rank_left rank_right "
+                           "left_witnesses right_witnesses")):
+    """Witnesses are (constraint, residue) pairs not reducible modulo the
+    other set; a named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
 
 def span_equivalent(left, right, variables, options):
@@ -96,20 +95,17 @@ def span_equivalent(left, right, variables, options):
     )
 
 
-@dataclass
 class AnalysisReport:
-    model_name: str
-    options: object
-    verdict: str = INAPPLICABLE
-    legendre: object = None
-    dirac: object = None
-    noether: object = None
-    independent: bool = None
-    conjecture: tuple = None
-    canonical_first_class: tuple = ()
-    span: SpanCheck = None
-    diagnostics: tuple = ()
-    timings: dict = field(default_factory=dict)
+    """What :func:`build_report` found; a stage's result is None until it ran."""
+
+    def __init__(self, model_name, options):
+        self.model_name = model_name
+        self.options = options
+        self.verdict = INAPPLICABLE
+        self.legendre = self.dirac = self.noether = None
+        self.independent = self.conjecture = self.span = None
+        self.canonical_first_class = self.diagnostics = ()
+        self.timings = {}
 
     @property
     def exit_code(self):

@@ -17,7 +17,7 @@ constraints are then merged one at a time, and a merged set that reduces
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import (
     DenominatorViolation,
@@ -71,31 +71,31 @@ def constraint_form(e):
     return num.normalized()
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """A phase-space relation that must vanish on physical motions."""
+class Constraint(namedtuple("Constraint", "expr generation origin class_label",
+                             defaults=(UNCLASSIFIED,))):
+    """A phase-space relation that must vanish on physical motions;
+    ``origin`` is "dirac" or "conjecture".  A named tuple (equal to any
+    tuple) whose ``_replace`` skips the checks."""
 
-    expr: Expression
-    generation: int
-    origin: str  # "dirac" | "conjecture"
-    class_label: str = UNCLASSIFIED
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.expr.is_zero():
             raise ValueError("a constraint expression cannot be identically zero")
         for v in self.expr.variables():
             if v.kind in (Kind.JET, Kind.MULTIPLIER):
                 raise ValueError(f"constraints live on phase space; found {v}")
+        return self
 
 
-@dataclass(frozen=True)
-class DiracResult:
-    constraints: tuple
-    multiplier_equations: tuple  # (multiplier VarRef, fixing Expression)
-    generations_run: int
-    consistent: bool
-    witness: Expression = None
-    diagnostics: tuple = ()
+class DiracResult(namedtuple("DiracResult", "constraints multiplier_equations "
+                             "generations_run consistent witness diagnostics",
+                             defaults=(None, ()))):
+    """``multiplier_equations`` are (multiplier VarRef, fixing Expression)
+    pairs; a named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
     def by_generation(self):
         out = {}
@@ -112,25 +112,29 @@ class DiracResult:
 
 # --- outcomes of a single consistency step ---------------------------------------
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(namedtuple("Identity", "")):
+    """A named tuple (equal to any tuple) with no fields, so it is falsy."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NewConstraint:
-    expr: Expression
+class NewConstraint(namedtuple("NewConstraint", "expr")):
+    """A named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MultiplierFixed:
-    multiplier: object  # VarRef
-    value: Expression   # solved value, or the defining residue if unsolvable
+class MultiplierFixed(namedtuple("MultiplierFixed", "multiplier value")):
+    """``value`` is the solved value, or the defining residue if
+    unsolvable; a named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Contradiction:
-    witness: Expression
+class Contradiction(namedtuple("Contradiction", "witness")):
+    """A named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
 
 class ConjugatePairs(tuple):
@@ -355,6 +359,6 @@ def classify(result, pairs, reducer):
     if count % 2:
         raise OddSecondClassCount(count)
     labelled = tuple(
-        replace(c, class_label=SECOND if flag else FIRST)
+        c._replace(class_label=SECOND if flag else FIRST)
         for c, flag in zip(constraints, second))
-    return replace(result, constraints=labelled)
+    return result._replace(constraints=labelled)

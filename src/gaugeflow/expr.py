@@ -837,7 +837,7 @@ class Expression:
             dden = _p_gradient(self._den)
             den2 = _p_mul(self._den, self._den)
             grad = {}
-            for v in dnum.keys() | dden.keys():
+            for v in sorted(dnum.keys() | dden.keys()):
                 num = _p_add(_p_mul(dnum.get(v, {}), self._den),
                              _p_neg(_p_mul(self._num, dden.get(v, {}))))
                 d = Expression._make(num, den2)

@@ -24,7 +24,7 @@ incompatible with canonical brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dirac import Constraint, constraint_form
 from .errors import NonQuadraticVelocity
@@ -32,14 +32,13 @@ from .expr import ZERO, Expression, Kind, esum
 from .linalg import eliminate, jacobian
 
 
-@dataclass(frozen=True)
-class LegendreResult:
-    momenta_defs: tuple      # (coordinate VarRef, Expression in (q, v)) per coordinate
-    rank: int
-    solvable_velocities: tuple   # (velocity VarRef, Expression in (q, p, unsolved v))
-    primary_constraints: tuple   # of Constraint, generation 0
-    discardable: tuple           # coordinates with momentum identically zero
-    canonical_hamiltonian: Expression
+class LegendreResult(namedtuple("LegendreResult", "momenta_defs rank solvable_velocities "
+                                "primary_constraints discardable canonical_hamiltonian")):
+    """Momenta in (q, v), solved velocities in (q, p, unsolved v), and
+    the coordinates whose momentum is identically zero; a named tuple
+    (equal to any tuple)."""
+
+    __slots__ = ()
 
 
 def compute_momenta(m):

@@ -26,7 +26,7 @@ parsed :class:`ModelSpec` is immutable and fully validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from .errors import (
     DuplicateCoordinate,
@@ -44,33 +44,33 @@ from .parse import (
 )
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(namedtuple("Options", "max_generations sample_count numeric_tolerance seed",
+                         defaults=(10, 20, 1e-9, 1729))):
     """Numeric-oracle and algorithm knobs; seeded for reproducibility.
 
     The one option schema: model files, the CLI and the JSON report read
-    its fields; a field's default gives the type its text parses to.
+    its ``_fields``; a field's default gives the type its text parses to.
+    A named tuple: it equals any tuple of the same items.
     """
 
-    max_generations: int = 10
-    sample_count: int = 20
-    numeric_tolerance: float = 1e-9
-    seed: int = 1729
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_generations < 1:
             raise ModelSyntaxError("max_generations must be positive")
         if self.sample_count < 1:
             raise ModelSyntaxError("sample_count must be positive")
         if not (math.isfinite(self.numeric_tolerance) and self.numeric_tolerance > 0):
             raise ModelSyntaxError("numeric_tolerance must be finite and positive")
+        return self
 
 
-@dataclass(frozen=True)
-class CoordinateDecl:
-    base: str
-    index_ranges: tuple = ()  # tuple of (lo, hi) half-open ranges
-    discardable_hint: bool = False
+class CoordinateDecl(namedtuple("CoordinateDecl", "base index_ranges discardable_hint",
+                                defaults=((), False))):
+    """Half-open ``(lo, hi)`` index ranges; a named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
     def expand(self):
         """All concrete coordinate VarRefs covered by this declaration."""
@@ -80,33 +80,33 @@ class CoordinateDecl:
         return tuple(VarRef(self.base, idx, Kind.COORDINATE, 0) for idx in out)
 
 
-@dataclass(frozen=True)
-class GeneratorComponent:
-    coordinate: VarRef
-    order: int  # time-derivative order k of the gauge parameter
-    coefficient: Expression
+class GeneratorComponent(namedtuple("GeneratorComponent", "coordinate order coefficient")):
+    """``order`` is the time-derivative order k of the gauge parameter; a
+    named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GaugeGenerator:
-    parameter_name: str
-    components: tuple  # of GeneratorComponent
+class GaugeGenerator(namedtuple("GaugeGenerator", "parameter_name components")):
+    """A tuple of GeneratorComponents; a named tuple (equal to any tuple)."""
+
+    __slots__ = ()
 
     def max_order(self):
         return max((c.order for c in self.components), default=0)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    name: str
-    coordinates: tuple  # of CoordinateDecl
-    lagrangian: Expression
-    generators: tuple = ()
-    options: Options = Options()
+class ModelSpec(namedtuple("ModelSpec", "name coordinates lagrangian generators options",
+                           defaults=((), Options()))):
+    """A validated model; a named tuple (equal to any tuple) that keeps
+    its expanded coordinates in an instance dict.  Copy it with the
+    ``with_`` methods: ``_replace`` would skip the checks."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_coords", _expand_coordinates(self.coordinates))
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._coords = _expand_coordinates(self.coordinates)
         _validate_model(self)
+        return self
 
     @property
     def coordinate_vars(self):
@@ -126,10 +126,11 @@ class ModelSpec:
                      for q in decl.expand())
 
     def with_options(self, **kwargs):
-        return replace(self, options=replace(self.options, **kwargs))
+        options = Options(**{**self.options._asdict(), **kwargs})
+        return ModelSpec(**{**self._asdict(), "options": options})
 
     def with_generators(self, generators):
-        return replace(self, generators=tuple(generators))
+        return ModelSpec(**{**self._asdict(), "generators": tuple(generators)})
 
 
 def _expand_coordinates(decls):
@@ -351,7 +352,7 @@ def parse_model(source, name="model"):
         coeff = parse_expression(parts[2].strip(), resolver, line_offset=line_no - 1)
         pending_gen[1].append(GeneratorComponent(coord, int(korder[2:]), coeff))
 
-    option_types = {f.name: type(f.default) for f in fields(Options)}
+    option_types = {key: type(value) for key, value in Options._field_defaults.items()}
     opts = {}
     for line_no, line in sections.get("options", []):
         key, sep, value = (p.strip() for p in line.partition("="))
@@ -392,5 +393,5 @@ def render_model(m):
                 lines.append(f"{comp.coordinate} : k={comp.order} : "
                              f"{render_expression(comp.coefficient)}")
     lines += ["", "[options]"]
-    lines += [f"{f.name} = {getattr(m.options, f.name)}" for f in fields(Options)]
+    lines += [f"{key} = {value}" for key, value in m.options._asdict().items()]
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ parameter without running any consistency generations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dirac import Constraint
 from .errors import ConjectureInapplicable, DegenerateGenerator, IdentityViolated
@@ -22,9 +22,11 @@ from .expr import DEFAULT_JET_CAP, Expression, esum
 from .linalg import sampled_rank
 
 
-@dataclass(frozen=True)
-class NoetherReport:
-    residues: tuple  # (parameter_name, Expression) pairs
+class NoetherReport(namedtuple("NoetherReport", "residues")):
+    """(parameter_name, Expression) residue pairs; a named tuple (equal to
+    any tuple)."""
+
+    __slots__ = ()
 
     def passed(self):
         return all(residue.is_zero() for _, residue in self.residues)

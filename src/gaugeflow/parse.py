@@ -21,6 +21,7 @@ every expression.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 
 from .errors import ExpressionSyntaxError
 from .expr import (
@@ -28,6 +29,7 @@ from .expr import (
     Kind,
     VarRef,
     _mono_sort_key,
+    esum,
 )
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^]))")
@@ -68,12 +70,13 @@ class _Tokens:
         self.text = text
         self.pos = 0
         self.line_offset = line_offset
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
 
     def location(self, at=None):
         at = self.pos if at is None else at
-        line = self.text.count("\n", 0, at) + 1
-        col = at - (self.text.rfind("\n", 0, at) + 1) + 1
-        return line + self.line_offset, col
+        line = bisect_left(self.newlines, at)  # newlines before ``at``
+        line_start = self.newlines[line - 1] + 1 if line else 0
+        return line + 1 + self.line_offset, at - line_start + 1
 
     def peek(self):
         save = self.pos
@@ -126,17 +129,14 @@ class _Parser:
         return e
 
     def expr(self):
-        e = self.term()
+        terms = [self.term()]
         while True:
             tok = self.toks.peek()
-            if tok[0] == "+":
-                self.toks.next()
-                e = e + self.term()
-            elif tok[0] == "-":
-                self.toks.next()
-                e = e - self.term()
-            else:
-                return e
+            if tok[0] not in ("+", "-"):
+                return esum(terms) if len(terms) > 1 else terms[0]
+            self.toks.next()
+            term = self.term()
+            terms.append(term if tok[0] == "+" else -term)
 
     def term(self):
         e = self.unary()

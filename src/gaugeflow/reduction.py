@@ -24,7 +24,7 @@ point only while the expression has vanished at every earlier one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DivisionByZero, SurfaceSamplingFailed
@@ -302,14 +302,12 @@ def sample_surface_points(sampler, count):
     return points
 
 
-@dataclass(frozen=True)
-class NumericVerdict:
+class NumericVerdict(namedtuple("NumericVerdict", "zero witness_point value")):
     """Outcome of the sampling oracle: for a nonzero verdict the
-    deciding point and ``|e|`` there, for a zero one None and 0."""
+    deciding point and ``|e|`` there, for a zero one None and 0; a named
+    tuple (equal to any tuple)."""
 
-    zero: bool
-    witness_point: dict
-    value: Fraction
+    __slots__ = ()
 
 
 def weak_zero_numeric(e, constraint_exprs, variables, options):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -263,3 +264,26 @@ def test_console_script_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict: match" in proc.stdout
+
+
+def fresh_python(*argv):
+    """A fresh interpreter that imports gaugeflow from this checkout."""
+    src = str(Path(gaugeflow.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples, so no class body generates code at import;
+    # only modules the import adds count, so a site hook cannot fail this
+    proc = fresh_python("-c", "import sys; before = set(sys.modules); import gaugeflow.cli; "
+                        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_cold_compare_prints_golden_json():
+    proc = fresh_python("-m", "gaugeflow.cli", "compare", str(MODELS_DIR / "toy_gauge.model"),
+                        "--format", "json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.encode() == (GOLDEN_DIR / "toy_gauge.json").read_bytes()

@@ -54,6 +54,11 @@ def dirac_constraint(expr, generation=0):
     return Constraint(expr, generation, "dirac")
 
 
+def test_zero_constraint_is_refused():
+    with pytest.raises(ValueError, match="identically zero"):
+        Constraint(Expression.const(0), 0, "dirac")
+
+
 def reducer_over(known):
     return WeakReducer([c.expr for c in known])
 

@@ -317,6 +317,16 @@ def test_gradient_matches_one_variable_reference(seed):
         assert e.gradient() is grad  # one pass, kept
 
 
+def test_rational_gradient_keys_are_sorted():
+    # the quotient rule runs in VarRef order, not in the identity-hash order
+    # of a set, so the cost of summing its partials is the same in every process
+    rng = random.Random(5150)
+    rational = [e for e in (seeded_rational(rng) for _ in range(60)) if not e.is_polynomial()]
+    assert len(rational) > 20
+    for e in rational:
+        assert list(e.gradient()) == sorted(e.gradient())
+
+
 def test_filled_memo_takes_no_part_in_equality():
     rng = random.Random(5200)
     for _ in range(20):

@@ -1,7 +1,6 @@
 """Model files, validation, and the builtin catalog."""
 
 import io
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -113,6 +112,14 @@ class TestParseModel:
         with pytest.raises(ModelSyntaxError, match="finite and positive"):
             parse_model(TOY_SOURCE + "\n[options]\nnumeric_tolerance = 1e999\n")
 
+    def test_option_checks_hold_when_built_or_copied(self):
+        with pytest.raises(ModelSyntaxError):
+            Options(sample_count=0)
+        with pytest.raises(ModelSyntaxError):
+            builtin_model("toy_gauge").with_options(sample_count=0)
+        assert repr(Options()) == ("Options(max_generations=10, sample_count=20, "
+                                   "numeric_tolerance=1e-09, seed=1729)")
+
     def test_syntax_error_has_line(self):
         with pytest.raises(ModelSyntaxError) as err:
             parse_model("[vars]\nx\n[wrong]\n")
@@ -196,7 +203,8 @@ class TestRoundTrip:
     def test_non_default_options(self):
         m = builtin_model("toy_gauge").with_options(
             max_generations=3, sample_count=7, numeric_tolerance=2.5e-7, seed=99)
-        assert all(getattr(m.options, f.name) != f.default for f in fields(Options))
+        assert all(getattr(m.options, key) != default
+                   for key, default in Options._field_defaults.items())
         again = parse_model(render_model(m))
         assert again == m
 

@@ -6,6 +6,8 @@ import pytest
 
 from gaugeflow import Expression, coordinate, multiplier, parse_expression, render_expression
 from gaugeflow.errors import ExpressionSyntaxError
+from gaugeflow.expr import ZERO
+from gaugeflow.parse import _Tokens
 
 from conftest import random_polynomial
 
@@ -45,6 +47,28 @@ def test_syntax_errors_carry_position():
         parse_expression("(x + y")
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("x @ y")
+
+
+def test_location_matches_count_and_rfind():
+    text = "x +\n\n  y*\nz\n\n- x^2 \n"
+    tokens = _Tokens(text, line_offset=4)
+    for at in range(len(text) + 1):
+        line = text.count("\n", 0, at) + 1 + 4
+        col = at - (text.rfind("\n", 0, at) + 1) + 1
+        assert tokens.location(at) == (line, col)
+
+
+def test_long_sum_parses_to_its_left_fold():
+    rng = random.Random(2000)
+    signs = [rng.choice("+-") for _ in range(2000)]
+    terms = [f"{rng.randint(1, 9)}/{rng.randint(1, 4)}*x^{rng.randint(0, 4)}*y^{rng.randint(0, 4)}"
+             for _ in range(2000)]
+    terms[-1] = "x/(y + 1)"
+    expected = ZERO
+    for sign, term in zip(signs, terms):
+        e = parse_expression(term)
+        expected = expected + e if sign == "+" else expected - e
+    assert parse_expression(" ".join(f"{s} {t}" for s, t in zip(signs, terms))) == expected
 
 
 def test_round_trip_handpicked():
