@@ -65,22 +65,34 @@ class SpanCheck(namedtuple("SpanCheck", "equivalent rank_left rank_right "
     __slots__ = ()
 
 
+def _unreduced(members, others):
+    """The (constraint, residue) pairs of the members that do not reduce
+    to zero modulo ``others``.
+
+    A member found verbatim among ``others`` lies in their ideal and is
+    never a witness.  Only when some member is not found is a reducer
+    built, over all of ``others`` in order, and it reduces only those.
+    """
+    found = {c.expr for c in others}
+    rest = [c for c in members if c.expr not in found]
+    if not rest:
+        return ()
+    reducer = WeakReducer([c.expr for c in others])
+    return tuple((c, residue) for c in rest
+                 if not (residue := reducer.reduce(c.expr)).is_zero())
+
+
 def span_equivalent(left, right, variables, options):
     """Do two constraint sets cut the same surface?
 
-    True exactly when every member of each set weakly reduces to zero
-    modulo the other and the sampled Jacobian ranks agree.  Witnesses
-    carry the irreducible members.  Both Jacobian ranks are sampled from
-    one generator seeded with ``options.seed``, left then right.
+    True exactly when every member of each set is found verbatim in the
+    other or weakly reduces to zero modulo it, and the sampled Jacobian
+    ranks agree.  Witnesses carry the irreducible members.  Both
+    Jacobian ranks are sampled from one generator seeded with
+    ``options.seed``, left then right.
     """
-    reduce_right = WeakReducer([c.expr for c in right])
-    reduce_left = WeakReducer([c.expr for c in left])
-    left_witnesses = tuple(
-        (c, residue) for c in left
-        if not (residue := reduce_right.reduce(c.expr)).is_zero())
-    right_witnesses = tuple(
-        (c, residue) for c in right
-        if not (residue := reduce_left.reduce(c.expr)).is_zero())
+    left_witnesses = _unreduced(left, right)
+    right_witnesses = _unreduced(right, left)
     rng = random.Random(options.seed)
     width = len(variables)
     rank_left = sampled_rank(jacobian([c.expr for c in left], variables), width, options, rng)

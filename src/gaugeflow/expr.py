@@ -598,11 +598,11 @@ class Expression:
 
     def __init__(self, num, den=None):
         # internal: dict polynomials, already canonical
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den if den is not None else _ONE_DEN)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_grad", None)
-        object.__setattr__(self, "_vars", None)
+        _set_num(self, num)
+        _set_den(self, den if den is not None else _ONE_DEN)
+        _set_hash(self, None)
+        _set_grad(self, None)
+        _set_vars(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
@@ -673,7 +673,7 @@ class Expression:
         vs = self._vars
         if vs is None:
             vs = frozenset(_p_vars(self._num) | _p_vars(self._den))
-            object.__setattr__(self, "_vars", vs)
+            _set_vars(self, vs)
         return vs
 
     def mentions(self, v):
@@ -815,7 +815,7 @@ class Expression:
         h = self._hash
         if h is None:
             h = hash((frozenset(self._num.items()), frozenset(self._den.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     # -- calculus ----------------------------------------------------------------
@@ -843,7 +843,7 @@ class Expression:
                 d = Expression._make(num, den2)
                 if not d.is_zero():
                     grad[v] = d
-        object.__setattr__(self, "_grad", grad)
+        _set_grad(self, grad)
         return grad
 
     def diff(self, v):
@@ -909,6 +909,14 @@ class Expression:
 
     def __repr__(self):
         return f"<expr {self}>"
+
+
+# the slot setters, bound once: ``Expression.__setattr__`` refuses writes
+_set_num = Expression._num.__set__
+_set_den = Expression._den.__set__
+_set_hash = Expression._hash.__set__
+_set_grad = Expression._grad.__set__
+_set_vars = Expression._vars.__set__
 
 
 def _subs_poly(p, live):

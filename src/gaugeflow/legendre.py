@@ -18,6 +18,16 @@ and no sampled rank or reducer test could catch an error of it:
   ``v_u`` to 0 gives the canonical Hamiltonian (Henneaux & Teitelboim,
   *Quantization of Gauge Systems*, sections 1.1-1.2).
 
+With ``L = v.W.v/2 + b.v + L0``, where ``b`` and ``L0`` are the
+velocity-free terms of the momenta and of ``L``, and ``S`` the solved
+velocities with every unsolved one set to 0, that Hamiltonian is::
+
+    H = sum_k S_k (p_k - b_k) - 1/2 sum_{j,k} S_j W_jk S_k - L0
+
+It is built from the Hessian rows and right-hand sides the elimination
+already holds, and equals ``(p.v - L)`` at ``v = S`` as a rational
+function.
+
 Coordinates whose momentum vanishes identically are flagged as
 incompatible with canonical brackets.
 """
@@ -41,6 +51,13 @@ class LegendreResult(namedtuple("LegendreResult", "momenta_defs rank solvable_ve
     __slots__ = ()
 
 
+def _velocity_free(e):
+    """The terms of a polynomial that mention no velocity."""
+    part = {mono: c for mono, c in e._num.items()
+            if all(v.kind is not Kind.JET for v, _ in mono)}
+    return Expression(part) if part else ZERO
+
+
 def compute_momenta(m):
     """Momentum defining functions, one per coordinate."""
     return tuple((q, m.lagrangian.diff(q.jet(1))) for q in m.coordinate_vars)
@@ -62,9 +79,8 @@ def primary_constraints(m):
     momenta_defs = compute_momenta(m)
 
     hessian = jacobian([pdef for _, pdef in momenta_defs], velocities)
-    at_rest = {v: Expression.const(0) for v in velocities}
     # rows of the linear system W.v = p - b, the right-hand side in column n
-    rhs = [Expression.var(p) - pdef.subs(at_rest)
+    rhs = [Expression.var(p) - _velocity_free(pdef)
            for p, (_, pdef) in zip(momenta, momenta_defs)]
 
     n = len(coords)
@@ -91,10 +107,14 @@ def primary_constraints(m):
         solved[velocities[col]] = expr / row[col]
     solvable = tuple((v, solved[v]) for v in velocities if v in solved)
 
+    # H = sum_k S_k (p_k - b_k - (W.S)_k / 2) - L0, S = solved at v_u = 0
     unsolved = {v: ZERO for v in velocities if v not in solved}
-    hamiltonian = esum(
-        [Expression.var(p) * Expression.var(v) for p, v in zip(momenta, velocities)]
-        + [-lagrangian]).subs(solved).subs(unsolved)
+    s = {k: solved[v].subs(unsolved) for k, v in enumerate(velocities) if v in solved}
+    terms = [-_velocity_free(lagrangian)]
+    for j, s_j in s.items():
+        w_s = esum([w * s[k] for k, w in hessian[j].items() if k in s])
+        terms.append(s_j * (rhs[j] - w_s / 2))
+    hamiltonian = esum(terms)
 
     discardable = tuple(q for q, pdef in momenta_defs if pdef.is_zero())
     return LegendreResult(

@@ -32,7 +32,8 @@ from .expr import (
     esum,
 )
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^]))")
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^])")
 
 MULTIPLIER_BASE = "lam"
 MOMENTUM_PREFIX = "p_"
@@ -69,6 +70,7 @@ class _Tokens:
     def __init__(self, text, line_offset=0):
         self.text = text
         self.pos = 0
+        self.peeked = None
         self.line_offset = line_offset
         self.newlines = [m.start() for m in re.finditer("\n", text)]
 
@@ -79,14 +81,20 @@ class _Tokens:
         return line + 1 + self.line_offset, at - line_start + 1
 
     def peek(self):
-        save = self.pos
-        tok = self.next()
-        self.pos = save
-        return tok
+        """The next token, lexed once: ``next`` hands the same one over."""
+        if self.peeked is None:
+            self.peeked = self._lex()
+        return self.peeked
 
     def next(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        tok = self.peeked
+        if tok is None:
+            return self._lex()
+        self.peeked = None
+        return tok
+
+    def _lex(self):
+        self.pos = _SPACE.match(self.text, self.pos).end()
         if self.pos >= len(self.text):
             return ("end", None, self.pos)
         m = _TOKEN.match(self.text, self.pos)
@@ -94,7 +102,7 @@ class _Tokens:
             line, col = self.location()
             raise ExpressionSyntaxError(
                 f"unexpected character {self.text[self.pos]!r}", line, col)
-        start = m.start(m.lastindex)
+        start = self.pos
         self.pos = m.end()
         number, ident, primes, sym = m.groups()
         if number is not None:

@@ -15,11 +15,12 @@ from gaugeflow import (
     parse_model,
     primary_constraints,
     run_dirac,
+    parse_expression,
     span_equivalent,
 )
 from gaugeflow.cli import report_json_dict
 from gaugeflow.errors import SurfaceSamplingFailed
-from gaugeflow.reduction import NumericVerdict
+from gaugeflow.reduction import NumericVerdict, WeakReducer
 
 from test_dirac import CIRCLE_SOURCE, assert_extend_matches_one_shot
 
@@ -103,6 +104,46 @@ class TestSpanEquivalent:
             for constraints, probes in ((mixed, exprs), (exprs, mixed)):
                 assert_extend_matches_one_shot(
                     constraints, range(len(constraints) + 1), probes)
+
+
+# a reducer over these leaves the fourth nonzero: x^2 divides its
+# leading monomial first
+SELF_UNREDUCED = [parse_expression(t) for t in (
+    "x*y - y^2/10", "x^2", "p_x + 3", "x^2*p_z - 2/3*z - 1", "z^3")]
+Z = coordinate("z")
+XYZ_PHASE = PHASE + [Z, Z.momentum()]
+
+
+class TestMembership:
+    def test_verbatim_member_is_never_a_witness(self):
+        member = SELF_UNREDUCED[3]
+        residue = WeakReducer(SELF_UNREDUCED).reduce(member)
+        assert residue == parse_expression("-2/3*z - 1")
+        check = span_equivalent(cons(*SELF_UNREDUCED), cons(*SELF_UNREDUCED),
+                                XYZ_PHASE, OPTIONS)
+        assert check.equivalent
+        assert check.left_witnesses == check.right_witnesses == ()
+
+    def test_non_member_residue_is_the_full_reducer_residue(self, monkeypatch):
+        builds = []
+
+        class CountedReducer(WeakReducer):
+            def __init__(self, exprs):
+                builds.append(list(exprs))
+                super().__init__(exprs)
+
+        monkeypatch.setattr(gaugeflow.compare, "WeakReducer", CountedReducer)
+        outsiders = [parse_expression(t) for t in ("p_y", "x^2*p_y + x*y - y^2/10")]
+        left = cons(SELF_UNREDUCED[3], outsiders[0], SELF_UNREDUCED[0], outsiders[1])
+        right = cons(*SELF_UNREDUCED)
+        check = span_equivalent(left, right, XYZ_PHASE, OPTIONS)
+        full = WeakReducer(SELF_UNREDUCED)
+        assert [(c.expr, r) for c, r in check.left_witnesses] == [
+            (e, full.reduce(e)) for e in outsiders if not full.reduce(e).is_zero()]
+        assert [c.expr for c, _ in check.left_witnesses] == [outsiders[0]]
+        # each side has members the other lacks, so each builds one
+        # reducer, over the whole other list in order
+        assert builds == [SELF_UNREDUCED, [c.expr for c in left]]
 
 
 class TestBuildReport:

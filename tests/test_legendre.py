@@ -5,6 +5,8 @@ differentiation of the Lagrangians and are asserted exactly.
 """
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +20,10 @@ from gaugeflow import (
     parse_model,
     primary_constraints,
 )
-from gaugeflow.errors import NonQuadraticVelocity
-from gaugeflow.expr import Kind, esum
+from gaugeflow.errors import DivisionByZero, NonQuadraticVelocity
+from gaugeflow.expr import ZERO, Kind, esum
 from gaugeflow.linalg import jacobian, rational_rank
-from conftest import random_point
+from conftest import random_point, random_polynomial
 
 # a builtin's name, or "<coordinates>: <Lagrangian>"
 HESSIAN_MODELS = [
@@ -259,3 +261,90 @@ def test_coordinate_dependent_invertible_hessian():
     py = coordinate("y").momentum()
     expected = Expression.var(px) * Expression.var(py) / Expression.var(coordinate("x"))
     assert leg.canonical_hamiltonian == expected
+
+
+def reference_hamiltonian(m, leg):
+    """``p.v - L`` with the solved velocities substituted, then the
+    unsolved ones set to 0: the substitution route that the closed form
+    over the elimination replaced, kept as its reference."""
+    coords = m.coordinate_vars
+    velocities = [q.jet(1) for q in coords]
+    momenta = [q.momentum() for q in coords]
+    solved = dict(leg.solvable_velocities)
+    unsolved = {v: ZERO for v in velocities if v not in solved}
+    return esum(
+        [Expression.var(p) * Expression.var(v) for p, v in zip(momenta, velocities)]
+        + [-m.lagrangian]).subs(solved).subs(unsolved)
+
+
+def random_quadratic_model(rng):
+    """Squares of velocity forms with constant coefficients, each shifted
+    by a coordinate polynomial, plus a potential and, half the time, one
+    coordinate-dependent diagonal Hessian cell.  With 2 or 3 coordinates about
+    two in five come out singular and one in five gets a coordinate
+    denominator; the reference substitution stays fast on them, which
+    it is not once every Hessian cell may depend on coordinates."""
+    names = ["x", "y", "u"][:rng.randint(2, 3)]
+    coords = [coordinate(b) for b in names]
+    vs = [Expression.var(q.jet(1)) for q in coords]
+    lagrangian = random_polynomial(rng, coords, max_terms=2, max_factors=2, max_exp=1)
+    for _ in range(rng.randint(1, len(names))):
+        form = esum([random_polynomial(rng, coords, max_terms=1, max_factors=0) * v
+                     for v in rng.sample(vs, rng.randint(1, len(names)))])
+        shift = random_polynomial(rng, coords, max_terms=2, max_factors=1, max_exp=1)
+        lagrangian = lagrangian + (form + shift) ** 2 / 2
+    if rng.random() < 0.5:
+        cell = random_polynomial(rng, coords, max_terms=1, max_factors=1, max_exp=1)
+        lagrangian = lagrangian + cell * rng.choice(vs) ** 2 / 2
+    return parse_model("[vars]\n" + "\n".join(names)
+                       + f"\n[lagrangian]\n{lagrangian}\n")
+
+
+class TestCanonicalHamiltonianReference:
+    @pytest.mark.parametrize("name,params", HESSIAN_MODELS + [
+        ("oscillator", {}), ("ym_mechanics", {"with_scalar": False}),
+        ("maxwell_lattice", {"N": 2}),
+        ("x y u: (u*x' - y*y')^2/2 + u'*x - y^2/2", {}),
+        ("x y u w: (y*x' + u' + w')^2/2", {}),
+    ])
+    def test_catalog_matches_reference(self, name, params):
+        m = _model(name, params)
+        leg = primary_constraints(m)
+        assert leg.canonical_hamiltonian == reference_hamiltonian(m, leg)
+
+    def test_random_quadratic_models_match_reference(self):
+        singular = rational = 0
+        for seed in range(40):
+            m = random_quadratic_model(random.Random(seed))
+            leg = primary_constraints(m)
+            assert leg.canonical_hamiltonian == reference_hamiltonian(m, leg), seed
+            singular += leg.rank < m.dimension
+            rational += not leg.canonical_hamiltonian.is_polynomial()
+        assert singular and rational  # both kinds of model are covered
+
+    def test_model_the_substitution_stalled_on(self):
+        # the substitution route took minutes on this model; H must
+        # still equal p.S - L(S) at exact points, S the solved velocities
+        # with the unsolved ones at 0
+        m = _model("x y u: ((y+1)*x' + y)^2/2 + (2*x*x' + y'/2 + 1)^2/2 + 3/2*u*y'")
+        t0 = time.perf_counter()
+        leg = primary_constraints(m)
+        assert time.perf_counter() - t0 < 5
+        solved = dict(leg.solvable_velocities)
+        coords = m.coordinate_vars
+        rng = random.Random(11)
+        checked = 0
+        while checked < 5:
+            point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for q in coords for v in (q, q.momentum())}
+            point.update({q.jet(1): 0 for q in coords if q.jet(1) not in solved})
+            try:
+                at = {v: e.evaluate(point) for v, e in solved.items()}
+                h = leg.canonical_hamiltonian.evaluate(point)
+            except DivisionByZero:
+                continue  # a pole of the solved velocities
+            velocities = {q.jet(1): at.get(q.jet(1), 0) for q in coords}
+            lagrangian = m.lagrangian.evaluate({**point, **velocities})
+            momentum_sum = sum(point[q.momentum()] * velocities[q.jet(1)] for q in coords)
+            assert h == momentum_sum - lagrangian
+            checked += 1
