@@ -29,16 +29,8 @@ from .expr import (
     Expression,
     Kind,
     ONE,
-    ZERO,
-    _ONE_DEN,
-    _ONE_MONO,
-    _p_add_into,
-    _p_const,
-    _p_div_exact,
-    _p_gcd_many,
-    _p_mul,
-    _p_sub_into,
     esum,
+    esum_products,
     multiplier,
 )
 from .reduction import SurfaceSampler, WeakReducer
@@ -57,17 +49,9 @@ def constraint_form(e):
     pivot factors) is nonzero on the generic stratum and is divided out.
     The result has leading coefficient one.
     """
-    num = Expression._make(dict(e._num), _p_const(1))
-    if not num.mentions_kind(Kind.MOMENTUM):
-        return num.normalized()
-    by_momentum_part = {}
-    for mono, c in num._num.items():
-        momentum_part = tuple((v, k) for v, k in mono if v.kind is Kind.MOMENTUM)
-        rest = tuple((v, k) for v, k in mono if v.kind is not Kind.MOMENTUM)
-        by_momentum_part.setdefault(momentum_part, {})[rest] = c
-    common = _p_gcd_many(list(by_momentum_part.values()))
-    if set(common) != {_ONE_MONO}:
-        num = Expression._make(_p_div_exact(dict(num._num), common), _p_const(1))
+    num = e.numerator()
+    if num.mentions_kind(Kind.MOMENTUM):
+        num = num.primitive_part(Kind.MOMENTUM)
     return num.normalized()
 
 
@@ -160,30 +144,21 @@ def poisson_bracket(f, g, pairs):
 
     Only the variables in ``f``'s gradient are visited: a pair adds a
     term when one of its variables is there and the other is in ``g``'s.
-    Polynomial terms are multiplied and summed in one accumulator.
+    Polynomial terms are multiplied and summed in one accumulator
+    (:func:`esum_products`).
     """
     conjugates = ConjugatePairs(pairs).conjugates
     ggrad = g.gradient()
-    acc = {}
-    fractional = []
+    products = []
     for v, df in f.gradient().items():
         partner = conjugates.get(v)
         if partner is None:
             continue
         w, sign = partner
         dg = ggrad.get(w)
-        if dg is None:
-            continue
-        if df._den is _ONE_DEN and dg._den is _ONE_DEN:
-            term = _p_mul(df._num, dg._num)
-            if sign > 0:
-                _p_add_into(acc, term)
-            else:
-                _p_sub_into(acc, term)
-        else:
-            fractional.append(df * dg if sign > 0 else -(df * dg))
-    out = Expression(acc) if acc else ZERO
-    return esum([out, *fractional]) if fractional else out
+        if dg is not None:
+            products.append((df, dg, sign))
+    return esum_products(products)
 
 
 def total_hamiltonian(leg):

@@ -1,23 +1,27 @@
 """Exact symbolic expression kernel.
 
 Expressions are rational functions with exact rational coefficients
-over :class:`VarRef` variables, stored as a canonical pair of
-multivariate polynomials (numerator, denominator).  A coefficient is an
-``int`` or a ``Fraction``, never a float, and "integral means int" is an
-invariant: every place that computes a coefficient (a sum, a product, a
-scaling, a partial derivative) lowers an integral ``Fraction`` to its
-``int`` numerator, so integer models run on Python's ints alone and
-``validate`` rejects a ``Fraction`` whose denominator is 1.  Since
-``1 == Fraction(1)`` and ``hash(1) == hash(Fraction(1))``, the invariant
-changes no comparison, hash or rendering.  ``int / int`` is a float in
-Python, so no code divides two raw coefficients with ``/``: an exact
-quotient is built as ``Fraction(a, b)``.  Canonical form means:
-no zero coefficients, numerator and denominator share no polynomial
-factor, the denominator is an integer-primitive polynomial with positive
-leading coefficient, and the denominator mentions only order-0
-coordinate variables.  Two expressions describing the same rational
-function are equal (and hash equal) after construction; no tolerance is
-involved anywhere.
+over :class:`VarRef` variables, stored in a canonical form of three
+parts: a numerator polynomial with ``int`` coefficients, one positive
+``int`` that divides it (the coefficient denominator, ``_cden``), and a
+denominator polynomial with ``int`` coefficients.  A numerator term
+``c*m`` stands for the rational coefficient ``c/_cden``, so ``x/2 +
+3*y/4`` is ``{x: 2, y: 3}`` over 4, and an integer polynomial has
+``_cden == 1``.  This is the integer polynomial over one denominator of
+computer algebra systems (FLINT's ``fmpq_poly``): the kernel adds,
+multiplies, scales and differentiates ints only, and ``Fraction`` is
+built only at the edge of the API (``Expression.const`` reads one;
+``constant_value``, ``leading_coefficient`` and ``evaluate`` return
+one).  No code divides two raw coefficients with ``/``, which would
+make a float.
+
+Canonical form means: no zero coefficients; ``_cden`` is coprime to the
+content (the gcd) of the numerator's coefficients; numerator and
+denominator share no polynomial factor; the denominator is an
+integer-primitive polynomial with positive leading coefficient; and the
+denominator mentions only order-0 coordinate variables.  Two
+expressions describing the same rational function are equal (and hash
+equal) after construction; no tolerance is involved anywhere.
 
 Monomials are compared under a graded lexicographic order built on the
 total order of :class:`VarRef`.  VarRefs are interned, so they compare
@@ -28,18 +32,23 @@ Every polynomial expression shares one denominator dict, ``_ONE_DEN``;
 no code changes an expression's parts in place, so sharing is safe.  The
 sharing is an invariant: an expression is a polynomial exactly when
 ``_den is _ONE_DEN``.  The constructor defaults to it, ``_make`` gives
-every constant denominator up for it, only ``_make`` and ``__neg__``
-pass a denominator to the constructor, and ``validate`` checks it.  The
+every constant denominator up for it, and ``validate`` checks it.  The
 fast paths read it: ``_make`` returns at once on it, and ``+``, ``-``,
 ``*`` and ``**`` on polynomials, ``dt`` and ``subs`` of a polynomial,
-``esum`` and the Poisson bracket build a polynomial result from raw
-dicts, with no gcd and no denominator.  An expression's first partials
-are computed together, in one pass over its numerator and one over its
-denominator, the first time any is asked for (``gradient``), and kept on
-the expression: ``diff``, ``dt`` and every Jacobian and Poisson bracket
-of it then read the same dict.  The set of variables it mentions is kept
-the same way (``variables``), and ``mentions`` is a lookup in it.
-Neither memo takes part in ``==`` or hashing.
+``esum`` and ``esum_products`` build a polynomial result from raw
+dicts, with no polynomial gcd, only the int gcd of ``_cden`` with the
+content.  An expression's first partials are computed together, in one
+pass over its numerator and one over its denominator, the first time
+any is asked for (``gradient``), and kept on the expression: ``diff``,
+``dt`` and every Jacobian and Poisson bracket of it then read the same
+dict.  The set of variables it mentions is kept the same way
+(``variables``), and ``mentions`` is a lookup in it.  Neither memo
+takes part in ``==`` or hashing.
+
+Only this module reads the three parts; the other modules go through
+``Expression``'s methods, ``esum``, ``esum_products`` and
+:class:`Divisors` (graded-lex division), and the renderer in ``parse``
+reads the ints it prints.
 """
 
 from __future__ import annotations
@@ -256,23 +265,36 @@ def _mono_sort_key(m):
 
 # --- polynomials -------------------------------------------------------------
 #
-# A polynomial is a dict {monomial: coefficient}, no zero values; a
-# coefficient is an int, or a Fraction that is not integral (see the
-# module docstring).  These helpers are internal; Expression is the
+# A polynomial is a dict {monomial: int coefficient} with no zero
+# values.  A rational polynomial is such a dict together with one
+# positive int denominator, passed beside it; ``_p_reduce`` brings the
+# pair to lowest terms.  These helpers are internal; Expression is the
 # public face.
 
-def _lower(c):
-    """``c`` with an integral Fraction lowered to its int numerator.
-    Hot loops call it only on a result that is not already an int."""
-    return c.numerator if c.denominator == 1 else c
+_ONE_DEN = {_ONE_MONO: 1}  # shared by every polynomial; never mutated
 
-def _p_zero():
-    return {}
+
+def _p_int_quotient(p, c):
+    """``p / c`` for a nonzero int ``c`` that divides every coefficient."""
+    return {m: v // c for m, v in p.items()}
+
+def _p_reduce(p, q):
+    """``p / q`` in lowest terms: the pair with ``q`` coprime to the
+    content.  ``gcd`` takes the coefficients in one C call."""
+    if q != 1:
+        g = _int_gcd(q, *p.values())
+        if g != 1:
+            return _p_int_quotient(p, g), q // g
+    return p, q
 
 def _p_const(c):
-    if type(c) is not int:
-        c = _lower(Fraction(c))
-    return {} if c == 0 else {_ONE_MONO: c}
+    """An exact constant as a (polynomial, denominator) pair."""
+    if type(c) is int:
+        q = 1
+    else:
+        c = Fraction(c)
+        c, q = c.numerator, c.denominator
+    return ({} if c == 0 else {_ONE_MONO: c}), q
 
 def _p_var(v):
     return {((v, 1),): 1}
@@ -281,12 +303,11 @@ def _p_add_into(acc, p):
     for m, c in p.items():
         cur = acc.get(m)
         if cur is None:
-            if c:
-                acc[m] = c
+            acc[m] = c
         else:
-            cur = cur + c
+            cur += c
             if cur:
-                acc[m] = cur if type(cur) is int else _lower(cur)
+                acc[m] = cur
             else:
                 del acc[m]
 
@@ -296,16 +317,41 @@ def _p_sub_into(acc, p):
         if cur is None:
             acc[m] = -c
         else:
-            cur = cur - c
+            cur -= c
             if cur:
-                acc[m] = cur if type(cur) is int else _lower(cur)
+                acc[m] = cur
             else:
                 del acc[m]
 
-def _p_add(a, b):
-    acc = dict(a)
-    _p_add_into(acc, b)
-    return acc
+def _p_addmul_into(acc, p, k):
+    """``acc += k * p`` in place, for a nonzero int ``k``."""
+    for m, c in p.items():
+        cur = acc.get(m)
+        if cur is None:
+            acc[m] = k * c
+        else:
+            cur += k * c
+            if cur:
+                acc[m] = cur
+            else:
+                del acc[m]
+
+def _q_add_into(acc, qa, p, qp, sign=1):
+    """``acc/qa + sign * p/qp`` into ``acc``, over ``lcm(qa, qp)``,
+    which it returns; the sum is not reduced."""
+    if qp == qa:
+        if sign > 0:
+            _p_add_into(acc, p)
+        else:
+            _p_sub_into(acc, p)
+        return qa
+    q = qa // _int_gcd(qa, qp) * qp
+    if q != qa:
+        k = q // qa
+        for m in acc:
+            acc[m] *= k
+    _p_addmul_into(acc, p, sign * (q // qp))
+    return q
 
 def _p_sub(a, b):
     acc = dict(a)
@@ -324,30 +370,22 @@ def _p_mul(a, b):
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = _mono_mul(ma, mb)
-            c = ca * cb
             cur = acc.get(m)
             if cur is None:
-                acc[m] = c if type(c) is int else _lower(c)
+                acc[m] = ca * cb
             else:
-                cur = cur + c
+                cur += ca * cb
                 if cur:
-                    acc[m] = cur if type(cur) is int else _lower(cur)
+                    acc[m] = cur
                 else:
                     del acc[m]
     return acc
 
-def _p_scale(p, c):
-    """``c * p`` for an exact constant ``c``; ``p`` itself when c is 1."""
-    if c == 1:
+def _p_scale(p, k):
+    """``k * p`` for a nonzero int ``k``; ``p`` itself when k is 1."""
+    if k == 1:
         return p
-    if c == 0:
-        return {}
-    c = _lower(c)
-    out = {}
-    for m, v in p.items():
-        v = v * c
-        out[m] = v if type(v) is int else _lower(v)
-    return out
+    return {m: c * k for m, c in p.items()}
 
 def _p_pow(p, n):
     out = None
@@ -358,7 +396,7 @@ def _p_pow(p, n):
         n >>= 1
         if n:
             base = _p_mul(base, base)
-    return _p_const(1) if out is None else out
+    return {_ONE_MONO: 1} if out is None else out
 
 def _p_vars(p):
     seen = set()
@@ -375,8 +413,12 @@ def _p_gradient(p):
     grad = {}
     for m, c in p.items():
         for k, (var, e) in enumerate(m):
-            nm = m[:k] + ((var, e - 1),) + m[k + 1:] if e > 1 else m[:k] + m[k + 1:]
-            d = c * e if type(c) is int or e == 1 else _lower(c * e)
+            if e == 1:
+                nm = m[:k] + m[k + 1:]
+                d = c
+            else:
+                nm = m[:k] + ((var, e - 1),) + m[k + 1:]
+                d = c * e
             partial = grad.get(var)
             if partial is None:
                 grad[var] = {nm: d}
@@ -387,8 +429,18 @@ def _p_gradient(p):
 def _p_leading(p):
     return min(p, key=_mono_sort_key)
 
-def _p_eval(p, point):
-    """Value of ``p`` at ``point`` (VarRef -> int, Fraction or float).
+def _p_terms_by(p, kinds):
+    """``p`` as a polynomial in the variables of ``kinds``: ``{monomial
+    in them: coefficient polynomial in the other variables}``."""
+    out = {}
+    for m, c in p.items():
+        outer = tuple((v, e) for v, e in m if v.kind in kinds)
+        inner = tuple((v, e) for v, e in m if v.kind not in kinds) if outer else m
+        out.setdefault(outer, {})[inner] = c
+    return out
+
+def _p_eval(p, point, q=1):
+    """Value of ``p / q`` at ``point`` (VarRef -> int, Fraction or float).
 
     Each term is an integer numerator over an integer denominator; the
     sum is kept over the lcm of the term denominators and becomes one
@@ -398,9 +450,8 @@ def _p_eval(p, point):
     num = 0
     den = 1
     inexact = False
-    for m, c in p.items():
-        tn = c.numerator
-        td = c.denominator
+    for m, tn in p.items():
+        td = 1
         for v, e in m:
             x = point[v]
             if isinstance(x, float):
@@ -420,7 +471,7 @@ def _p_eval(p, point):
             g = _int_gcd(den, td)
             num = num * (td // g) + tn * (den // g)
             den = den // g * td
-    value = Fraction(num, den)
+    value = Fraction(num, den * q)
     return float(value) if inexact else value
 
 
@@ -431,18 +482,14 @@ def _p_eval(p, point):
 # runs recursively in the largest variable.
 
 def _p_content(p):
-    """Positive rational c with p/c integer-primitive; 0 for the zero poly."""
-    if not p:
-        return Fraction(0)
-    num = 0
-    den = 1
-    for c in p.values():
-        num = _int_gcd(num, abs(c.numerator))
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return Fraction(num, den)
+    """The gcd of the coefficients, positive; 0 for the zero poly."""
+    return _int_gcd(*p.values())
 
 def _p_lc_sign(p):
     return 1 if p[_p_leading(p)] > 0 else -1
+
+def _p_is_one(p):
+    return len(p) == 1 and p.get(_ONE_MONO) == 1
 
 def _p_main_var(p):
     best = None
@@ -491,16 +538,9 @@ def _p_pseudo_rem(a, b, x):
         for d, cp in ub.items():
             t = _p_mul(cp, la)
             nd = d + da - db
-            new[nd] = _p_add(new.get(nd, {}), _p_neg(t))
+            new[nd] = _p_sub(new.get(nd, {}), t)
         ua = {d: cp for d, cp in new.items() if cp}
     return _p_from_univariate(ua, x)
-
-def _p_int_quotient(p, c):
-    """``p / c`` with int coefficients, for a signed content ``c`` of ``p``:
-    its numerator divides every coefficient's numerator and its
-    denominator is a multiple of every coefficient's denominator."""
-    n, d = c.numerator, c.denominator
-    return {m: v.numerator // n * (d // v.denominator) for m, v in p.items()}
 
 def _p_primitive(p):
     """Integer-primitive part with positive leading coefficient."""
@@ -519,7 +559,7 @@ def _p_gcd(a, b):
     if a == b:
         return a
     if set(a) == {_ONE_MONO} or set(b) == {_ONE_MONO}:
-        return _p_const(1)
+        return {_ONE_MONO: 1}
     x = max(_p_main_var(a), _p_main_var(b))
     ua = _p_to_univariate(a, x)
     ub = _p_to_univariate(b, x)
@@ -537,28 +577,48 @@ def _p_gcd(a, b):
             break
         ur = _p_to_univariate(r, x)
         if max(ur) == 0:
-            low = _p_const(1)
+            low = {_ONE_MONO: 1}
             break
         high = low
         low = _p_primitive(_p_div_exact(r, _p_gcd_many(list(ur.values()))))
     return _p_primitive(_p_mul(c, low))
 
 def _p_gcd_many(ps):
+    """GCD of several polynomials; stops at the first unit gcd."""
     g = {}
     for p in ps:
         g = _p_gcd(g, p)
-        if g == _p_const(1):
+        if _p_is_one(g):
             break
-    return g if g else _p_const(1)
+    return g if g else {_ONE_MONO: 1}
+
+def _den_gcd(n, d):
+    """``gcd(n, d)`` for a denominator ``d`` in coordinates only.
+
+    Written as a polynomial in its other variables, ``n`` is
+    ``sum_m c_m(q) m``; a factor of ``d`` divides ``n`` exactly when it
+    divides every ``c_m``, so the gcd is ``gcd(d, c_1, c_2, ...)``
+    (Gauss's lemma over ``Z[q]``).  The smaller coefficients go first,
+    and the chain stops at the first unit gcd.  Each step is a gcd of
+    coordinate polynomials, never a remainder sequence in a momentum.
+    """
+    coefficients = _p_terms_by(n, _NOT_COORDINATE).values()
+    return _p_gcd_many([d, *sorted(coefficients, key=len)])
 
 def _p_div_exact(a, b):
-    """Exact polynomial division a / b; raises if b does not divide a."""
+    """Exact polynomial division a / b with an integer quotient; raises
+    if there is none.  The quotient of an integer polynomial by an
+    integer-primitive one that divides it is an integer polynomial
+    (Gauss's lemma), so every caller passes a primitive ``b``."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if not a:
         return {}
     if set(b) == {_ONE_MONO}:
-        return _p_scale(a, Fraction(1, b[_ONE_MONO]))
+        k = b[_ONE_MONO]
+        if any(c % k for c in a.values()):
+            raise ArithmeticError("inexact polynomial division")
+        return _p_int_quotient(a, k)
     x = _p_main_var(b)
     ua = _p_to_univariate(a, x)
     ub = _p_to_univariate(b, x)
@@ -572,9 +632,8 @@ def _p_div_exact(a, b):
         qc = _p_div_exact(ua[da], lb)
         q[da - db] = qc
         for d, cp in ub.items():
-            t = _p_neg(_p_mul(cp, qc))
             nd = d + da - db
-            ua[nd] = _p_add(ua.get(nd, {}), t)
+            ua[nd] = _p_sub(ua.get(nd, {}), _p_mul(cp, qc))
             if not ua[nd]:
                 del ua[nd]
     return _p_from_univariate(q, x)
@@ -582,8 +641,16 @@ def _p_div_exact(a, b):
 
 # --- expressions -------------------------------------------------------------
 
+_NOT_COORDINATE = frozenset(Kind) - {Kind.COORDINATE}
+
+
 def _den_ok(p):
     return all(v.kind is Kind.COORDINATE for v in _p_vars(p))
+
+
+def _rational(n, q):
+    """``n / q`` as an int when integral, otherwise a Fraction."""
+    return n if q == 1 else (n // q if n % q == 0 else Fraction(n, q))
 
 
 class Expression:
@@ -594,12 +661,14 @@ class Expression:
     ``==`` decides exact algebraic equality.
     """
 
-    __slots__ = ("_num", "_den", "_hash", "_grad", "_vars")
+    __slots__ = ("_num", "_cden", "_den", "_hash", "_grad", "_vars")
 
-    def __init__(self, num, den=None):
-        # internal: dict polynomials, already canonical
+    def __init__(self, num, cden=1, den=_ONE_DEN):
+        # internal: int polynomials and the coefficient denominator,
+        # already canonical
         _set_num(self, num)
-        _set_den(self, den if den is not None else _ONE_DEN)
+        _set_cden(self, cden)
+        _set_den(self, den)
         _set_hash(self, None)
         _set_grad(self, None)
         _set_vars(self, None)
@@ -610,42 +679,51 @@ class Expression:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def _make(num, den):
-        """Reduce a raw numerator/denominator pair to canonical form."""
+    def _make(num, cden, den):
+        """Reduce ``num / (cden * den)`` to canonical form: ``num`` and
+        ``den`` int polynomials, ``cden`` a positive int.  Passing the
+        shared ``_ONE_DEN`` makes a polynomial at the cost of one int
+        gcd, with no polynomial gcd."""
         if den is _ONE_DEN:
-            return Expression(num) if num else ZERO
+            return Expression(*_p_reduce(num, cden)) if num else ZERO
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
             return ZERO
         if set(den) == {_ONE_MONO}:
             c = den[_ONE_MONO]
-            if c != 1:
-                num = _p_scale(num, Fraction(1, c))
-            return Expression(num)
+            if c < 0:
+                num, c = _p_neg(num), -c
+            return Expression(*_p_reduce(num, cden * c))
         # signed contents; num/cn and den/cd are integer-primitive with
         # positive leading coefficient
         cn = _p_content(num) * _p_lc_sign(num)
         cd = _p_content(den) * _p_lc_sign(den)
         n = _p_int_quotient(num, cn)
         d = _p_int_quotient(den, cd)
-        g = _p_gcd(n, d)
-        if set(g) != {_ONE_MONO}:
+        coordinates_only = _den_ok(d)
+        g = _den_gcd(n, d) if coordinates_only else _p_gcd(n, d)
+        if not _p_is_one(g):
             n = _p_div_exact(n, g)
             d = _p_div_exact(d, g)
-        n = _p_scale(n, cn / cd)
+        # the scalar cn / (cden * cd) in lowest terms over a positive int
+        k, q = cn, cden * cd
+        if q < 0:
+            k, q = -k, -q
+        h = _int_gcd(k, q)
+        n = _p_scale(n, k // h)
         if set(d) == {_ONE_MONO}:
-            return Expression(n)
-        if not _den_ok(d):
+            return Expression(n, q // h)
+        if not coordinates_only and not _den_ok(d):
             bad = sorted(v for v in _p_vars(d) if v.kind is not Kind.COORDINATE)
             raise DenominatorViolation(
                 "denominator may mention only order-0 coordinates, found "
                 + ", ".join(map(str, bad)))
-        return Expression(n, d)
+        return Expression(n, q // h, d)
 
     @staticmethod
     def const(value):
-        return Expression(_p_const(value))
+        return Expression(*_p_const(value))
 
     @staticmethod
     def var(v):
@@ -663,9 +741,7 @@ class Expression:
         """The constant, an int or a Fraction."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        value = self._num.get(_ONE_MONO, 0)
-        den = self._den[_ONE_MONO]
-        return value if den == 1 else Fraction(value, den)
+        return _rational(self._num.get(_ONE_MONO, 0), self._cden)
 
     def variables(self):
         """All variables mentioned, as a frozenset; computed on the first
@@ -694,9 +770,10 @@ class Expression:
         return best
 
     def leading_coefficient(self):
+        """The numerator's leading coefficient, an int or a Fraction."""
         if not self._num:
             return 0
-        return self._num[_p_leading(self._num)]
+        return _rational(self._num[_p_leading(self._num)], self._cden)
 
     def normalized(self):
         """Scale so the leading numerator coefficient is +1."""
@@ -705,24 +782,45 @@ class Expression:
         lc = self.leading_coefficient()
         return self if lc == 1 else self / lc
 
+    def numerator(self):
+        """The numerator polynomial, with its rational coefficients."""
+        return self if self._den is _ONE_DEN else Expression(self._num, self._cden)
+
+    def terms_free_of(self, kind):
+        """The polynomial of the numerator's terms that mention no
+        variable of ``kind``."""
+        part = {m: c for m, c in self._num.items() if all(v.kind is not kind for v, _ in m)}
+        return Expression._make(part, self._cden, _ONE_DEN)
+
+    def primitive_part(self, kind):
+        """A polynomial divided by its content as a polynomial in the
+        variables of ``kind``: the gcd of its coefficients, which are
+        polynomials in the other variables.  The rational content is
+        kept."""
+        common = _p_gcd_many(list(_p_terms_by(self._num, (kind,)).values()))
+        if _p_is_one(common):
+            return self
+        return Expression(_p_div_exact(self._num, common), self._cden)
+
     def validate(self):
         """Check canonical-form invariants; raises AssertionError on breakage."""
-        for c in (*self._num.values(), *self._den.values()):
-            assert type(c) in (int, Fraction), f"coefficient {c!r} is not an int or a Fraction"
-            assert type(c) is int or c.denominator != 1, f"integral {c!r} is not stored as an int"
-        assert all(c != 0 for c in self._num.values()), "zero coefficient survived"
-        assert self._den, "empty denominator"
-        assert all(c != 0 for c in self._den.values())
-        if not self._num:
-            assert set(self._den) == {_ONE_MONO} and self._den[_ONE_MONO] == 1
-        if set(self._den) != {_ONE_MONO}:
-            assert _den_ok(self._den)
-            assert _p_content(self._den) == 1 and _p_lc_sign(self._den) > 0
-            g = _p_gcd(self._num, self._den)
-            assert set(g) == {_ONE_MONO}, "reducible fraction survived"
+        num, q, den = self._num, self._cden, self._den
+        assert type(q) is int and q >= 1, f"coefficient denominator {q!r} is not a positive int"
+        for c in (*num.values(), *den.values()):
+            assert type(c) is int, f"coefficient {c!r} is not an int"
+        assert all(c != 0 for c in num.values()), "zero coefficient survived"
+        assert _int_gcd(q, *num.values()) == 1, "coefficient denominator shares a factor"
+        assert den, "empty denominator"
+        assert all(c != 0 for c in den.values())
+        if not num:
+            assert set(den) == {_ONE_MONO} and den[_ONE_MONO] == 1
+        if set(den) != {_ONE_MONO}:
+            assert _den_ok(den)
+            assert _p_content(den) == 1 and _p_lc_sign(den) > 0
+            assert _p_is_one(_den_gcd(num, den)), "reducible fraction survived"
         else:
-            assert self._den[_ONE_MONO] == 1
-            assert self._den is _ONE_DEN, "constant denominator is not the shared _ONE_DEN"
+            assert den[_ONE_MONO] == 1
+            assert den is _ONE_DEN, "constant denominator is not the shared _ONE_DEN"
         return True
 
     # -- arithmetic -------------------------------------------------------------
@@ -743,26 +841,27 @@ class Expression:
             return other
         if other.is_zero():
             return self
-        if self._den is _ONE_DEN and other._den is _ONE_DEN:
-            acc = _p_add(self._num, other._num)
-            return Expression(acc) if acc else ZERO
-        if self._den == other._den:
-            return Expression._make(_p_add(self._num, other._num), self._den)
-        num = _p_add(_p_mul(self._num, other._den), _p_mul(other._num, self._den))
-        return Expression._make(num, _p_mul(self._den, other._den))
+        if self._den is other._den or self._den == other._den:
+            acc = dict(self._num)
+            q = _q_add_into(acc, self._cden, other._num, other._cden)
+            return Expression._make(acc, q, self._den)
+        acc = _p_mul(self._num, other._den)
+        q = _q_add_into(acc, self._cden, _p_mul(other._num, self._den), other._cden)
+        return Expression._make(acc, q, _p_mul(self._den, other._den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expression(_p_neg(self._num), self._den)
+        return Expression(_p_neg(self._num), self._cden, self._den)
 
     def __sub__(self, other):
         other = Expression._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self._den is _ONE_DEN and other._den is _ONE_DEN:
-            acc = _p_sub(self._num, other._num)
-            return Expression(acc) if acc else ZERO
+            acc = dict(self._num)
+            q = _q_add_into(acc, self._cden, other._num, other._cden, -1)
+            return Expression._make(acc, q, _ONE_DEN)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -775,8 +874,10 @@ class Expression:
         if self.is_zero() or other.is_zero():
             return ZERO
         if self._den is _ONE_DEN and other._den is _ONE_DEN:
-            return Expression(_p_mul(self._num, other._num))
-        return Expression._make(_p_mul(self._num, other._num), _p_mul(self._den, other._den))
+            return Expression._make(_p_mul(self._num, other._num), self._cden * other._cden,
+                                    _ONE_DEN)
+        return Expression._make(_p_mul(self._num, other._num), self._cden * other._cden,
+                                _p_mul(self._den, other._den))
 
     __rmul__ = __mul__
 
@@ -786,7 +887,9 @@ class Expression:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by the zero expression")
-        return Expression._make(_p_mul(self._num, other._den), _p_mul(self._den, other._num))
+        # (a / (qa * da)) / (b / (qb * db)) = a * db * qb / (qa * da * b)
+        return Expression._make(_p_scale(_p_mul(self._num, other._den), other._cden),
+                                self._cden, _p_mul(self._den, other._num))
 
     def __rtruediv__(self, other):
         other = Expression._coerce(other)
@@ -800,21 +903,24 @@ class Expression:
             return Expression.const(1) / self ** (-n)
         if n == 0:
             return ONE
+        # powers of coprime parts are coprime, and a power of a primitive
+        # polynomial with positive lead is one too: already canonical
         if self._den is _ONE_DEN:
-            return Expression(_p_pow(self._num, n))
-        return Expression._make(_p_pow(self._num, n), _p_pow(self._den, n))
+            return Expression(_p_pow(self._num, n), self._cden ** n)
+        return Expression(_p_pow(self._num, n), self._cden ** n, _p_pow(self._den, n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Expression.const(other)
         if not isinstance(other, Expression):
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return (self._num == other._num and self._cden == other._cden
+                and self._den == other._den)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((frozenset(self._num.items()), frozenset(self._den.items())))
+            h = hash((frozenset(self._num.items()), self._cden, frozenset(self._den.items())))
             _set_hash(self, h)
         return h
 
@@ -830,17 +936,18 @@ class Expression:
         if grad is not None:
             return grad
         dnum = _p_gradient(self._num)
+        q = self._cden
         if self._den is _ONE_DEN:
-            grad = {v: Expression(dn) for v, dn in dnum.items()}
+            grad = {v: Expression._make(dn, q, _ONE_DEN) for v, dn in dnum.items()}
         else:
             # quotient rule: (dn*den - num*dd) / den^2
             dden = _p_gradient(self._den)
             den2 = _p_mul(self._den, self._den)
             grad = {}
             for v in sorted(dnum.keys() | dden.keys()):
-                num = _p_add(_p_mul(dnum.get(v, {}), self._den),
-                             _p_neg(_p_mul(self._num, dden.get(v, {}))))
-                d = Expression._make(num, den2)
+                num = _p_sub(_p_mul(dnum.get(v, {}), self._den),
+                             _p_mul(self._num, dden.get(v, {})))
+                d = Expression._make(num, q, den2)
                 if not d.is_zero():
                     grad[v] = d
         _set_grad(self, grad)
@@ -863,11 +970,16 @@ class Expression:
                     f"time derivative of {v} exceeds the jet order cap {max_order}")
         if self._den is not _ONE_DEN:
             return esum([d * Expression.var(v.jet(1)) for v, d in grad.items()])
-        # each partial times one jet variable: a monomial shift per term
+        # each partial times one jet variable: a monomial shift per term,
+        # summed over the expression's own denominator, which every
+        # partial's divides
         acc = {}
+        q = self._cden
         for v, d in grad.items():
-            _p_add_into(acc, {_mono_mul(m, ((v.jet(1), 1),)): c for m, c in d._num.items()})
-        return Expression(acc) if acc else ZERO
+            jet = ((v.jet(1), 1),)
+            k = q // d._cden
+            _p_add_into(acc, {_mono_mul(m, jet): c * k for m, c in d._num.items()})
+        return Expression._make(acc, q, _ONE_DEN)
 
     def subs(self, assignment):
         """Simultaneous substitution ``{VarRef: Expression}``, then
@@ -876,10 +988,10 @@ class Expression:
                 if v in assignment}
         if not live:
             return self
-        num = _subs_poly(self._num, live)
+        num = _subs_poly(self._num, self._cden, live)
         if self._den is _ONE_DEN:
             return num
-        den = _subs_poly(self._den, live)
+        den = _subs_poly(self._den, 1, live)
         if den.is_zero():
             raise DivisionByZero("substitution made the denominator vanish identically")
         return num / den
@@ -893,7 +1005,7 @@ class Expression:
         for v in self.variables():
             if v not in point:
                 raise ValueError(f"evaluation point does not assign {v}")
-        value = _p_eval(self._num, point)
+        value = _p_eval(self._num, point, self._cden)
         if self._den is _ONE_DEN:
             return value
         den = _p_eval(self._den, point)
@@ -913,26 +1025,31 @@ class Expression:
 
 # the slot setters, bound once: ``Expression.__setattr__`` refuses writes
 _set_num = Expression._num.__set__
+_set_cden = Expression._cden.__set__
 _set_den = Expression._den.__set__
 _set_hash = Expression._hash.__set__
 _set_grad = Expression._grad.__set__
 _set_vars = Expression._vars.__set__
 
 
-def _subs_poly(p, live):
-    """The polynomial ``p`` with ``live`` substituted, as an Expression.
+def _subs_poly(p, q, live):
+    """The rational polynomial ``p / q`` with ``live`` substituted, as an
+    Expression.
 
     Polynomial substitutes are multiplied as raw polynomials into one
-    accumulator, canonicalized once at the end; only a monomial with a
-    substitute that has a denominator goes through Expression arithmetic.
-    Each power ``(variable, exponent)`` is computed once per call, and a
-    monomial no substitute touches is added as it is.
+    accumulator over the lcm of their denominators, reduced once at the
+    end; only a monomial with a substitute that has a denominator goes
+    through Expression arithmetic.  Each power ``(variable, exponent)``
+    is computed once per call, and a monomial no substitute touches is
+    added as it is.
     """
     acc = {}
+    aq = q  # acc's denominator
     fractional = None
     powers = {}
     for m, c in p.items():
         poly = None
+        pq = q
         rational = None
         plain = []
         for v, e in m:
@@ -942,46 +1059,67 @@ def _subs_poly(p, live):
                 continue
             power = powers.get((v, e))
             if power is None:
-                power = _p_pow(sub._num, e) if sub._den is _ONE_DEN else sub ** e
+                if sub._den is _ONE_DEN:
+                    power = (_p_pow(sub._num, e), sub._cden ** e)
+                else:
+                    power = sub ** e
                 powers[v, e] = power
             if sub._den is _ONE_DEN:
-                poly = power if poly is None else _p_mul(poly, power)
+                poly = power[0] if poly is None else _p_mul(poly, power[0])
+                pq *= power[1]
             else:
                 rational = power if rational is None else rational * power
         if poly is None and rational is None:
-            _p_add_into(acc, {m: c})
+            aq = _q_add_into(acc, aq, {m: c}, q)
             continue
         term = {tuple(plain): c}
         if poly is not None:
             term = _p_mul(poly, term)
         if rational is not None:
-            rational = rational * Expression._make(term, _ONE_DEN)
+            rational = rational * Expression._make(term, pq, _ONE_DEN)
             if not rational.is_polynomial():
                 fractional = rational if fractional is None else fractional + rational
                 continue
-            term = rational._num
-        _p_add_into(acc, term)
-    out = Expression(acc) if acc else ZERO
+            term, pq = rational._num, rational._cden
+        aq = _q_add_into(acc, aq, term, pq)
+    out = Expression._make(acc, aq, _ONE_DEN)
     return out + fractional if fractional is not None else out
 
 
 def esum(terms):
     """Sum of many expressions, batching the polynomial parts."""
     acc = {}
+    q = 1
     fractional = None
     for t in terms:
         t = Expression._coerce(t)
         if t._den is _ONE_DEN:
-            _p_add_into(acc, t._num)
+            q = _q_add_into(acc, q, t._num, t._cden)
         else:
             fractional = t if fractional is None else fractional + t
-    out = Expression(acc) if acc else ZERO
+    out = Expression._make(acc, q, _ONE_DEN)
     return out + fractional if fractional is not None else out
 
 
-_ONE_DEN = {_ONE_MONO: 1}  # shared by every polynomial; never mutated
-ZERO = Expression(_p_zero())
-ONE = Expression(_p_const(1))
+def esum_products(products):
+    """Sum of ``a * b`` (``sign`` 1) or ``-(a * b)`` (``sign`` -1) over
+    ``(a, b, sign)`` triples.  Products of two polynomials are multiplied
+    and summed in one accumulator; only a product with a denominator
+    goes through ``*`` and :func:`esum`."""
+    acc = {}
+    q = 1
+    fractional = []
+    for a, b, sign in products:
+        if a._den is _ONE_DEN and b._den is _ONE_DEN:
+            q = _q_add_into(acc, q, _p_mul(a._num, b._num), a._cden * b._cden, sign)
+        else:
+            fractional.append(a * b if sign > 0 else -(a * b))
+    out = Expression._make(acc, q, _ONE_DEN)
+    return esum([out, *fractional]) if fractional else out
+
+
+ZERO = Expression({})
+ONE = Expression({_ONE_MONO: 1})
 
 
 def canonicalize(e):
@@ -991,4 +1129,79 @@ def canonicalize(e):
     the identity on well-formed expressions; it exists so invariants can
     be asserted against a from-scratch reconstruction.
     """
-    return Expression._make(dict(e._num), dict(e._den))
+    return Expression._make(dict(e._num), e._cden, dict(e._den))
+
+
+# --- division by a growing list of polynomials --------------------------------
+
+def _p_cancel(p, mono, lead, g):
+    """Cancel the term of ``p`` in ``mono`` in place with a multiple of
+    ``g``, whose leading monomial ``lead`` divides ``mono``: over the
+    integers, ``p`` becomes ``k*p - f*shift*g`` with ``k > 0`` as small
+    as possible.  Returns ``k``, the factor ``p``'s value was scaled by."""
+    a = p[mono]
+    lc = g[lead]
+    h = _int_gcd(a, lc)
+    k = abs(lc) // h
+    f = a // h if lc > 0 else -(a // h)
+    if k != 1:
+        for m in p:
+            p[m] *= k
+    shift = _mono_div(mono, lead)
+    _p_addmul_into(p, {_mono_mul(shift, m): c for m, c in g.items()}, -f)
+    return k
+
+
+class Divisors:
+    """Numerators of a growing list of expressions, for graded-lex
+    division over the rationals.
+
+    No divisor's leading monomial appears in another divisor: each new
+    numerator is linearly reduced by the divisors held (the degree-0
+    step of Buchberger's algorithm), and then reduces them in turn.  A
+    remainder does not change when a divisor is scaled by a constant, so
+    each divisor is kept as an integer polynomial, primitive when added.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, exprs=()):
+        self._items = []  # (leading monomial, int polynomial)
+        for e in exprs:
+            self.add(e)
+
+    def __bool__(self):
+        return bool(self._items)
+
+    def add(self, e):
+        """Add the numerator of ``e``; a linear combination of the
+        divisors already held adds nothing."""
+        num = dict(e._num)
+        for lead, g in self._items:
+            if lead in num:
+                _p_cancel(num, lead, lead, g)
+        if not num:
+            return
+        num = _p_primitive(num)
+        lead = _p_leading(num)
+        for _, g in self._items:
+            if lead in g:
+                _p_cancel(g, lead, lead, num)
+        self._items.append((lead, num))
+
+    def remainder(self, e):
+        """The remainder of ``e``'s numerator under graded-lex division,
+        over ``e``'s denominator: its largest divisible term is cancelled
+        by the first divisor whose leading monomial divides it, until no
+        term is divisible."""
+        rem = dict(e._num)
+        q = e._cden
+        while rem:
+            for mono in sorted(rem, key=_mono_sort_key):
+                divisor = next((d for d in self._items if _mono_divides(d[0], mono)), None)
+                if divisor is not None:
+                    q *= _p_cancel(rem, mono, *divisor)
+                    break
+            else:
+                break
+        return Expression._make(rem, q, e._den) if rem else ZERO

@@ -51,13 +51,6 @@ class LegendreResult(namedtuple("LegendreResult", "momenta_defs rank solvable_ve
     __slots__ = ()
 
 
-def _velocity_free(e):
-    """The terms of a polynomial that mention no velocity."""
-    part = {mono: c for mono, c in e._num.items()
-            if all(v.kind is not Kind.JET for v, _ in mono)}
-    return Expression(part) if part else ZERO
-
-
 def compute_momenta(m):
     """Momentum defining functions, one per coordinate."""
     return tuple((q, m.lagrangian.diff(q.jet(1))) for q in m.coordinate_vars)
@@ -80,7 +73,7 @@ def primary_constraints(m):
 
     hessian = jacobian([pdef for _, pdef in momenta_defs], velocities)
     # rows of the linear system W.v = p - b, the right-hand side in column n
-    rhs = [Expression.var(p) - _velocity_free(pdef)
+    rhs = [Expression.var(p) - pdef.terms_free_of(Kind.JET)
            for p, (_, pdef) in zip(momenta, momenta_defs)]
 
     n = len(coords)
@@ -110,7 +103,7 @@ def primary_constraints(m):
     # H = sum_k S_k (p_k - b_k - (W.S)_k / 2) - L0, S = solved at v_u = 0
     unsolved = {v: ZERO for v in velocities if v not in solved}
     s = {k: solved[v].subs(unsolved) for k, v in enumerate(velocities) if v in solved}
-    terms = [-_velocity_free(lagrangian)]
+    terms = [-lagrangian.terms_free_of(Kind.JET)]
     for j, s_j in s.items():
         w_s = esum([w * s[k] for k, w in hessian[j].items() if k in s])
         terms.append(s_j * (rhs[j] - w_s / 2))

@@ -30,7 +30,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import DivisionByZero, SamplingDegenerate
-from .expr import ZERO, _lower
+from .expr import ZERO
 
 
 class Echelon:
@@ -128,6 +128,11 @@ def rational_rank(matrix):
     for row in matrix:
         reducer.absorb(row)
     return reducer.rank
+
+
+def _lower(c):
+    """``c`` with an integral Fraction lowered to its int numerator."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def random_rational(rng):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from math import gcd
 
 from .errors import ExpressionSyntaxError
 from .expr import (
@@ -244,23 +245,31 @@ def parse_expression(text, resolver=None, line_offset=0):
 
 # --- rendering ----------------------------------------------------------------
 
-def _render_monomial(mono, coeff):
+def _render_monomial(mono, coeff, q):
+    """One term of magnitude ``|coeff|/q``, its number printed as
+    ``str`` prints that Fraction."""
     mag = abs(coeff)
+    if q == 1:
+        text = str(mag)
+    else:
+        g = gcd(mag, q)
+        text = str(mag // g) if g == q else f"{mag // g}/{q // g}"
     factors = [v._text + (f"^{e}" if e > 1 else "") for v, e in mono]
     if not factors:
-        return str(mag)
-    if mag == 1:
+        return text
+    if mag == q:
         return "*".join(factors)
-    return str(mag) + "*" + "*".join(factors)
+    return text + "*" + "*".join(factors)
 
 
-def _render_poly(p):
+def _render_poly(p, q=1):
+    """The polynomial ``p / q``, largest monomial first."""
     if not p:
         return "0"
     chunks = []
     for i, mono in enumerate(sorted(p, key=_mono_sort_key)):
         coeff = p[mono]
-        body = _render_monomial(mono, coeff)
+        body = _render_monomial(mono, coeff, q)
         if i == 0:
             chunks.append("-" + body if coeff < 0 else body)
         else:
@@ -270,7 +279,7 @@ def _render_poly(p):
 
 def render_expression(e):
     """Deterministic canonical text; inverse of :func:`parse_expression`."""
-    num = _render_poly(e._num)
+    num = _render_poly(e._num, e._cden)
     if e.is_polynomial():
         return num
     return f"({num})/({_render_poly(e._den)})"

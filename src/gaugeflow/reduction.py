@@ -28,17 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DivisionByZero, SurfaceSamplingFailed
-from .expr import (
-    Expression,
-    Kind,
-    _lower,
-    _mono_div,
-    _mono_divides,
-    _mono_mul,
-    _mono_sort_key,
-    _p_add_into,
-    _p_leading,
-)
+from .expr import Divisors, Expression, Kind
 from .linalg import RowReducer, evaluate_rows, jacobian, random_rational
 
 
@@ -57,15 +47,6 @@ def _constant_pivot(e):
     return None
 
 
-def _cancel(p, mono, lead, lc, g):
-    """Subtract from ``p``, in place, the multiple of ``g`` (leading
-    monomial ``lead``, coefficient ``lc``) that cancels its term in
-    ``mono``, which ``lead`` divides."""
-    shift = _mono_div(mono, lead)
-    factor = p[mono] if lc == 1 else Fraction(p[mono], lc)
-    _p_add_into(p, {_mono_mul(shift, m): _lower(-factor * c) for m, c in g.items()})
-
-
 class WeakReducer:
     """Reduction modulo a constraint set that only grows (``extend``).
 
@@ -80,8 +61,9 @@ class WeakReducer:
     mentions a rule target, because a rule takes the leftovers it
     reaches out and absorbs them again; and no divisor's leading
     monomial appears in another divisor, because each new divisor is
-    linearly reduced by the others and then reduces them in turn.
-    Leading coefficients are never rescaled.
+    linearly reduced by the others and then reduces them in turn
+    (:class:`~gaugeflow.expr.Divisors`, which divides exactly over the
+    rationals, so a remainder is the one Fraction arithmetic gives).
 
     ``_users`` maps each variable to the targets of the rules whose
     right-hand side may mention it (a superset: a rewrite can cancel a
@@ -97,7 +79,7 @@ class WeakReducer:
         self.rules = {}
         self._users = {}  # variable -> {rule target: None}
         self.leftovers = []
-        self._divisors = []  # (leading monomial, its coefficient, numerator)
+        self._divisors = Divisors()  # the leftovers' numerators
         self.extend(constraint_exprs)
 
     def extend(self, constraint_exprs):
@@ -115,7 +97,7 @@ class WeakReducer:
         pivot = _constant_pivot(e)
         if pivot is None:
             self.leftovers.append(e)
-            self._add_divisor(e._num)  # division only needs the numerator ideal
+            self._divisors.add(e)  # division only needs the numerator ideal
             return
         target, coeff = pivot
         rhs = -(e - coeff * Expression.var(target)) / coeff
@@ -125,9 +107,7 @@ class WeakReducer:
         stale = [g for g in self.leftovers if g.mentions(target)]
         if stale:
             self.leftovers = [g for g in self.leftovers if not g.mentions(target)]
-            self._divisors = []
-            for g in self.leftovers:
-                self._add_divisor(g._num)
+            self._divisors = Divisors(self.leftovers)
             for g in stale:
                 self._absorb(g)
 
@@ -136,32 +116,6 @@ class WeakReducer:
         for v in rhs.variables():
             self._users.setdefault(v, {})[target] = None
 
-    def _add_divisor(self, num):
-        num = dict(num)
-        for lead, lc, g in self._divisors:
-            if lead in num:
-                _cancel(num, lead, lead, lc, g)
-        if not num:
-            return  # a linear combination of the divisors already held
-        lead = _p_leading(num)
-        lc = num[lead]
-        for _, _, g in self._divisors:
-            if lead in g:
-                _cancel(g, lead, lead, lc, num)
-        self._divisors.append((lead, lc, num))
-
-    def _divide(self, e):
-        rem = dict(e._num)
-        while rem:
-            for mono in sorted(rem, key=_mono_sort_key):
-                divisor = next((d for d in self._divisors if _mono_divides(d[0], mono)), None)
-                if divisor is not None:
-                    _cancel(rem, mono, *divisor)
-                    break
-            else:
-                break
-        return Expression._make(rem, e._den) if rem else Expression.const(0)
-
     def reduce(self, e):
         """Canonical remainder of ``e`` modulo the constraint set; zero
         exactly when this engine can certify weak vanishing."""
@@ -169,7 +123,7 @@ class WeakReducer:
             e = e.subs(self.rules)
         if e.is_zero() or not self._divisors:
             return e
-        return self._divide(e)
+        return self._divisors.remainder(e)
 
 
 # --- numeric sampling on the constraint surface ----------------------------------

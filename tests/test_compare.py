@@ -1,6 +1,7 @@
 """Span equivalence and report verdicts."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -379,3 +380,28 @@ def test_surface_models_give_one_report_at_every_seed(source):
         assert (tree["verdict"], tree["exit_code"]) == ("no_gauge_sector", 0), seed
         trees.append(tree)
     assert all(tree == trees[0] for tree in trees)
+
+
+# Three models on which cancelling against a coordinate denominator ran
+# a polynomial gcd in a momentum for minutes: the gcd with a denominator
+# in coordinates is now the gcd of the numerator's coordinate
+# coefficients.  Each ran in well under a second when this bound was set.
+STALLED_MODELS = {
+    "solved_multiplier": "-u*x'^2/2 + 2*x'*y' + (y - 2)*y'^2/2 + (u - 2)*x' - 2*x",
+    "shifted_squares": "((y+1)*x' + y)^2/2 + (2*x*x' + y'/2 + 1)^2/2 + 3/2*u*y'",
+    "squared_denominator": (
+        "1/2*x^2*y'^2 - x*x'*y*y' + 1/2*x'^2*y^2 + 3/2*u'*x*y' - 3/2*u'*x'*y"
+        " + 89/36*u'^2 - 3/2*u'*x' + 5/3*u'*y - 3/4*u'*y' - 4/3*x*y - 3/2*x*y'"
+        " + 1/2*x'^2 + 3/2*x'*y + 1/2*x'*y' + 25/8*y^2 + 1/8*y'^2 - 3/4*u' - x'"
+        " - 1/2*y' - 27/8"),
+}
+
+
+@pytest.mark.parametrize("lagrangian", STALLED_MODELS.values(), ids=STALLED_MODELS)
+def test_coordinate_denominators_cancel_in_bounded_time(lagrangian):
+    m = parse_model(f"[vars]\nx\ny\nu\n[lagrangian]\n{lagrangian}\n")
+    t0 = time.perf_counter()
+    report = build_report(m)
+    assert time.perf_counter() - t0 < 5
+    assert report.verdict == "no_gauge_sector"
+    assert all(d.severity != "error" for d in report.diagnostics)

@@ -30,7 +30,7 @@ import gaugeflow.dirac
 import gaugeflow.reduction
 from gaugeflow.dirac import FIRST, SECOND, ConjugatePairs, classify
 from gaugeflow.errors import InconsistentLagrangian, OddSecondClassCount, SurfaceSamplingFailed
-from gaugeflow.expr import Kind, esum
+from gaugeflow.expr import Divisors, Kind, esum
 from gaugeflow.reduction import (
     NumericVerdict,
     SurfaceSampler,
@@ -412,12 +412,13 @@ def assert_extend_matches_one_shot(exprs, splits, probes):
         grown.extend(exprs[k:])
         assert list(grown.rules.items()) == list(whole.rules.items())
         assert grown.leftovers == whole.leftovers
-        assert grown._divisors == whole._divisors
+        assert grown._divisors._items == whole._divisors._items
         # a later rule rewrites every leftover it reaches
         assert not any(g.mentions(v) for g in grown.leftovers for v in grown.rules)
         # the divisors are linearly inter-reduced
-        assert not any(lead in g for i, (lead, _, _) in enumerate(grown._divisors)
-                       for j, (_, _, g) in enumerate(grown._divisors) if i != j)
+        divisors = grown._divisors._items
+        assert not any(lead in g for i, (lead, _) in enumerate(divisors)
+                       for j, (_, g) in enumerate(divisors) if i != j)
         assert [grown.reduce(e) for e in probes] == [whole.reduce(e) for e in probes]
 
 
@@ -464,7 +465,7 @@ class ScanWeakReducer(WeakReducer):
         pivot = _constant_pivot(e)
         if pivot is None:
             self.leftovers.append(e)
-            self._add_divisor(e._num)
+            self._divisors.add(e)
             return
         target, coeff = pivot
         rhs = -(e - coeff * Expression.var(target)) / coeff
@@ -475,9 +476,7 @@ class ScanWeakReducer(WeakReducer):
         stale = [g for g in self.leftovers if g.mentions(target)]
         if stale:
             self.leftovers = [g for g in self.leftovers if not g.mentions(target)]
-            self._divisors = []
-            for g in self.leftovers:
-                self._add_divisor(g._num)
+            self._divisors = Divisors(self.leftovers)
             for g in stale:
                 self._absorb(g)
 
@@ -507,7 +506,7 @@ def assert_index_matches_scan(exprs):
         scanned.extend([e])
         assert list(indexed.rules.items()) == list(scanned.rules.items())
         assert indexed.leftovers == scanned.leftovers
-        assert indexed._divisors == scanned._divisors
+        assert indexed._divisors._items == scanned._divisors._items
         # the rules stay fully back-substituted
         assert not any(r.mentions(v) for r in indexed.rules.values() for v in indexed.rules)
 

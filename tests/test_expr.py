@@ -28,17 +28,9 @@ from gaugeflow.errors import (
 
 import math
 
-from gaugeflow.expr import (
-    ZERO,
-    _ONE_DEN,
-    _mono_sort_key,
-    _p_add,
-    _p_add_into,
-    _p_const,
-    _p_leading,
-    _p_mul,
-    _p_neg,
-)
+from gaugeflow.expr import ZERO, _ONE_DEN, _mono_sort_key, _p_leading
+
+from test_kernel_oracle import Ref
 
 from conftest import (
     random_jet_polynomial,
@@ -269,25 +261,9 @@ def test_evaluate_float_contagion():
 
 # --- memoized gradient and the shared unit denominator -------------------------
 
-def reference_p_diff(p, v):
-    # the one-variable loop that ``gradient`` replaced, kept as the reference
-    acc = {}
-    for m, c in p.items():
-        for k, (var, e) in enumerate(m):
-            if var is v:
-                nm = m[:k] + ((var, e - 1),) + m[k + 1:] if e > 1 else m[:k] + m[k + 1:]
-                _p_add_into(acc, {nm: c * e})
-                break
-    return acc
-
-
 def reference_diff(e, v):
-    dn = reference_p_diff(e._num, v)
-    if set(e._den) == {()}:
-        return Expression._make(dn, e._den) if dn else ZERO
-    dd = reference_p_diff(e._den, v)
-    num = _p_add(_p_mul(dn, e._den), _p_neg(_p_mul(e._num, dd)))
-    return Expression._make(num, _p_mul(e._den, e._den))
+    # the Fraction reference's one-variable derivative, canonicalized
+    return Ref.of(e).diff(v).expression()
 
 
 GRADIENT_VARIABLES = [x, y, x.jet(1), y.jet(1), x.jet(2), x.momentum(), coordinate("z")]
@@ -371,11 +347,11 @@ def test_polynomials_share_the_unit_denominator():
     assert all(r._den is _ONE_DEN for r in polynomials)
 
 
-# --- coefficient form: an int or a Fraction, never a float ---------------------
+# --- coefficient form: ints over one int denominator, never a float ---------------
 
 def test_integral_coefficients_are_ints():
     for e in (Expression.const(Fraction(4, 2)), Expression.const(3), ex, -ex, 2 * ex * ey):
-        assert all(type(c) is int for c in e._num.values())
+        assert all(type(c) is int for c in e._num.values()) and e._cden == 1
     assert type(Expression.const(True)._num[()]) is int
     assert (2 * ex) / 2 == ex
     assert hash((2 * ex) / 2) == hash(ex)
@@ -384,9 +360,16 @@ def test_integral_coefficients_are_ints():
     assert third.constant_value() == Fraction(1, 3)
     assert (Expression.const(6) / 3).constant_value() == 2
     assert ZERO.constant_value() == 0 and ZERO.leading_coefficient() == 0
-    for bad in (0.5, 2.0, True, Fraction(2), Fraction(-1)):
+    for bad in (0.5, 2.0, True, Fraction(2), Fraction(-1), Fraction(1, 2)):
         with pytest.raises(AssertionError):
             Expression({((x, 1),): bad}).validate()
+    # the denominator is a positive int coprime to the content
+    half = Expression.const(1) / 2 * ex
+    assert half._num == {((x, 1),): 1} and half._cden == 2 and half.validate()
+    for num, cden in (({((x, 1),): 2}, 2), ({((x, 1),): 1}, 0), ({((x, 1),): 1}, -2),
+                      ({((x, 1),): 1}, 2.0), ({}, 3)):
+        with pytest.raises(AssertionError):
+            Expression(num, cden).validate()
 
 
 def test_a_constant_denominator_is_the_shared_one():
@@ -395,7 +378,7 @@ def test_a_constant_denominator_is_the_shared_one():
     for e in (ex, ex + ey, ex - ex, ex * ey, (ex / ey) * ey, ex.subs({y: ex}), ex.dt()):
         assert e._den is _ONE_DEN and e.validate()
     with pytest.raises(AssertionError):
-        Expression({((x, 1),): 1}, {(): 1}).validate()
+        Expression({((x, 1),): 1}, 1, {(): 1}).validate()
 
 
 def seeded_assignment(rng, polynomial):
@@ -440,13 +423,13 @@ def all_coefficients_exact(value):
 
 
 def integral_fractions(e):
-    """Coefficients of ``e`` that are integral but stored as a Fraction."""
-    return [c for c in (*e._num.values(), *e._den.values())
-            if type(c) is Fraction and c.denominator == 1]
+    """Coefficients of ``e`` not stored as an int, its coefficient
+    denominator included."""
+    return [c for c in (*e._num.values(), *e._den.values(), e._cden) if type(c) is not int]
 
 
 # halves and thirds, as in a kinetic term: their products and sums are
-# where an integral Fraction could arise
+# where a coefficient comes out integral and the denominator must shrink
 HALVES_AND_THIRDS = (
     "(x' - y)^2/2",
     "x'^2/3 - 2*x*y'/3 + y^2/2",
@@ -469,8 +452,9 @@ def test_every_result_keeps_exact_coefficients(seed):
     # 150 seeded expressions per seed, each put through division by an int
     # constant, normalization, substitution and evaluation at int points;
     # each is also combined with a parsed expression in halves and thirds
-    # and a phase-space polynomial is reduced.  validate() rejects an
-    # integral Fraction, so every result is checked for "integral means int".
+    # and a phase-space polynomial is reduced.  validate() rejects a
+    # denominator that shares a factor with the numerator's content, so
+    # every integral coefficient is checked to be held over 1.
     rng = random.Random(8100 + seed)
     other = random.Random(8150 + seed)  # keeps rng's draws as they were
     halves = [parse_expression(t) for t in HALVES_AND_THIRDS]
@@ -515,7 +499,8 @@ def test_every_result_keeps_exact_coefficients(seed):
 @pytest.mark.parametrize("name,params", [("maxwell_lattice", {"N": 2}),
                                          ("ym_mechanics", {"with_scalar": True})])
 def test_model_coefficients_hold_no_integral_fraction(name, params):
-    # a kinetic term's /2 turns -2 into -1: that must be stored as an int
+    # a kinetic term's /2 turns -2 into -1: ints over a denominator that
+    # shares no factor with them
     m = builtin_model(name, params)
     for e in (m.lagrangian, primary_constraints(m).canonical_hamiltonian):
         assert not integral_fractions(e)
@@ -523,72 +508,22 @@ def test_model_coefficients_hold_no_integral_fraction(name, params):
         e.validate()
 
 
-# --- reference: the Fraction-per-step kernel loops -------------------------------
+# --- reference: the Fraction-coefficient kernel -----------------------------------
 #
-# ``reference_p_eval`` and ``reference_subs_poly`` are the evaluation and
-# substitution loops the kernel had before it switched to integer
-# arithmetic and raw polynomial products; ``evaluate`` and ``subs`` must
-# give exactly what they give.
-
-def reference_p_eval(p, point):
-    total = Fraction(0)
-    is_float = False
-    for m, c in p.items():
-        val = c
-        for v, e in m:
-            x = point[v]
-            if isinstance(x, float):
-                is_float = True
-            val = val * x ** e
-        total = total + val
-    if is_float and isinstance(total, Fraction):
-        return float(total)
-    return total
-
-
-def reference_subs_poly(p, live):
-    acc = {}        # fast path: polynomial terms accumulate in one dict
-    fractional = None
-    for m, c in p.items():
-        term = None
-        plain = []
-        for v, e in m:
-            sub = live.get(v)
-            if sub is None:
-                plain.append((v, e))
-            else:
-                term = sub ** e if term is None else term * sub ** e
-        if term is None:
-            _p_add_into(acc, {tuple(plain): c})
-            continue
-        if plain:
-            term = term * Expression({tuple(plain): Fraction(1)})
-        term = term * c
-        if term.is_polynomial():
-            _p_add_into(acc, term._num)
-        else:
-            fractional = term if fractional is None else fractional + term
-    out = Expression._make(acc, _p_const(1)) if acc else ZERO
-    return out + fractional if fractional is not None else out
-
+# ``evaluate`` and ``subs`` must give exactly what the reference in
+# ``test_kernel_oracle`` gives, which multiplies and sums Fraction
+# coefficients step by step.
 
 def reference_evaluate(e, point):
-    den = reference_p_eval(e._den, point)
-    if den == 0:
-        raise DivisionByZero("denominator vanishes at the sampled point")
-    return reference_p_eval(e._num, point) / den
+    return Ref.of(e).evaluate(point)
 
 
 def reference_subs(e, assignment):
-    live = {v: Expression._coerce(assignment[v]) for v in e.variables()
-            if v in assignment}
-    if not live:
-        return e
-    num = reference_subs_poly(e._num, live)
-    den = reference_subs_poly(e._den, live)
-    if den.is_zero():
+    live = {v: Ref.of(Expression._coerce(s)) for v, s in assignment.items()}
+    try:
+        return Ref.of(e).subs(live).expression()
+    except AssertionError:  # the reference divided by zero
         raise DivisionByZero("substitution made the denominator vanish identically")
-    return num / den
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -695,5 +630,5 @@ def test_mono_sort_key_is_graded_lex(seed):
     assert _p_leading(poly) == descending[0]
     assert all(_graded_lex_cmp(m1, m2, variables) > 0
                for m1, m2 in zip(descending, descending[1:]))
-    e = Expression._make(poly, _p_const(1))
+    e = Expression._make(poly, 1, {(): 1})
     assert parse_expression(render_expression(e)) == e

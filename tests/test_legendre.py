@@ -279,11 +279,12 @@ def reference_hamiltonian(m, leg):
 
 def random_quadratic_model(rng):
     """Squares of velocity forms with constant coefficients, each shifted
-    by a coordinate polynomial, plus a potential and, half the time, one
-    coordinate-dependent diagonal Hessian cell.  With 2 or 3 coordinates about
-    two in five come out singular and one in five gets a coordinate
-    denominator; the reference substitution stays fast on them, which
-    it is not once every Hessian cell may depend on coordinates."""
+    by a coordinate polynomial, plus a potential and up to three
+    coordinate-dependent Hessian cells, diagonal or not.  Most models
+    get a coordinate denominator and some come out singular; the
+    reference substitution stays fast on them, which it is not once
+    every Hessian cell may depend on coordinates (four cells can already
+    take it past a minute)."""
     names = ["x", "y", "u"][:rng.randint(2, 3)]
     coords = [coordinate(b) for b in names]
     vs = [Expression.var(q.jet(1)) for q in coords]
@@ -293,9 +294,9 @@ def random_quadratic_model(rng):
                      for v in rng.sample(vs, rng.randint(1, len(names)))])
         shift = random_polynomial(rng, coords, max_terms=2, max_factors=1, max_exp=1)
         lagrangian = lagrangian + (form + shift) ** 2 / 2
-    if rng.random() < 0.5:
+    for _ in range(rng.randint(0, 3)):
         cell = random_polynomial(rng, coords, max_terms=1, max_factors=1, max_exp=1)
-        lagrangian = lagrangian + cell * rng.choice(vs) ** 2 / 2
+        lagrangian = lagrangian + cell * rng.choice(vs) * rng.choice(vs) / 2
     return parse_model("[vars]\n" + "\n".join(names)
                        + f"\n[lagrangian]\n{lagrangian}\n")
 

@@ -8,7 +8,8 @@ import random
 
 from gaugeflow import Expression, canonicalize, coordinate, poisson_bracket
 from gaugeflow.errors import DivisionByZero
-from gaugeflow.expr import _p_add, _p_mul, _p_neg
+
+from test_kernel_oracle import Ref
 
 from conftest import (
     PAIR_COORDS,
@@ -103,20 +104,17 @@ def test_fraction_reduction_cancels_common_factors():
 #
 # A polynomial's denominator is the shared ``_ONE_DEN``, and ``+ - * dt``,
 # ``poisson_bracket`` and ``subs`` build polynomial results without
-# canonicalizing.  The slow path below hands ``_make`` a private copy of
-# every denominator, so it always takes the canonicalizing route.
-
-
-def slow(num, den):
-    return Expression._make(dict(num), dict(den))
+# canonicalizing.  The slow path below computes with the Fraction
+# reference of ``test_kernel_oracle`` and hands ``_make`` a private copy
+# of every denominator, so it always takes the canonicalizing route.
 
 
 def slow_add(a, b):
-    return slow(_p_add(_p_mul(a._num, b._den), _p_mul(b._num, a._den)), _p_mul(a._den, b._den))
+    return (Ref.of(a) + Ref.of(b)).expression()
 
 
 def slow_neg(a):
-    return slow(_p_neg(a._num), a._den)
+    return (-Ref.of(a)).expression()
 
 
 def slow_sub(a, b):
@@ -124,7 +122,7 @@ def slow_sub(a, b):
 
 
 def slow_mul(a, b):
-    return slow(_p_mul(a._num, b._num), _p_mul(a._den, b._den))
+    return (Ref.of(a) * Ref.of(b)).expression()
 
 
 def slow_sum(terms):
@@ -146,8 +144,8 @@ def slow_subs(e, assignment):
                     term = slow_mul(term, assignment.get(v, Expression.var(v)))
             terms.append(term)
         return slow_sum(terms)
-    num, den = poly(e._num), poly(e._den)
-    return slow(_p_mul(num._num, den._den), _p_mul(num._den, den._num))
+    ref = Ref.of(e)  # its numerator's coefficients as Fractions
+    return (Ref.of(poly(ref.num)) / Ref.of(poly(ref.den))).expression()
 
 
 def checked(fast, reference):
