@@ -38,6 +38,7 @@ from .expr import (
     coordinate,
     esum,
     multiplier,
+    render_expression,
 )
 from .legendre import LegendreResult, compute_momenta, primary_constraints
 from .model import (
@@ -56,7 +57,7 @@ from .noether import (
     independence_check,
     noether_identity_check,
 )
-from .parse import parse_expression, render_expression
+from .parse import parse_expression
 from .reduction import WeakReducer, weak_zero_numeric
 
 __version__ = "0.1.0"

@@ -46,9 +46,9 @@ dict.  The set of variables it mentions is kept the same way
 takes part in ``==`` or hashing.
 
 Only this module reads the three parts; the other modules go through
-``Expression``'s methods, ``esum``, ``esum_products`` and
-:class:`Divisors` (graded-lex division), and the renderer in ``parse``
-reads the ints it prints.
+``Expression``'s methods, ``esum``, ``esum_products``,
+:class:`Divisors` (graded-lex division) and ``render_expression``, the
+one text form of an expression, which prints the ints it reads.
 """
 
 from __future__ import annotations
@@ -299,30 +299,6 @@ def _p_const(c):
 def _p_var(v):
     return {((v, 1),): 1}
 
-def _p_add_into(acc, p):
-    for m, c in p.items():
-        cur = acc.get(m)
-        if cur is None:
-            acc[m] = c
-        else:
-            cur += c
-            if cur:
-                acc[m] = cur
-            else:
-                del acc[m]
-
-def _p_sub_into(acc, p):
-    for m, c in p.items():
-        cur = acc.get(m)
-        if cur is None:
-            acc[m] = -c
-        else:
-            cur -= c
-            if cur:
-                acc[m] = cur
-            else:
-                del acc[m]
-
 def _p_addmul_into(acc, p, k):
     """``acc += k * p`` in place, for a nonzero int ``k``."""
     for m, c in p.items():
@@ -340,10 +316,7 @@ def _q_add_into(acc, qa, p, qp, sign=1):
     """``acc/qa + sign * p/qp`` into ``acc``, over ``lcm(qa, qp)``,
     which it returns; the sum is not reduced."""
     if qp == qa:
-        if sign > 0:
-            _p_add_into(acc, p)
-        else:
-            _p_sub_into(acc, p)
+        _p_addmul_into(acc, p, sign)
         return qa
     q = qa // _int_gcd(qa, qp) * qp
     if q != qa:
@@ -355,11 +328,8 @@ def _q_add_into(acc, qa, p, qp, sign=1):
 
 def _p_sub(a, b):
     acc = dict(a)
-    _p_sub_into(acc, b)
+    _p_addmul_into(acc, b, -1)
     return acc
-
-def _p_neg(p):
-    return {m: -c for m, c in p.items()}
 
 def _p_mul(a, b):
     if not a or not b:
@@ -500,7 +470,8 @@ def _p_main_var(p):
     return best
 
 def _p_to_univariate(p, x):
-    """Split p into {deg_in_x: coefficient_poly_without_x}."""
+    """Split p into {deg_in_x: coefficient_poly_without_x}; distinct
+    monomials of one degree in x keep distinct rests, so none collide."""
     out = {}
     for m, c in p.items():
         d = 0
@@ -510,15 +481,16 @@ def _p_to_univariate(p, x):
                 d = e
             else:
                 rest.append((v, e))
-        _p_add_into(out.setdefault(d, {}), {tuple(rest): c})
-    return {d: cp for d, cp in out.items() if cp}
+        out.setdefault(d, {})[tuple(rest)] = c
+    return out
 
 def _p_from_univariate(coeffs, x):
+    """Inverse of ``_p_to_univariate``: coefficients free of x never collide."""
     acc = {}
     for d, cp in coeffs.items():
         xm = ((x, d),) if d else _ONE_MONO
         for m, c in cp.items():
-            _p_add_into(acc, {_mono_mul(m, xm): c})
+            acc[_mono_mul(m, xm)] = c
     return acc
 
 def _p_pseudo_rem(a, b, x):
@@ -639,6 +611,49 @@ def _p_div_exact(a, b):
     return _p_from_univariate(q, x)
 
 
+# --- rendering ---------------------------------------------------------------
+
+def _render_monomial(mono, coeff, q):
+    """One term of magnitude ``|coeff|/q``, its number printed as
+    ``str`` prints that Fraction."""
+    mag = abs(coeff)
+    if q == 1:
+        text = str(mag)
+    else:
+        g = _int_gcd(mag, q)
+        text = str(mag // g) if g == q else f"{mag // g}/{q // g}"
+    factors = [v._text + (f"^{e}" if e > 1 else "") for v, e in mono]
+    if not factors:
+        return text
+    if mag == q:
+        return "*".join(factors)
+    return text + "*" + "*".join(factors)
+
+
+def _render_poly(p, q=1):
+    """The polynomial ``p / q``, largest monomial first."""
+    if not p:
+        return "0"
+    chunks = []
+    for i, mono in enumerate(sorted(p, key=_mono_sort_key)):
+        coeff = p[mono]
+        body = _render_monomial(mono, coeff, q)
+        if i == 0:
+            chunks.append("-" + body if coeff < 0 else body)
+        else:
+            chunks.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(chunks)
+
+
+def render_expression(e):
+    """Deterministic canonical text, largest numerator term first; the
+    inverse of ``parse.parse_expression``."""
+    num = _render_poly(e._num, e._cden)
+    if e.is_polynomial():
+        return num
+    return f"({num})/({_render_poly(e._den)})"
+
+
 # --- expressions -------------------------------------------------------------
 
 _NOT_COORDINATE = frozenset(Kind) - {Kind.COORDINATE}
@@ -693,7 +708,7 @@ class Expression:
         if set(den) == {_ONE_MONO}:
             c = den[_ONE_MONO]
             if c < 0:
-                num, c = _p_neg(num), -c
+                num, c = _p_scale(num, -1), -c
             return Expression(*_p_reduce(num, cden * c))
         # signed contents; num/cn and den/cd are integer-primitive with
         # positive leading coefficient
@@ -833,36 +848,33 @@ class Expression:
             return Expression.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """``self + sign * other``, for ``sign`` 1 or -1."""
         other = Expression._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero():
-            return other
+            return other if sign > 0 else -other
         if other.is_zero():
             return self
         if self._den is other._den or self._den == other._den:
             acc = dict(self._num)
-            q = _q_add_into(acc, self._cden, other._num, other._cden)
+            q = _q_add_into(acc, self._cden, other._num, other._cden, sign)
             return Expression._make(acc, q, self._den)
         acc = _p_mul(self._num, other._den)
-        q = _q_add_into(acc, self._cden, _p_mul(other._num, self._den), other._cden)
+        q = _q_add_into(acc, self._cden, _p_mul(other._num, self._den), other._cden, sign)
         return Expression._make(acc, q, _p_mul(self._den, other._den))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expression(_p_neg(self._num), self._cden, self._den)
+        return Expression(_p_scale(self._num, -1), self._cden, self._den)
 
     def __sub__(self, other):
-        other = Expression._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._den is _ONE_DEN and other._den is _ONE_DEN:
-            acc = dict(self._num)
-            q = _q_add_into(acc, self._cden, other._num, other._cden, -1)
-            return Expression._make(acc, q, _ONE_DEN)
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -977,8 +989,8 @@ class Expression:
         q = self._cden
         for v, d in grad.items():
             jet = ((v.jet(1), 1),)
-            k = q // d._cden
-            _p_add_into(acc, {_mono_mul(m, jet): c * k for m, c in d._num.items()})
+            _p_addmul_into(acc, {_mono_mul(m, jet): c for m, c in d._num.items()},
+                           q // d._cden)
         return Expression._make(acc, q, _ONE_DEN)
 
     def subs(self, assignment):
@@ -1015,9 +1027,7 @@ class Expression:
 
     # -- rendering ----------------------------------------------------------------
 
-    def __str__(self):
-        from .parse import render_expression
-        return render_expression(self)
+    __str__ = render_expression
 
     def __repr__(self):
         return f"<expr {self}>"

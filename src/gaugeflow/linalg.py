@@ -27,24 +27,23 @@ bound equals the generic rank with high probability.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DivisionByZero, SamplingDegenerate
 from .expr import ZERO
 
 
-class Echelon:
+class Echelon(namedtuple("Echelon", "rows pivots row_order")):
     """Result of a symbolic forward elimination.
 
     ``rows`` is the transformed augmented matrix, ``pivots`` the list of
     (row, column) pivot positions in elimination order, and
-    ``row_order`` maps transformed row slots back to input rows.
+    ``row_order`` maps transformed row slots back to input rows.  A
+    named tuple (equal to any tuple).
     """
 
-    def __init__(self, rows, pivots, row_order):
-        self.rows = rows
-        self.pivots = pivots
-        self.row_order = row_order
+    __slots__ = ()
 
     @property
     def rank(self):

@@ -36,12 +36,8 @@ from .errors import (
     NonPolynomialLagrangian,
     UnknownSymbol,
 )
-from .expr import DEFAULT_JET_CAP, Expression, Kind, VarRef
-from .parse import (
-    parse_expression,
-    render_expression,
-    reserved_base_reason,
-)
+from .expr import DEFAULT_JET_CAP, Expression, Kind, VarRef, render_expression
+from .parse import default_resolver, parse_expression, reserved_base_reason
 
 
 class Options(namedtuple("Options", "max_generations sample_count numeric_tolerance seed",
@@ -205,8 +201,9 @@ def _strip_comment(line):
     return line if pos < 0 else line[:pos]
 
 
-def _make_resolver(m_coords, line_no):
-    """Resolve mentions against declared coordinates, with dot-suffix sugar."""
+def _make_resolver(m_coords):
+    """Resolve mentions against declared coordinates, with dot-suffix
+    sugar; :func:`parse.default_resolver` builds the VarRef."""
     bases = {}
     for q in m_coords:
         bases.setdefault(q.base, set()).add(q.indices)
@@ -230,11 +227,7 @@ def _make_resolver(m_coords, line_no):
             raise IndexOutOfRange(
                 f"{base}[{','.join(map(str, indices))}] is outside the declared "
                 f"index ranges (line {line})")
-        if is_momentum:
-            return VarRef(base, indices, Kind.MOMENTUM, 0)
-        if jet:
-            return VarRef(base, indices, Kind.JET, jet)
-        return VarRef(base, indices, Kind.COORDINATE, 0)
+        return default_resolver(base, indices, jet, is_momentum, pos)
 
     return resolve
 
@@ -326,7 +319,7 @@ def parse_model(source, name="model"):
 
     first_line = sections["lagrangian"][0][0]
     lagrangian_text = " ".join(text for _, text in sections["lagrangian"])
-    resolver = _make_resolver(coords, first_line)
+    resolver = _make_resolver(coords)
     lagrangian = parse_expression(lagrangian_text, resolver,
                                   line_offset=first_line - 1)
 

@@ -1,4 +1,4 @@
-"""Infix grammar for expressions: parsing and canonical rendering.
+"""Infix grammar for expressions and its parser.
 
 The grammar covers exactly what the kernel can represent::
 
@@ -13,25 +13,17 @@ The grammar covers exactly what the kernel can represent::
 
 The identifier ``lam`` is reserved for constraint multipliers, and a
 leading ``p_`` always means a momentum, so coordinate names may use
-neither.  ``render_expression`` emits numerator terms in descending
-monomial order; ``parse_expression(render_expression(e)) == e`` for
-every expression.
+neither.  ``expr.render_expression`` writes this grammar back, and
+``parse_expression`` inverts it.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from math import gcd
 
 from .errors import ExpressionSyntaxError
-from .expr import (
-    Expression,
-    Kind,
-    VarRef,
-    _mono_sort_key,
-    esum,
-)
+from .expr import Expression, Kind, VarRef, esum
 
 _SPACE = re.compile(r"\s*")
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^])")
@@ -241,45 +233,3 @@ def parse_expression(text, resolver=None, line_offset=0):
     """
     parser = _Parser(_Tokens(text, line_offset), resolver or default_resolver)
     return parser.parse()
-
-
-# --- rendering ----------------------------------------------------------------
-
-def _render_monomial(mono, coeff, q):
-    """One term of magnitude ``|coeff|/q``, its number printed as
-    ``str`` prints that Fraction."""
-    mag = abs(coeff)
-    if q == 1:
-        text = str(mag)
-    else:
-        g = gcd(mag, q)
-        text = str(mag // g) if g == q else f"{mag // g}/{q // g}"
-    factors = [v._text + (f"^{e}" if e > 1 else "") for v, e in mono]
-    if not factors:
-        return text
-    if mag == q:
-        return "*".join(factors)
-    return text + "*" + "*".join(factors)
-
-
-def _render_poly(p, q=1):
-    """The polynomial ``p / q``, largest monomial first."""
-    if not p:
-        return "0"
-    chunks = []
-    for i, mono in enumerate(sorted(p, key=_mono_sort_key)):
-        coeff = p[mono]
-        body = _render_monomial(mono, coeff, q)
-        if i == 0:
-            chunks.append("-" + body if coeff < 0 else body)
-        else:
-            chunks.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(chunks)
-
-
-def render_expression(e):
-    """Deterministic canonical text; inverse of :func:`parse_expression`."""
-    num = _render_poly(e._num, e._cden)
-    if e.is_polynomial():
-        return num
-    return f"({num})/({_render_poly(e._den)})"

@@ -1,10 +1,12 @@
-"""Only the expression kernel reads an expression's parts.
+"""Only the expression kernel knows the expression format.
 
 ``expr.py`` owns the coefficient format: int numerator coefficients over
-one int denominator (``_cden``) and a denominator polynomial.  Every
-other module goes through ``Expression``'s methods and the kernel's
-helpers, so a change of format stays in one module.  The renderer in
-``parse.py`` prints the ints it reads and is the one exemption.
+one int denominator (``_cden``) and a denominator polynomial.  It also
+owns the text form: ``render_expression`` prints those ints and each
+VarRef's ``_text``.  Every other module goes through ``Expression``'s
+methods and the kernel's public helpers, so it reads none of these
+attributes and imports no private name from ``expr``; a change of
+format stays in one module.
 """
 
 import ast
@@ -13,31 +15,31 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gaugeflow"
-PARTS = {"_num", "_cden", "_den"}
-EXEMPT = {"expr.py": None, "parse.py": {"render_expression"}}  # None: the whole module
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if EXEMPT.get(p.name, ()) is not None)
+FORMAT = {"_num", "_cden", "_den", "_text"}
+EXEMPT = {"expr.py"}
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in EXEMPT)
 
 
-def _part_reads(tree, exempt_functions=()):
-    """(line, attribute) of every access to an expression part outside
-    the exempt functions."""
-    skip = set()
+def _format_reads(tree):
+    """(line, name) of every read of a format attribute and of every
+    private name imported from the kernel."""
+    reads = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in exempt_functions:
-            skip.update(id(n) for n in ast.walk(node))
-    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in PARTS
-                  and id(node) not in skip)
+        if isinstance(node, ast.Attribute) and node.attr in FORMAT:
+            reads.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("expr", "gaugeflow.expr"):
+            reads += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return sorted(reads)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_no_expression_part(path):
-    assert _part_reads(ast.parse(path.read_text()), EXEMPT.get(path.name, ())) == []
+    assert _format_reads(ast.parse(path.read_text())) == []
 
 
 def test_a_part_read_is_caught():
-    tree = ast.parse("def f(e):\n    return e._num, e._cden\n"
-                     "def render_expression(e):\n    return e._den\n"
+    tree = ast.parse("from .expr import Expression, _mono_sort_key\n"
+                     "def f(e, v):\n    return e._num, e._cden, v._text\n"
                      "x = g()._den\n")
-    assert _part_reads(tree) == [(2, "_cden"), (2, "_num"), (4, "_den"), (5, "_den")]
-    assert _part_reads(tree, {"render_expression"}) == [(2, "_cden"), (2, "_num"), (5, "_den")]
+    assert _format_reads(tree) == [(1, "_mono_sort_key"), (3, "_cden"), (3, "_num"),
+                                   (3, "_text"), (4, "_den")]

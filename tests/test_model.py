@@ -17,6 +17,7 @@ from gaugeflow.cli import main
 from gaugeflow.errors import (
     BadParameter,
     DuplicateCoordinate,
+    ExpressionSyntaxError,
     IndexOutOfRange,
     MalformedGenerator,
     ModelSyntaxError,
@@ -129,7 +130,7 @@ class TestParseModel:
 BASE = "[vars]\nx\ny\n[lagrangian]\n(x' - y)^2/2\n"  # lines 1-5
 GEN = BASE + "[generators]\ngen e\n"                    # components from line 8
 
-# (model text, error class, line number in the message or None)
+# (model text, error class, the message's "(line ...)" text or None)
 HOSTILE = [
     pytest.param(BASE + "[options]\nmax_generations = 0\n", ModelSyntaxError, None,
                  id="zero-generations"),
@@ -164,6 +165,8 @@ HOSTILE = [
     pytest.param(BASE + "[options]\nseed\n", ModelSyntaxError, 7, id="option-without-value"),
     pytest.param(BASE + "[options]\nseed = abc\n", ModelSyntaxError, 7,
                  id="non-integer-option"),
+    pytest.param("[vars]\nx\n[lagrangian]\nx'^2 + p_x'\n", ExpressionSyntaxError,
+                 "4, column 8", id="primed-momentum"),
 ]
 
 
