@@ -19,6 +19,7 @@ deliberately omits wall-clock timings (the text format prints them).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -40,7 +41,9 @@ from .noether import conjecture_constraints, independence_check, noether_identit
 EXIT_USAGE = 1
 
 
+@functools.cache
 def _parser():
+    """The argument tree, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gaugeflow",
         description="Constraint analysis of singular Lagrangian models: the "

@@ -94,13 +94,13 @@ class GaugeGenerator(namedtuple("GaugeGenerator", "parameter_name components")):
 
 class ModelSpec(namedtuple("ModelSpec", "name coordinates lagrangian generators options",
                            defaults=((), Options()))):
-    """A validated model; a named tuple (equal to any tuple) that keeps
-    its expanded coordinates in an instance dict.  Copy it with the
-    ``with_`` methods: ``_replace`` would skip the checks."""
+    """A validated model; a named tuple (equal to any tuple) that keeps its
+    expanded coordinates (``_coords``, if already expanded) in an instance
+    dict.  Copy it with the ``with_`` methods: ``_replace`` skips checks."""
 
-    def __new__(cls, *args, **kwargs):
+    def __new__(cls, *args, _coords=None, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self._coords = _expand_coordinates(self.coordinates)
+        self._coords = _expand_coordinates(self.coordinates) if _coords is None else _coords
         _validate_model(self)
         return self
 
@@ -122,8 +122,10 @@ class ModelSpec(namedtuple("ModelSpec", "name coordinates lagrangian generators 
                      for q in decl.expand())
 
     def with_options(self, **kwargs):
-        options = Options(**{**self.options._asdict(), **kwargs})
-        return ModelSpec(**{**self._asdict(), "options": options})
+        # options check themselves, and nothing else changes
+        copy = self._replace(options=Options(**{**self.options._asdict(), **kwargs}))
+        copy._coords = self._coords
+        return copy
 
     def with_generators(self, generators):
         return ModelSpec(**{**self._asdict(), "generators": tuple(generators)})
@@ -148,16 +150,21 @@ def _expand_coordinates(decls):
     return tuple(out)
 
 
+def _lagrangian_fault(v):
+    """Why a Lagrangian may not mention ``v``, or None if it may."""
+    if v.kind in (Kind.MOMENTUM, Kind.MULTIPLIER):
+        return f"the Lagrangian must be a function of coordinates and velocities; found {v}"
+    if v.jet_order > 1:
+        return f"the Lagrangian may mention at most first time derivatives; found {v}"
+    return None
+
+
 def _validate_model(m):
     coords = set(m.coordinate_vars)
     for v in m.lagrangian.variables():
-        if v.kind in (Kind.MOMENTUM, Kind.MULTIPLIER):
-            raise NonPolynomialLagrangian(
-                f"the Lagrangian must be a function of coordinates and "
-                f"velocities; found {v}")
-        if v.jet_order > 1:
-            raise NonPolynomialLagrangian(
-                f"the Lagrangian may mention at most first time derivatives; found {v}")
+        fault = _lagrangian_fault(v)
+        if fault:
+            raise NonPolynomialLagrangian(fault)
         if v.coordinate() not in coords:
             raise UnknownSymbol(f"Lagrangian mentions undeclared coordinate {v.coordinate()}")
     if not m.lagrangian.is_polynomial():
@@ -196,20 +203,14 @@ def _validate_model(m):
 _SECTIONS = ("model", "vars", "lagrangian", "generators", "options")
 
 
-def _strip_comment(line):
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
-def _make_resolver(m_coords):
-    """Resolve mentions against declared coordinates, with dot-suffix
-    sugar; :func:`parse.default_resolver` builds the VarRef."""
+def _make_resolvers(m_coords):
+    """Resolvers of mentions of declared coordinates, with dot-suffix sugar,
+    for ``[lagrangian]`` (rejecting what it may not mention) and ``[generators]``."""
     bases = {}
     for q in m_coords:
         bases.setdefault(q.base, set()).add(q.indices)
 
-    def resolve(base, indices, jet_order, is_momentum, pos):
-        line, col = pos
+    def resolve(base, indices, jet_order, is_momentum, where):
         jet = jet_order
         if base not in bases and not is_momentum and base.endswith("dot"):
             # velocity sugar: xdot, xddot, ...; longest declared stem wins
@@ -222,14 +223,21 @@ def _make_resolver(m_coords):
                 base = stem
                 jet = jet_order + extra
         if base not in bases:
-            raise UnknownSymbol(f"unknown symbol '{base}'", line=line)
+            raise UnknownSymbol(f"unknown symbol '{base}'", line=where()[0])
         if indices not in bases[base]:
             raise IndexOutOfRange(
                 f"{base}[{','.join(map(str, indices))}] is outside the declared "
-                f"index ranges (line {line})")
-        return default_resolver(base, indices, jet, is_momentum, pos)
+                f"index ranges (line {where()[0]})")
+        return default_resolver(base, indices, jet, is_momentum, where)
 
-    return resolve
+    def resolve_lagrangian(base, indices, jet_order, is_momentum, where):
+        v = resolve(base, indices, jet_order, is_momentum, where)
+        fault = _lagrangian_fault(v)
+        if fault:
+            raise NonPolynomialLagrangian("{} (line {}, column {})".format(fault, *where()))
+        return v
+
+    return resolve_lagrangian, resolve
 
 
 def _parse_var_decl(text, line_no):
@@ -286,7 +294,7 @@ def parse_model(source, name="model"):
     pending_gen = None
     generators = []
     for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -319,8 +327,8 @@ def parse_model(source, name="model"):
 
     first_line = sections["lagrangian"][0][0]
     lagrangian_text = " ".join(text for _, text in sections["lagrangian"])
-    resolver = _make_resolver(coords)
-    lagrangian = parse_expression(lagrangian_text, resolver,
+    lagrangian_resolver, resolver = _make_resolvers(coords)
+    lagrangian = parse_expression(lagrangian_text, lagrangian_resolver,
                                   line_offset=first_line - 1)
 
     for line_no, line in sections.get("generators", []):
@@ -364,6 +372,7 @@ def parse_model(source, name="model"):
         lagrangian=lagrangian,
         generators=tuple(GaugeGenerator(n, tuple(comps)) for n, comps in generators),
         options=Options(**opts),
+        _coords=coords,
     )
 
 

@@ -15,18 +15,24 @@ The identifier ``lam`` is reserved for constraint multipliers, and a
 leading ``p_`` always means a momentum, so coordinate names may use
 neither.  ``expr.render_expression`` writes this grammar back, and
 ``parse_expression`` inverts it.
+
+A text is lexed in one pass of one pattern, a token at a time as the
+parser asks: a character no rule accepts matches too, and is raised as
+``unexpected character`` when reached.  Positions are worked out only
+for error messages.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 
 from .errors import ExpressionSyntaxError
 from .expr import Expression, Kind, VarRef, esum
 
-_SPACE = re.compile(r"\s*")
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^])")
+# one token per match, after its leading space: an int, an identifier,
+# primes, a symbol (its own kind), or any other character, an error
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^])|(\S))")
+_KINDS = (None, "int", "ident", "primes", None)
 
 MULTIPLIER_BASE = "lam"
 MOMENTUM_PREFIX = "p_"
@@ -43,16 +49,19 @@ def reserved_base_reason(base):
     return None
 
 
-def default_resolver(base, indices, jet_order, is_momentum, pos):
-    """Turn a parsed variable mention into a VarRef, with no declarations."""
-    line, col = pos
+def default_resolver(base, indices, jet_order, is_momentum, where):
+    """Turn a parsed variable mention into a VarRef, with no declarations.
+
+    ``where()`` gives the mention's 1-based (line, column); a resolver
+    calls it only to report an error.
+    """
     if is_momentum:
         if jet_order:
-            raise ExpressionSyntaxError("momenta carry no primes", line, col)
+            raise ExpressionSyntaxError("momenta carry no primes", *where())
         return VarRef(base, indices, Kind.MOMENTUM, 0)
     if base == MULTIPLIER_BASE:
         if jet_order:
-            raise ExpressionSyntaxError("multipliers carry no primes", line, col)
+            raise ExpressionSyntaxError("multipliers carry no primes", *where())
         return VarRef(base, indices, Kind.MULTIPLIER, 0)
     if jet_order:
         return VarRef(base, indices, Kind.JET, jet_order)
@@ -60,18 +69,22 @@ def default_resolver(base, indices, jet_order, is_momentum, pos):
 
 
 class _Tokens:
+    """The (kind, value, offset) tokens of one text, lexed as the parser
+    asks for them, then ``end`` for ever."""
+
     def __init__(self, text, line_offset=0):
         self.text = text
-        self.pos = 0
-        self.peeked = None
         self.line_offset = line_offset
-        self.newlines = [m.start() for m in re.finditer("\n", text)]
+        self.matches = _TOKEN.finditer(text)
+        self.peeked = None
 
-    def location(self, at=None):
-        at = self.pos if at is None else at
-        line = bisect_left(self.newlines, at)  # newlines before ``at``
-        line_start = self.newlines[line - 1] + 1 if line else 0
-        return line + 1 + self.line_offset, at - line_start + 1
+    def location(self, at):
+        """1-based (line, column) of offset ``at``."""
+        line = self.text.count("\n", 0, at) + 1 + self.line_offset
+        return line, at - self.text.rfind("\n", 0, at)
+
+    def fail(self, message, at):
+        raise ExpressionSyntaxError(message, *self.location(at))
 
     def peek(self):
         """The next token, lexed once: ``next`` hands the same one over."""
@@ -87,24 +100,18 @@ class _Tokens:
         return tok
 
     def _lex(self):
-        self.pos = _SPACE.match(self.text, self.pos).end()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            line, col = self.location()
-            raise ExpressionSyntaxError(
-                f"unexpected character {self.text[self.pos]!r}", line, col)
-        start = self.pos
-        self.pos = m.end()
-        number, ident, primes, sym = m.groups()
-        if number is not None:
-            return ("int", int(number), start)
-        if ident is not None:
-            return ("ident", ident, start)
-        if primes is not None:
-            return ("primes", len(primes), start)
-        return (sym, sym, start)
+        m = next(self.matches, None)
+        if m is None:
+            return ("end", None, len(self.text))
+        group = m.lastindex
+        value = m[group]
+        if group == 1:
+            value = int(value)
+        elif group == 3:
+            value = len(value)
+        elif group == 5:
+            self.fail(f"unexpected character {value!r}", m.start(group))
+        return (_KINDS[group] or value, value, m.start(group))
 
 
 class _Parser:
@@ -112,21 +119,21 @@ class _Parser:
         self.toks = tokens
         self.resolver = resolver
 
-    def fail(self, message, at):
-        line, col = self.toks.location(at)
-        raise ExpressionSyntaxError(message, line, col)
-
-    def expect(self, kind):
+    def signed_int(self, message):
+        """An INT or '-' INT; anything else fails with ``message``."""
         tok = self.toks.next()
-        if tok[0] != kind:
-            self.fail(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+        neg = tok[0] == "-"
+        if neg:
+            tok = self.toks.next()
+        if tok[0] != "int":
+            self.toks.fail(message, tok[2])
+        return -tok[1] if neg else tok[1]
 
     def parse(self):
         e = self.expr()
         tok = self.toks.next()
         if tok[0] != "end":
-            self.fail(f"trailing input starting at {tok[1]!r}", tok[2])
+            self.toks.fail(f"trailing input starting at {tok[1]!r}", tok[2])
         return e
 
     def expr(self):
@@ -141,44 +148,26 @@ class _Parser:
 
     def term(self):
         e = self.unary()
-        while True:
-            tok = self.toks.peek()
-            if tok[0] == "*":
-                self.toks.next()
+        while self.toks.peek()[0] in ("*", "/"):
+            if self.toks.next()[0] == "*":
                 e = e * self.unary()
-            elif tok[0] == "/":
-                self.toks.next()
-                e = e / self.unary()
             else:
-                return e
+                e = e / self.unary()
+        return e
 
     def unary(self):
         sign = 1
-        while True:
-            tok = self.toks.peek()
-            if tok[0] == "-":
-                self.toks.next()
+        while self.toks.peek()[0] in ("-", "+"):
+            if self.toks.next()[0] == "-":
                 sign = -sign
-            elif tok[0] == "+":
-                self.toks.next()
-            else:
-                break
         e = self.power()
         return e if sign > 0 else -e
 
     def power(self):
         e = self.atom()
-        tok = self.toks.peek()
-        if tok[0] == "^":
+        if self.toks.peek()[0] == "^":
             self.toks.next()
-            neg = False
-            tok = self.toks.next()
-            if tok[0] == "-":
-                neg = True
-                tok = self.toks.next()
-            if tok[0] != "int":
-                self.fail("exponent must be an integer", tok[2])
-            e = e ** (-tok[1] if neg else tok[1])
+            e = e ** self.signed_int("exponent must be an integer")
         return e
 
     def atom(self):
@@ -187,13 +176,15 @@ class _Parser:
             return Expression.const(tok[1])
         if tok[0] == "(":
             e = self.expr()
-            self.expect(")")
+            tok = self.toks.next()
+            if tok[0] != ")":
+                self.toks.fail(f"expected ')', found {tok[1]!r}", tok[2])
             return e
         if tok[0] == "ident":
             return Expression.var(self.variable(tok))
         if tok[0] == "end":
-            self.fail("unexpected end of expression", tok[2])
-        self.fail(f"expected a value, found {tok[1]!r}", tok[2])
+            self.toks.fail("unexpected end of expression", tok[2])
+        self.toks.fail(f"expected a value, found {tok[1]!r}", tok[2])
 
     def variable(self, tok):
         name, start = tok[1], tok[2]
@@ -204,25 +195,18 @@ class _Parser:
             self.toks.next()
             idx = []
             while True:
-                t = self.toks.next()
-                neg = False
-                if t[0] == "-":
-                    neg = True
-                    t = self.toks.next()
-                if t[0] != "int":
-                    self.fail("indices must be integers", t[2])
-                idx.append(-t[1] if neg else t[1])
+                idx.append(self.signed_int("indices must be integers"))
                 t = self.toks.next()
                 if t[0] == "]":
                     break
                 if t[0] != ",":
-                    self.fail("expected ',' or ']' in index list", t[2])
+                    self.toks.fail("expected ',' or ']' in index list", t[2])
             indices = tuple(idx)
         jet_order = 0
         if self.toks.peek()[0] == "primes":
             jet_order = self.toks.next()[1]
         return self.resolver(base, indices, jet_order, is_momentum,
-                             self.toks.location(start))
+                             lambda: self.toks.location(start))
 
 
 def parse_expression(text, resolver=None, line_offset=0):

@@ -287,3 +287,44 @@ def test_cold_compare_prints_golden_json():
                         "--format", "json")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.encode() == (GOLDEN_DIR / "toy_gauge.json").read_bytes()
+
+
+class TestParserReuse:
+    """One argument tree serves every ``main`` call of a process."""
+
+    def test_one_tree_per_process(self):
+        assert gaugeflow.cli._parser() is gaugeflow.cli._parser()
+
+    def test_no_option_leaks_into_the_next_call(self, capsys):
+        argv = ["compare", "--builtin", "toy_gauge", "--format", "json"]
+        run_cli("compare", "--builtin", "maxwell_lattice", "-p", "N=2", "--seed", "7")
+        capsys.readouterr()
+        code, text = run_cli(*argv)
+        fresh = fresh_python("-m", "gaugeflow.cli", *argv)
+        assert (code, text, capsys.readouterr().err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_import_builds_no_parser(self):
+        proc = fresh_python("-c", "import argparse; made = []; "
+                            "init = argparse.ArgumentParser.__init__; "
+                            "argparse.ArgumentParser.__init__ = "
+                            "lambda self, *a, **k: made.append(1) or init(self, *a, **k); "
+                            "import gaugeflow.cli; print(len(made)); "
+                            "gaugeflow.cli._parser(); print(len(made) > 0)")
+        assert proc.returncode == 0 and proc.stdout == "0\nTrue\n"
+
+    @pytest.mark.parametrize("command", ["", "compare", "analyze", "conjecture",
+                                         "check-identities", "list-builtins"])
+    def test_help_matches_golden(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        texts = []
+        for _ in range(2):
+            assert main(argv, out=io.StringIO()) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        # argparse lays help out differently from one Python version to the
+        # next; the goldens are Python 3.11's
+        if sys.version_info[:2] == (3, 11):
+            golden = GOLDEN_DIR / f"help{'_' + command if command else ''}.txt"
+            assert texts[0].encode() == golden.read_bytes()

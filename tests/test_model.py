@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from gaugeflow import (
+    CoordinateDecl,
     Expression,
+    ModelSpec,
     Options,
     builtin_model,
     coordinate,
@@ -63,10 +65,15 @@ class TestParseModel:
     def test_momentum_mention_rejected(self):
         with pytest.raises(NonPolynomialLagrangian):
             parse_model("[vars]\nx\n[lagrangian]\np_x\n")
+        # a model built in code is checked too, with no position to report
+        with pytest.raises(NonPolynomialLagrangian, match=r"found p_x$"):
+            ModelSpec("m", (CoordinateDecl("x"),), Expression.var(coordinate("x").momentum()))
 
     def test_acceleration_rejected(self):
         with pytest.raises(NonPolynomialLagrangian):
             parse_model("[vars]\nx\n[lagrangian]\nx''\n")
+        with pytest.raises(NonPolynomialLagrangian, match=r"found x''$"):
+            ModelSpec("m", (CoordinateDecl("x"),), Expression.var(coordinate("x").jet(2)))
 
     def test_rational_lagrangian_rejected(self):
         with pytest.raises(NonPolynomialLagrangian):
@@ -121,6 +128,12 @@ class TestParseModel:
         assert repr(Options()) == ("Options(max_generations=10, sample_count=20, "
                                    "numeric_tolerance=1e-09, seed=1729)")
 
+    def test_option_copies_share_the_expanded_coordinates(self):
+        m = parse_model(TOY_SOURCE)
+        copy = m.with_options(seed=3)
+        assert copy.coordinate_vars is m.coordinate_vars and copy.options.seed == 3
+        assert copy == parse_model(TOY_SOURCE + "[options]\nseed = 3\n")
+
     def test_syntax_error_has_line(self):
         with pytest.raises(ModelSyntaxError) as err:
             parse_model("[vars]\nx\n[wrong]\n")
@@ -167,12 +180,46 @@ HOSTILE = [
                  id="non-integer-option"),
     pytest.param("[vars]\nx\n[lagrangian]\nx'^2 + p_x'\n", ExpressionSyntaxError,
                  "4, column 8", id="primed-momentum"),
+    pytest.param("[vars]\nx\n[lagrangian]\nx'^2 + p_x\n", NonPolynomialLagrangian,
+                 "4, column 8", id="momentum-in-lagrangian"),
+    pytest.param("[vars]\nx\n[lagrangian]\nx''^2\n", NonPolynomialLagrangian,
+                 "4, column 1", id="acceleration-in-lagrangian"),
 ]
+
+# every HOSTILE entry's exact message
+HOSTILE_MESSAGES = {
+    "zero-generations": "max_generations must be positive",
+    "zero-samples": "sample_count must be positive",
+    "repeated-parameter": "gauge parameter names must be distinct",
+    "empty-generator": "generator 'e' has no components",
+    "order-past-cap": "generator order k=4 outside 0..3",
+    "two-names": "malformed coordinate declaration 'x y' (line 2)",
+    "unclosed-range": "malformed index ranges in 'A[0:2' (line 2)",
+    "non-integer-range": "bad index range 'a:b' (line 2)",
+    "bad-coordinate-name": "'1x' is not a valid coordinate name (line 2)",
+    "target-not-a-name": "'x + y' is not a single coordinate (line 8)",
+    "target-a-momentum": "generator components target coordinates, not p_x (line 8)",
+    "duplicate-section": "duplicate section '[vars]' (line 3)",
+    "content-before-header": "content before the first section header (line 1)",
+    "no-vars": "a model needs a [vars] section",
+    "no-lagrangian": "a model needs a [lagrangian] section",
+    "unknown-model-entry": "unknown entry 'colour = red' in [model] (line 2)",
+    "bad-parameter-name": "bad gauge parameter name '1e' (line 7)",
+    "two-fields": "expected 'coordinate : k=<int> : coefficient' (line 8)",
+    "bad-order": "bad derivative order 'j=0' (line 8)",
+    "option-without-value": "expected 'key = value', got 'seed' (line 7)",
+    "non-integer-option": "bad value for option 'seed' (line 7)",
+    "primed-momentum": "momenta carry no primes (line 4, column 8)",
+    "momentum-in-lagrangian": "the Lagrangian must be a function of coordinates and "
+                              "velocities; found p_x (line 4, column 8)",
+    "acceleration-in-lagrangian": "the Lagrangian may mention at most first time "
+                                  "derivatives; found x'' (line 4, column 1)",
+}
 
 
 class TestHostileModels:
     @pytest.mark.parametrize("source,error,line", HOSTILE)
-    def test_typed_error(self, source, error, line):
+    def test_typed_error(self, request, source, error, line):
         with pytest.raises(error) as err:
             parse_model(source)
         assert type(err.value) is error
@@ -180,6 +227,7 @@ class TestHostileModels:
             assert "(line" not in str(err.value)
         else:
             assert f"(line {line})" in str(err.value)
+        assert str(err.value) == HOSTILE_MESSAGES[request.node.callspec.id]
 
     @pytest.mark.parametrize("source,error,line", HOSTILE)
     def test_cli_usage_error(self, source, error, line, tmp_path, capsys):

@@ -4,8 +4,22 @@ import random
 
 import pytest
 
-from gaugeflow import Expression, coordinate, multiplier, parse_expression, render_expression
-from gaugeflow.errors import ExpressionSyntaxError
+from gaugeflow import (
+    Expression,
+    coordinate,
+    multiplier,
+    parse_expression,
+    parse_model,
+    render_expression,
+)
+from gaugeflow.errors import (
+    ExpressionSyntaxError,
+    GaugeflowError,
+    IndexOutOfRange,
+    ModelSyntaxError,
+    NonPolynomialLagrangian,
+    UnknownSymbol,
+)
 from gaugeflow.expr import ZERO
 from gaugeflow.parse import _Tokens
 
@@ -56,6 +70,72 @@ def test_location_matches_count_and_rfind():
         line = text.count("\n", 0, at) + 1 + 4
         col = at - (text.rfind("\n", 0, at) + 1) + 1
         assert tokens.location(at) == (line, col)
+
+
+# (text, outcome of parse_expression, outcome as a model's Lagrangian on line
+# 5); an outcome is (exception, exact message) or the rendered result
+LEXER_CASES = [
+    ("x $ y", (ExpressionSyntaxError, "unexpected character '$' (line 1, column 3)"),
+     (ExpressionSyntaxError, "unexpected character '$' (line 5, column 3)")),
+    ("x + + $", (ExpressionSyntaxError, "unexpected character '$' (line 1, column 7)"),
+     (ExpressionSyntaxError, "unexpected character '$' (line 5, column 7)")),
+    ("A[1,", (ExpressionSyntaxError, "indices must be integers (line 1, column 5)"),
+     (ExpressionSyntaxError, "indices must be integers (line 5, column 5)")),
+    ("A[ 1 , 2 ]'", "A[1,2]'",
+     (IndexOutOfRange, "A[1,2] is outside the declared index ranges (line 5)")),
+    ("p_x'", (ExpressionSyntaxError, "momenta carry no primes (line 1, column 1)"),
+     (ExpressionSyntaxError, "momenta carry no primes (line 5, column 1)")),
+    ("2^x", (ExpressionSyntaxError, "exponent must be an integer (line 1, column 3)"),
+     (ExpressionSyntaxError, "exponent must be an integer (line 5, column 3)")),
+    ("(x", (ExpressionSyntaxError, "expected ')', found None (line 1, column 3)"),
+     (ExpressionSyntaxError, "expected ')', found None (line 5, column 3)")),
+    ("", (ExpressionSyntaxError, "unexpected end of expression (line 1, column 1)"),
+     (ModelSyntaxError, "a model needs a [lagrangian] section")),
+    # the parser's own error comes first when it stops before the bad character
+    ("2^x @", (ExpressionSyntaxError, "exponent must be an integer (line 1, column 3)"),
+     (ExpressionSyntaxError, "exponent must be an integer (line 5, column 3)")),
+    # a division by zero would come first if the parser passed the error token
+    ("x/0 $", (ExpressionSyntaxError, "unexpected character '$' (line 1, column 5)"),
+     (ExpressionSyntaxError, "unexpected character '$' (line 5, column 5)")),
+    ("(x 5", (ExpressionSyntaxError, "expected ')', found 5 (line 1, column 4)"),
+     (ExpressionSyntaxError, "expected ')', found 5 (line 5, column 4)")),
+    ("(x)''", (ExpressionSyntaxError, "trailing input starting at 2 (line 1, column 4)"),
+     (ExpressionSyntaxError, "trailing input starting at 2 (line 5, column 4)")),
+    # a tab and a non-ASCII space between tokens
+    ("x\t+\u00a0y", "x + y", (UnknownSymbol, "unknown symbol 'y' (line 5)")),
+    ("x\t+\u00a0$", (ExpressionSyntaxError, "unexpected character '$' (line 1, column 5)"),
+     (ExpressionSyntaxError, "unexpected character '$' (line 5, column 5)")),
+    ("x\u2003*\tx ^ 2 @",
+     (ExpressionSyntaxError, "unexpected character '@' (line 1, column 11)"),
+     (ExpressionSyntaxError, "unexpected character '@' (line 5, column 11)")),
+]
+
+
+def _outcome(parse, text):
+    try:
+        return render_expression(parse(text))
+    except GaugeflowError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text, expression, lagrangian", LEXER_CASES)
+def test_lexer_outcomes(text, expression, lagrangian):
+    assert _outcome(parse_expression, text) == expression
+    model = "[vars]\nx\nA[0:2]\n[lagrangian]\n" + text + "\n"
+    assert _outcome(lambda t: parse_model(t).lagrangian, model) == lagrangian
+
+
+# a Lagrangian's lines are joined with spaces before parsing, so a
+# position in it is counted from its first line
+@pytest.mark.parametrize("last, outcome", [
+    ("- $", (ExpressionSyntaxError, "unexpected character '$' (line 5, column 15)")),
+    ("- z", (UnknownSymbol, "unknown symbol 'z' (line 5)")),
+    ("- p_y", (NonPolynomialLagrangian, "the Lagrangian must be a function of coordinates "
+                                        "and velocities; found p_y (line 5, column 15)")),
+])
+def test_three_line_lagrangian_outcomes(last, outcome):
+    model = f"[vars]\nx\ny\n[lagrangian]\nx'^2\n+ y'^2\n{last}\n"
+    assert _outcome(lambda t: parse_model(t).lagrangian, model) == outcome
 
 
 def test_long_sum_parses_to_its_left_fold():
