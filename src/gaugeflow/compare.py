@@ -31,7 +31,6 @@ from .errors import (
     ModelError,
     SurfaceSamplingFailed,
 )
-from .expr import Kind
 from .legendre import primary_constraints
 from .linalg import jacobian, sampled_rank
 from .noether import conjecture_constraints, independence_check, noether_identity_check
@@ -136,11 +135,7 @@ def _canonical_sector(constraint, discardable):
     """A constraint belongs to the canonical sector when it involves no
     discarded coordinate and no momentum conjugate to one."""
     banned = set(discardable)
-    for v in constraint.expr.variables():
-        core = v.coordinate() if v.kind in (Kind.COORDINATE, Kind.MOMENTUM) else None
-        if core in banned:
-            return False
-    return True
+    return not any(v.coordinate() in banned for v in constraint.expr.variables())
 
 
 def _timed(timings, name, stage, *args):

@@ -324,10 +324,7 @@ def classify(result, pairs, reducer):
         partners = {j for v in e.variables() if v in conjugates
                     for j in holders.get(conjugates[v][0], ()) if j > i}
         for j in sorted(partners):
-            bracket = poisson_bracket(e, exprs[j], pairs)
-            if bracket.is_zero():
-                continue
-            if not reducer.reduce(bracket).is_zero():
+            if not reducer.reduce(poisson_bracket(e, exprs[j], pairs)).is_zero():
                 second[i] = True
                 second[j] = True
     count = sum(second)

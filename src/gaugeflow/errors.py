@@ -2,14 +2,27 @@
 
 Every error that carries algebraic evidence (a witness expression, a
 sample point) stores it on the exception so reports can surface it
-without re-deriving anything.
+without re-deriving anything.  A source position is written by
+:class:`GaugeflowError` alone: the model and expression parsers pass it
+as ``line`` and ``column`` arguments, never as message text.
 """
 
 from __future__ import annotations
 
 
 class GaugeflowError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.
+
+    A positioned error ends its message in ``(line L)`` or ``(line L,
+    column C)``, both 1-based; ``line`` and ``column`` are 0 when absent.
+    """
+
+    def __init__(self, message, line=0, column=0):
+        if line:
+            message += f" (line {line}, column {column})" if column else f" (line {line})"
+        super().__init__(message)
+        self.line = line
+        self.column = column
 
 
 # --- expression kernel ------------------------------------------------------
@@ -34,17 +47,8 @@ class DivisionByZero(ExpressionError):
     at a point where a denominator vanishes."""
 
 
-class JetOrderExceeded(ExpressionError):
-    """A time derivative pushed a jet variable past the configured cap."""
-
-
 class ExpressionSyntaxError(ExpressionError):
     """Malformed expression text; carries 1-based line and column."""
-
-    def __init__(self, message, line=1, column=1):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
 
 
 # --- model layer ------------------------------------------------------------
@@ -56,15 +60,9 @@ class ModelError(GaugeflowError):
 class ModelSyntaxError(ModelError):
     """Structural problem in a model file (bad section, bad option...)."""
 
-    def __init__(self, message, line=0):
-        super().__init__(f"{message} (line {line})" if line else message)
-        self.line = line
-
 
 class UnknownSymbol(ModelError):
-    def __init__(self, message, line=0):
-        super().__init__(f"{message} (line {line})" if line else message)
-        self.line = line
+    pass
 
 
 class NonPolynomialLagrangian(ModelError):

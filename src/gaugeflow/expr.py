@@ -58,14 +58,7 @@ import weakref
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .errors import (
-    DenominatorViolation,
-    DivisionByZero,
-    JetOrderExceeded,
-    MomentumInTimeDerivative,
-)
-
-DEFAULT_JET_CAP = 3
+from .errors import DenominatorViolation, DivisionByZero, MomentumInTimeDerivative
 
 
 class Kind(enum.IntEnum):
@@ -613,15 +606,24 @@ def _p_div_exact(a, b):
 
 # --- rendering ---------------------------------------------------------------
 
+def _int_text(n):
+    """``str(n)``, exact also past the interpreter's digit limit for it."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # exact from an int, and with no limit
+        return str(Decimal(n))
+
+
 def _render_monomial(mono, coeff, q):
     """One term of magnitude ``|coeff|/q``, its number printed as
     ``str`` prints that Fraction."""
     mag = abs(coeff)
     if q == 1:
-        text = str(mag)
+        text = _int_text(mag)
     else:
         g = _int_gcd(mag, q)
-        text = str(mag // g) if g == q else f"{mag // g}/{q // g}"
+        text = _int_text(mag // g) if g == q else f"{_int_text(mag // g)}/{_int_text(q // g)}"
     factors = [v._text + (f"^{e}" if e > 1 else "") for v, e in mono]
     if not factors:
         return text
@@ -969,17 +971,15 @@ class Expression:
         """Formal partial derivative with respect to one variable."""
         return self.gradient().get(v, ZERO)
 
-    def dt(self, max_order=DEFAULT_JET_CAP):
+    def dt(self):
         """Total time derivative: every jet of order k becomes order k+1
-        under the chain rule.  Momenta and multipliers are rejected."""
+        under the chain rule, with no cap on k (``model`` bounds the jet
+        orders a model can reach).  Momenta and multipliers are rejected."""
         grad = self.gradient()
         for v in grad:
             if v.kind in (Kind.MOMENTUM, Kind.MULTIPLIER):
                 raise MomentumInTimeDerivative(
                     f"cannot take a time derivative through {v}")
-            if v.jet_order + 1 > max_order:
-                raise JetOrderExceeded(
-                    f"time derivative of {v} exceeds the jet order cap {max_order}")
         if self._den is not _ONE_DEN:
             return esum([d * Expression.var(v.jet(1)) for v, d in grad.items()])
         # each partial times one jet variable: a monomial shift per term,

@@ -36,8 +36,12 @@ from .errors import (
     NonPolynomialLagrangian,
     UnknownSymbol,
 )
-from .expr import DEFAULT_JET_CAP, Expression, Kind, VarRef, render_expression
+from .expr import Expression, Kind, VarRef, render_expression
 from .parse import default_resolver, parse_expression, reserved_base_reason
+
+# the largest time-derivative order k of a gauge parameter; with the
+# Lagrangian's first derivatives it bounds every jet order a model reaches
+MAX_GENERATOR_ORDER = 3
 
 
 class Options(namedtuple("Options", "max_generations sample_count numeric_tolerance seed",
@@ -87,9 +91,6 @@ class GaugeGenerator(namedtuple("GaugeGenerator", "parameter_name components")):
     """A tuple of GeneratorComponents; a named tuple (equal to any tuple)."""
 
     __slots__ = ()
-
-    def max_order(self):
-        return max((c.order for c in self.components), default=0)
 
 
 class ModelSpec(namedtuple("ModelSpec", "name coordinates lagrangian generators options",
@@ -188,9 +189,9 @@ def _validate_model(m):
                 raise UnknownSymbol(
                     f"generator '{g.parameter_name}' targets undeclared "
                     f"coordinate {comp.coordinate}")
-            if not (0 <= comp.order <= DEFAULT_JET_CAP):
+            if not (0 <= comp.order <= MAX_GENERATOR_ORDER):
                 raise MalformedGenerator(
-                    f"generator order k={comp.order} outside 0..{DEFAULT_JET_CAP}")
+                    f"generator order k={comp.order} outside 0..{MAX_GENERATOR_ORDER}")
             for v in comp.coefficient.variables():
                 if v.kind is not Kind.COORDINATE or v not in coords:
                     raise MalformedGenerator(
@@ -223,18 +224,17 @@ def _make_resolvers(m_coords):
                 base = stem
                 jet = jet_order + extra
         if base not in bases:
-            raise UnknownSymbol(f"unknown symbol '{base}'", line=where()[0])
+            raise UnknownSymbol(f"unknown symbol '{base}'", where()[0])
         if indices not in bases[base]:
-            raise IndexOutOfRange(
-                f"{base}[{','.join(map(str, indices))}] is outside the declared "
-                f"index ranges (line {where()[0]})")
+            raise IndexOutOfRange(f"{base}[{','.join(map(str, indices))}] is outside the "
+                                  "declared index ranges", where()[0])
         return default_resolver(base, indices, jet, is_momentum, where)
 
     def resolve_lagrangian(base, indices, jet_order, is_momentum, where):
         v = resolve(base, indices, jet_order, is_momentum, where)
         fault = _lagrangian_fault(v)
         if fault:
-            raise NonPolynomialLagrangian("{} (line {}, column {})".format(fault, *where()))
+            raise NonPolynomialLagrangian(fault, *where())
         return v
 
     return resolve_lagrangian, resolve
@@ -274,11 +274,10 @@ def _parse_core_var(text, resolver, line_no):
     e = parse_expression(text, resolver, line_offset=line_no - 1)
     vs = e.variables()
     if len(vs) != 1 or e != Expression.var(next(iter(vs))):
-        raise MalformedGenerator(f"'{text}' is not a single coordinate (line {line_no})")
+        raise MalformedGenerator(f"'{text}' is not a single coordinate", line_no)
     v = next(iter(vs))
     if v.kind is not Kind.COORDINATE:
-        raise MalformedGenerator(
-            f"generator components target coordinates, not {v} (line {line_no})")
+        raise MalformedGenerator(f"generator components target coordinates, not {v}", line_no)
     return v
 
 
@@ -293,7 +292,8 @@ def parse_model(source, name="model"):
     current = None
     pending_gen = None
     generators = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    lines = source.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -325,8 +325,11 @@ def parse_model(source, name="model"):
     decls = tuple(_parse_var_decl(text, ln) for ln, text in sections["vars"])
     coords = _expand_coordinates(decls)
 
-    first_line = sections["lagrangian"][0][0]
-    lagrangian_text = " ".join(text for _, text in sections["lagrangian"])
+    # the section's own lines, comments cut and leading space kept, so that
+    # a position in the text is its position in the file
+    first_line, last_line = sections["lagrangian"][0][0], sections["lagrangian"][-1][0]
+    lagrangian_text = "\n".join(raw.partition("#")[0].rstrip()
+                                for raw in lines[first_line - 1:last_line])
     lagrangian_resolver, resolver = _make_resolvers(coords)
     lagrangian = parse_expression(lagrangian_text, lagrangian_resolver,
                                   line_offset=first_line - 1)
@@ -335,21 +338,18 @@ def parse_model(source, name="model"):
         if line.startswith("gen "):
             pending_gen = (line[4:].strip(), [])
             if not pending_gen[0].isidentifier():
-                raise MalformedGenerator(
-                    f"bad gauge parameter name '{pending_gen[0]}' (line {line_no})")
+                raise MalformedGenerator(f"bad gauge parameter name '{pending_gen[0]}'", line_no)
             generators.append(pending_gen)
             continue
         if pending_gen is None:
-            raise MalformedGenerator(
-                f"component line before any 'gen <name>' (line {line_no})")
+            raise MalformedGenerator("component line before any 'gen <name>'", line_no)
         parts = line.split(":")
         if len(parts) != 3:
-            raise MalformedGenerator(
-                f"expected 'coordinate : k=<int> : coefficient' (line {line_no})")
+            raise MalformedGenerator("expected 'coordinate : k=<int> : coefficient'", line_no)
         coord = _parse_core_var(parts[0].strip(), resolver, line_no)
         korder = parts[1].strip()
         if not korder.startswith("k=") or not korder[2:].isdigit():
-            raise MalformedGenerator(f"bad derivative order '{korder}' (line {line_no})")
+            raise MalformedGenerator(f"bad derivative order '{korder}'", line_no)
         coeff = parse_expression(parts[2].strip(), resolver, line_offset=line_no - 1)
         pending_gen[1].append(GeneratorComponent(coord, int(korder[2:]), coeff))
 
@@ -363,8 +363,11 @@ def parse_model(source, name="model"):
             raise ModelSyntaxError(f"unknown option '{key}'", line_no)
         try:
             opts[key] = option_types[key](value)
+            Options(**{key: opts[key]})  # the value's own check, at its line
         except ValueError:
             raise ModelSyntaxError(f"bad value for option '{key}'", line_no) from None
+        except ModelSyntaxError as exc:
+            raise ModelSyntaxError(exc.args[0], line_no) from None
 
     return ModelSpec(
         name=name,

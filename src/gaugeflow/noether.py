@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .dirac import Constraint
 from .errors import ConjectureInapplicable, DegenerateGenerator, IdentityViolated
-from .expr import DEFAULT_JET_CAP, Expression, esum
+from .expr import Expression, esum
 from .linalg import sampled_rank
 
 
@@ -46,10 +46,10 @@ def euler_lagrange(m):
     return tuple(out)
 
 
-def _alternating_derivative(e, order, cap):
+def _alternating_derivative(e, order):
     """(-d/dt)^order applied to e."""
     for _ in range(order):
-        e = -e.dt(cap)
+        e = -e.dt()
     return e
 
 
@@ -61,14 +61,12 @@ def noether_identity_check(m):
     (carrying the report) when any residue is nonzero.
     """
     table = dict(euler_lagrange(m))
-    cap = max(DEFAULT_JET_CAP,
-              2 + max((g.max_order() for g in m.generators), default=0))
     residues = []
     for gen in m.generators:
         parts = []
         for comp in gen.components:
             term = table[comp.coordinate] * comp.coefficient
-            parts.append(_alternating_derivative(term, comp.order, cap))
+            parts.append(_alternating_derivative(term, comp.order))
         residues.append((gen.parameter_name, esum(parts)))
     report = NoetherReport(tuple(residues))
     if not report.passed():

@@ -106,7 +106,10 @@ class _Tokens:
         group = m.lastindex
         value = m[group]
         if group == 1:
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's limit on digits
+                self.fail(f"integer literal of {len(value)} digits is too long", m.start(group))
         elif group == 3:
             value = len(value)
         elif group == 5:

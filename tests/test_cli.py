@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.model"
         bad.write_text("[vars]\nx\n[lagrangian]\nx +\n")
         assert run_cli("analyze", str(bad))[0] == 1
+
+    def test_int_past_the_digit_limit(self, tmp_path, capsys):
+        # Python caps the digits of an int-string conversion (4,300 by
+        # default): a longer literal is a syntax error, a longer
+        # coefficient that the analysis builds is written in full
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        literal = tmp_path / "literal.model"
+        literal.write_text(f"[vars]\nx\n[lagrangian]\nx'^2 + {'1' * 5000}\n")
+        for command in ("analyze", "compare"):
+            if limit and limit < 5000:
+                assert run_cli(command, str(literal)) == (1, "")
+                assert capsys.readouterr().err == (
+                    "error: integer literal of 5000 digits is too long (line 4, column 8)\n")
+            else:
+                assert run_cli(command, str(literal))[0] == 0
+        power = tmp_path / "power.model"
+        power.write_text("[vars]\nx\n[lagrangian]\nx'^2/2 + (2*x)^20000\n")
+        code, text = run_cli("analyze", str(power), "--format", "json")
+        assert code == 0 and str(Decimal(2 ** 20000)) in text
+        code, text = run_cli("compare", str(power))
+        assert code == 0 and "verdict: no_gauge_sector" in text
+        seed = tmp_path / "seed.model"
+        seed.write_text(f"[vars]\nx\n[lagrangian]\nx'^2\n[options]\nseed = {'1' * 5000}\n")
+        if limit and limit < 5000:
+            assert run_cli("compare", str(seed), "--format", "json") == (1, "")
+            assert capsys.readouterr().err == "error: bad value for option 'seed' (line 6)\n"
+        assert capsys.readouterr().err == ""
 
     def test_file_not_utf8_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"

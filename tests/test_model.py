@@ -145,9 +145,9 @@ GEN = BASE + "[generators]\ngen e\n"                    # components from line 8
 
 # (model text, error class, the message's "(line ...)" text or None)
 HOSTILE = [
-    pytest.param(BASE + "[options]\nmax_generations = 0\n", ModelSyntaxError, None,
+    pytest.param(BASE + "[options]\nmax_generations = 0\n", ModelSyntaxError, 7,
                  id="zero-generations"),
-    pytest.param(BASE + "[options]\nsample_count = 0\n", ModelSyntaxError, None,
+    pytest.param(BASE + "[options]\nsample_count = 0\n", ModelSyntaxError, 7,
                  id="zero-samples"),
     pytest.param(GEN + "x : k=0 : 1\ngen e\ny : k=1 : 1\n", MalformedGenerator, None,
                  id="repeated-parameter"),
@@ -184,12 +184,22 @@ HOSTILE = [
                  "4, column 8", id="momentum-in-lagrangian"),
     pytest.param("[vars]\nx\n[lagrangian]\nx''^2\n", NonPolynomialLagrangian,
                  "4, column 1", id="acceleration-in-lagrangian"),
+    pytest.param(BASE + "[options]\nnumeric_tolerance = inf\n", ModelSyntaxError, 7,
+                 id="infinite-tolerance"),
+    pytest.param("[vars]\np_x\n[lagrangian]\n1\n", DuplicateCoordinate, None,
+                 id="momentum-name"),
+    pytest.param("[vars]\nxdot\n[lagrangian]\n1\n", DuplicateCoordinate, None,
+                 id="velocity-suffix-name"),
+    pytest.param("[vars]\nx\n[lagrangian]\nxddot^2\n", NonPolynomialLagrangian,
+                 "4, column 1", id="ddot-sugar"),
+    pytest.param("[vars]\nA[2]\n[lagrangian]\nA[1]'^2\n", IndexOutOfRange, 4,
+                 id="single-index-declaration"),
 ]
 
 # every HOSTILE entry's exact message
 HOSTILE_MESSAGES = {
-    "zero-generations": "max_generations must be positive",
-    "zero-samples": "sample_count must be positive",
+    "zero-generations": "max_generations must be positive (line 7)",
+    "zero-samples": "sample_count must be positive (line 7)",
     "repeated-parameter": "gauge parameter names must be distinct",
     "empty-generator": "generator 'e' has no components",
     "order-past-cap": "generator order k=4 outside 0..3",
@@ -214,6 +224,13 @@ HOSTILE_MESSAGES = {
                               "velocities; found p_x (line 4, column 8)",
     "acceleration-in-lagrangian": "the Lagrangian may mention at most first time "
                                   "derivatives; found x'' (line 4, column 1)",
+    "infinite-tolerance": "numeric_tolerance must be finite and positive (line 7)",
+    "momentum-name": "cannot declare 'p_x': names starting with 'p_' are reserved for momenta",
+    "velocity-suffix-name": "cannot declare 'xdot': names ending in 'dot' collide with the "
+                            "velocity suffix",
+    "ddot-sugar": "the Lagrangian may mention at most first time derivatives; found x'' "
+                  "(line 4, column 1)",
+    "single-index-declaration": "A[1] is outside the declared index ranges (line 4)",
 }
 
 
@@ -228,6 +245,18 @@ class TestHostileModels:
         else:
             assert f"(line {line})" in str(err.value)
         assert str(err.value) == HOSTILE_MESSAGES[request.node.callspec.id]
+
+    @pytest.mark.parametrize("source,error,line", HOSTILE)
+    def test_position_attributes(self, source, error, line):
+        # the error keeps the position its message names, 0 when none
+        with pytest.raises(error) as err:
+            parse_model(source)
+        exc = err.value
+        if line is None:
+            assert (exc.line, exc.column) == (0, 0)
+        else:
+            where = f"{exc.line}, column {exc.column}" if exc.column else exc.line
+            assert where == line
 
     @pytest.mark.parametrize("source,error,line", HOSTILE)
     def test_cli_usage_error(self, source, error, line, tmp_path, capsys):

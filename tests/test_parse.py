@@ -1,6 +1,7 @@
 """Infix grammar: round trips and diagnostics."""
 
 import random
+import sys
 
 import pytest
 
@@ -108,6 +109,12 @@ LEXER_CASES = [
     ("x\u2003*\tx ^ 2 @",
      (ExpressionSyntaxError, "unexpected character '@' (line 1, column 11)"),
      (ExpressionSyntaxError, "unexpected character '@' (line 5, column 11)")),
+    ("lam[0]'", (ExpressionSyntaxError, "multipliers carry no primes (line 1, column 1)"),
+     (UnknownSymbol, "unknown symbol 'lam' (line 5)")),
+    ("x + )", (ExpressionSyntaxError, "expected a value, found ')' (line 1, column 5)"),
+     (ExpressionSyntaxError, "expected a value, found ')' (line 5, column 5)")),
+    ("A[1 2]", (ExpressionSyntaxError, "expected ',' or ']' in index list (line 1, column 5)"),
+     (ExpressionSyntaxError, "expected ',' or ']' in index list (line 5, column 5)")),
 ]
 
 
@@ -125,17 +132,40 @@ def test_lexer_outcomes(text, expression, lagrangian):
     assert _outcome(lambda t: parse_model(t).lagrangian, model) == lagrangian
 
 
-# a Lagrangian's lines are joined with spaces before parsing, so a
-# position in it is counted from its first line
+# a Lagrangian over several lines is parsed as the file's own lines, so a
+# position in it is its position in the file
 @pytest.mark.parametrize("last, outcome", [
-    ("- $", (ExpressionSyntaxError, "unexpected character '$' (line 5, column 15)")),
-    ("- z", (UnknownSymbol, "unknown symbol 'z' (line 5)")),
+    ("- $", (ExpressionSyntaxError, "unexpected character '$' (line 7, column 3)")),
+    ("- z", (UnknownSymbol, "unknown symbol 'z' (line 7)")),
     ("- p_y", (NonPolynomialLagrangian, "the Lagrangian must be a function of coordinates "
-                                        "and velocities; found p_y (line 5, column 15)")),
+                                        "and velocities; found p_y (line 7, column 3)")),
 ])
 def test_three_line_lagrangian_outcomes(last, outcome):
     model = f"[vars]\nx\ny\n[lagrangian]\nx'^2\n+ y'^2\n{last}\n"
     assert _outcome(lambda t: parse_model(t).lagrangian, model) == outcome
+
+
+# leading space, blank lines and comment lines keep their place
+@pytest.mark.parametrize("lagrangian, outcome", [
+    ("  x'^2 + $", "unexpected character '$' (line 5, column 10)"),
+    ("x'^2 # c\n\n  # c\n\t+ y'^2 - $ # c", "unexpected character '$' (line 8, column 11)"),
+    ("x'^2 + # c\n", "unexpected end of expression (line 5, column 7)"),
+])
+def test_lagrangian_positions_are_the_files(lagrangian, outcome):
+    model = f"[vars]\nx\ny\n[lagrangian]\n{lagrangian}\n"
+    assert _outcome(parse_model, model) == (ExpressionSyntaxError, outcome)
+
+
+def test_literal_past_the_digit_limit_is_a_syntax_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts int literals of any length")
+    digits = "1" * (limit + 1)
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(f"x +\n  {digits}")
+    assert str(err.value) == f"integer literal of {limit + 1} digits is too long (line 2, column 3)"
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert parse_expression("1" * limit) == Expression.const(int("1" * limit))
 
 
 def test_long_sum_parses_to_its_left_fold():
