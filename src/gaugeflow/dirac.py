@@ -173,33 +173,28 @@ def consistency_step(c, h_total, reducer, pairs):
 
     The bracket with the total Hamiltonian is reduced by ``reducer``, a
     :class:`WeakReducer` over the constraint set the step is tested
-    against (the run's one reducer, shared by every step).
-    A zero residue is an identity; a residue with a weakly nonzero
-    multiplier coefficient fixes that multiplier; a multiplier-free
-    nonzero constant is a contradiction; anything else is a new
-    constraint, returned with leading coefficient one.
+    against (the run's one reducer, shared by every step).  A zero
+    residue is an identity; a residue that mentions a multiplier fixes
+    the largest one; a multiplier-free nonzero constant is a
+    contradiction; anything else is a new constraint, returned with
+    leading coefficient one.  The reducer's rules and divisors mention
+    no multiplier and ``h_total`` is linear in them, so graded-lex
+    division leaves each multiplier's coefficient with a leading term no
+    divisor divides: ``reducer`` cannot certify it zero.
     """
     residue = reducer.reduce(poisson_bracket(c.expr, h_total, pairs))
     if residue.is_zero():
         return Identity()
-    mults = sorted((v for v in residue.variables() if v.kind is Kind.MULTIPLIER),
-                   reverse=True)
-    for v in mults:
+    mults = [v for v in residue.variables() if v.kind is Kind.MULTIPLIER]
+    if mults:
+        v = max(mults)
         coeff = residue.diff(v)
-        if reducer.reduce(coeff).is_zero():
-            continue
         rest = residue - coeff * Expression.var(v)
         try:
             value = reducer.reduce(-rest / coeff)
         except DenominatorViolation:
             value = residue
         return MultiplierFixed(v, value)
-    if mults:
-        # every multiplier coefficient is weakly zero: drop those terms
-        residue = reducer.reduce(
-            residue.subs({v: Expression.const(0) for v in mults}))
-        if residue.is_zero():
-            return Identity()
     if residue.is_constant():
         return Contradiction(residue)
     return NewConstraint(constraint_form(residue))
@@ -213,9 +208,12 @@ def run_dirac(m, leg):
     of all consistency conditions, tested against the constraint set as
     of the start of that generation, that are nonzero at some sampled
     surface point (:meth:`SurfaceSampler.nonzero_point`, one sampler per
-    generation, shared by its candidates).  One
-    :class:`WeakReducer`, extended by each admitted constraint in turn,
-    serves the whole run and then :func:`classify`.
+    generation, shared by its candidates).  A residue that mentions a
+    multiplier fixes one instead (the constraints mention none, so the
+    reducer cannot certify its coefficient zero; see
+    :func:`consistency_step`); each distinct equation is kept once, in
+    the order first met.  One :class:`WeakReducer`, extended by each
+    admitted constraint in turn, serves the run and :func:`classify`.
     Raises :class:`InconsistentLagrangian` on a constant residue or when
     the merged constraints reduce 1 to 0 (the reducer only subtracts
     members of the constraint ideal, so they have no common zero), and
@@ -227,44 +225,33 @@ def run_dirac(m, leg):
     """
     options = m.options
     constraints = list(leg.primary_constraints)
+    multiplier_equations = {}  # (multiplier, value) -> None
+    diagnostics = []
+
+    def result(generations_run, witness=None):
+        return DiracResult(tuple(constraints), tuple(multiplier_equations),
+                           generations_run, witness is None, witness,
+                           tuple(diagnostics))
+
     if not constraints:
-        return DiracResult((), (), 0, True)
+        return result(0)
     h_total = total_hamiltonian(leg)
     pairs = ConjugatePairs(m.canonical_pairs())
     phase_vars = [v for pair in pairs for v in pair]
-    multiplier_equations = []
-    seen_equations = set()
-    diagnostics = []
-    generations_run = 0
     rng = random.Random(options.seed)
     reducer = WeakReducer([c.expr for c in constraints])
-
-    def inconsistent(witness, c, generation):
-        partial = DiracResult(
-            constraints=tuple(constraints),
-            multiplier_equations=tuple(multiplier_equations),
-            generations_run=generation,
-            consistent=False,
-            witness=witness,
-            diagnostics=tuple(diagnostics),
-        )
-        return InconsistentLagrangian(witness, c, partial)
 
     for generation in range(1, options.max_generations + 1):
         candidates = []
         for c in constraints:
             outcome = consistency_step(c, h_total, reducer, pairs)
-            if isinstance(outcome, Identity):
-                continue
             if isinstance(outcome, Contradiction):
-                raise inconsistent(outcome.witness, c, generation)
+                raise InconsistentLagrangian(
+                    outcome.witness, c, result(generation, outcome.witness))
             if isinstance(outcome, MultiplierFixed):
-                key = (outcome.multiplier, outcome.value)
-                if key not in seen_equations:
-                    seen_equations.add(key)
-                    multiplier_equations.append((outcome.multiplier, outcome.value))
-                continue
-            candidates.append(outcome.expr)
+                multiplier_equations[outcome.multiplier, outcome.value] = None
+            elif isinstance(outcome, NewConstraint):
+                candidates.append(outcome.expr)
 
         accepted = []
         if candidates:
@@ -280,24 +267,17 @@ def run_dirac(m, leg):
                     continue
                 admitted.add(expr)
                 accepted.append(Constraint(expr, generation, "dirac"))
-        generations_run = generation
         if not accepted:
             break
         for c in accepted:
             constraints.append(c)
             reducer.extend([c.expr])
             if reducer.reduce(ONE).is_zero():
-                raise inconsistent(ONE, c, generation)
+                raise InconsistentLagrangian(ONE, c, result(generation, ONE))
     else:
         raise GenerationLimitExceeded(options.max_generations)
 
-    return classify(DiracResult(
-        constraints=tuple(constraints),
-        multiplier_equations=tuple(multiplier_equations),
-        generations_run=generations_run,
-        consistent=True,
-        diagnostics=tuple(diagnostics),
-    ), pairs, reducer)
+    return classify(result(generation), pairs, reducer)
 
 
 def classify(result, pairs, reducer):

@@ -132,21 +132,23 @@ class ModelSpec(namedtuple("ModelSpec", "name coordinates lagrangian generators 
         return ModelSpec(**{**self._asdict(), "generators": tuple(generators)})
 
 
-def _expand_coordinates(decls):
-    seen = {}
+def _expand_coordinates(decls, line_nos=None):
+    """The declarations' coordinates; ``line_nos`` gives each
+    declaration's line in a model file, for its errors."""
+    seen = set()
     out = []
-    for decl in decls:
+    for decl, line_no in zip(decls, line_nos or [0] * len(decls)):
         reason = reserved_base_reason(decl.base)
         if reason:
-            raise DuplicateCoordinate(f"cannot declare '{decl.base}': {reason}")
+            raise DuplicateCoordinate(f"cannot declare '{decl.base}': {reason}", line_no)
         for lo, hi in decl.index_ranges:
             if hi <= lo:
                 raise ModelSyntaxError(
-                    f"empty index range {lo}:{hi} in declaration of '{decl.base}'")
+                    f"empty index range {lo}:{hi} in declaration of '{decl.base}'", line_no)
         for q in decl.expand():
             if q in seen:
-                raise DuplicateCoordinate(f"coordinate {q} declared twice")
-            seen[q] = decl
+                raise DuplicateCoordinate(f"coordinate {q} declared twice", line_no)
+            seen.add(q)
             out.append(q)
     return tuple(out)
 
@@ -274,7 +276,7 @@ def _parse_core_var(text, resolver, line_no):
     e = parse_expression(text, resolver, line_offset=line_no - 1)
     vs = e.variables()
     if len(vs) != 1 or e != Expression.var(next(iter(vs))):
-        raise MalformedGenerator(f"'{text}' is not a single coordinate", line_no)
+        raise MalformedGenerator(f"'{text.strip()}' is not a single coordinate", line_no)
     v = next(iter(vs))
     if v.kind is not Kind.COORDINATE:
         raise MalformedGenerator(f"generator components target coordinates, not {v}", line_no)
@@ -323,7 +325,7 @@ def parse_model(source, name="model"):
             raise ModelSyntaxError(f"unknown entry '{line}' in [model]", line_no)
 
     decls = tuple(_parse_var_decl(text, ln) for ln, text in sections["vars"])
-    coords = _expand_coordinates(decls)
+    coords = _expand_coordinates(decls, [ln for ln, _ in sections["vars"]])
 
     # the section's own lines, comments cut and leading space kept, so that
     # a position in the text is its position in the file
@@ -343,14 +345,17 @@ def parse_model(source, name="model"):
             continue
         if pending_gen is None:
             raise MalformedGenerator("component line before any 'gen <name>'", line_no)
-        parts = line.split(":")
+        # the fields of the line as it stands in the file, the coefficient
+        # behind spaces, so that a position in a field is its column
+        parts = lines[line_no - 1].partition("#")[0].rstrip().split(":")
         if len(parts) != 3:
             raise MalformedGenerator("expected 'coordinate : k=<int> : coefficient'", line_no)
-        coord = _parse_core_var(parts[0].strip(), resolver, line_no)
+        coord = _parse_core_var(parts[0], resolver, line_no)
         korder = parts[1].strip()
         if not korder.startswith("k=") or not korder[2:].isdigit():
             raise MalformedGenerator(f"bad derivative order '{korder}'", line_no)
-        coeff = parse_expression(parts[2].strip(), resolver, line_offset=line_no - 1)
+        coeff = parse_expression(" " * (len(parts[0]) + len(parts[1]) + 2) + parts[2],
+                                 resolver, line_offset=line_no - 1)
         pending_gen[1].append(GeneratorComponent(coord, int(korder[2:]), coeff))
 
     option_types = {key: type(value) for key, value in Options._field_defaults.items()}

@@ -15,6 +15,7 @@ from gaugeflow.cli import main
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TEST_MODELS_DIR = Path(__file__).resolve().parent / "models"
 
 
 def run_cli(*argv):
@@ -190,6 +191,10 @@ COMMAND_GOLDENS = [
      ("--builtin", "ym_mechanics"), 0),
     ("check-identities", "check-identities_maxwell_lattice_N2.json",
      ("--builtin", "maxwell_lattice", "-p", "N=2"), 0),
+    # multiplier equations: solved, and left as a residue that mentions lam[0]
+    ("analyze", "analyze_second_class_toy.json", ("--builtin", "second_class_toy"), 0),
+    ("analyze", "analyze_unsolved_multiplier.json",
+     (str(TEST_MODELS_DIR / "unsolved_multiplier.model"),), 0),
 ]
 
 # the stages a command must not run, since each can fail on its own

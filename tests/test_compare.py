@@ -9,6 +9,7 @@ import pytest
 import gaugeflow.compare
 from gaugeflow import (
     Constraint,
+    Diagnostic,
     Expression,
     build_report,
     builtin_model,
@@ -20,7 +21,7 @@ from gaugeflow import (
     span_equivalent,
 )
 from gaugeflow.cli import report_json_dict
-from gaugeflow.errors import SurfaceSamplingFailed
+from gaugeflow.errors import SamplingDegenerate, SurfaceSamplingFailed
 from gaugeflow.reduction import NumericVerdict, WeakReducer
 
 from test_dirac import CIRCLE_SOURCE, assert_extend_matches_one_shot
@@ -214,6 +215,17 @@ class TestBuildReport:
         assert codes == ["dependent-generators", "count-mismatch"]
         assert report.independent is False
         assert report.verdict == "mismatch" and report.exit_code == 2
+
+    def test_independence_failure_is_a_warning(self, monkeypatch):
+        def refuse(m):
+            raise SamplingDegenerate("every sampled point is a pole")
+
+        monkeypatch.setattr(gaugeflow.compare, "independence_check", refuse)
+        report = build_report(builtin_model("toy_gauge"))
+        assert report.diagnostics == (Diagnostic(
+            "warning", "independence-unknown", "every sampled point is a pole"),)
+        assert report.independent is None
+        assert report.verdict == "match" and report.exit_code == 0
 
     def test_first_class_only_on_discarded_coordinate(self):
         src = "[vars]\nx\ny\n[lagrangian]\nxdot^2/2\n"

@@ -161,6 +161,36 @@ class TestConsistencyStep:
         assert out.multiplier == multiplier(0)
         assert out.value == ey
 
+    def test_multiplier_coefficients_are_already_reduced(self):
+        # the premise of solving for a multiplier without reducing its
+        # coefficient again: constraints mention no multiplier and
+        # f0 + sum(lam_i*f_i) is linear in them, so graded-lex division
+        # leaves each multiplier's coefficient irreducible, over a
+        # coordinate denominator too; half the sets have a solved momentum
+        rng = random.Random(2718)
+        lams = [Expression.var(multiplier(i)) for i in range(3)]
+        seen = 0
+        for trial in range(300):
+            exprs = [random_phase_polynomial(rng, max_terms=3)
+                     for _ in range(rng.randint(1, 3))]
+            if trial % 2:
+                exprs.append(Expression.var(rng.choice(PAIR_COORDS).momentum())
+                             + random_polynomial(rng, list(PAIR_COORDS)))
+            reducer = WeakReducer(exprs)
+            e = esum([random_phase_polynomial(rng)]
+                     + [lam * random_phase_polynomial(rng) for lam in lams])
+            if trial % 3 == 0:
+                den = random_polynomial(rng, list(PAIR_COORDS), max_terms=2)
+                if not den.is_zero():
+                    e = e / den
+            residue = reducer.reduce(e)
+            for v in residue.variables():
+                if v.kind is Kind.MULTIPLIER:
+                    coeff = residue.diff(v)
+                    assert reducer.reduce(coeff) == coeff
+                    seen += 1
+        assert seen > 300
+
 
 class TestRunDirac:
     def test_toy_gauge_two_generations(self):

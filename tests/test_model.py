@@ -8,6 +8,8 @@ import pytest
 from gaugeflow import (
     CoordinateDecl,
     Expression,
+    GaugeGenerator,
+    GeneratorComponent,
     ModelSpec,
     Options,
     builtin_model,
@@ -75,6 +77,19 @@ class TestParseModel:
         with pytest.raises(NonPolynomialLagrangian, match=r"found x''$"):
             ModelSpec("m", (CoordinateDecl("x"),), Expression.var(coordinate("x").jet(2)))
 
+    def test_undeclared_coordinates_rejected_in_code(self):
+        # the parser's resolvers refuse such mentions first, so only a
+        # model built in code reaches these checks
+        x, y = coordinate("x"), coordinate("y")
+        decls = (CoordinateDecl("x"),)
+        with pytest.raises(UnknownSymbol) as err:
+            ModelSpec("m", decls, Expression.var(y.jet(1)) ** 2)
+        assert str(err.value) == "Lagrangian mentions undeclared coordinate y"
+        gen = GaugeGenerator("e", (GeneratorComponent(y, 0, Expression.const(1)),))
+        with pytest.raises(UnknownSymbol) as err:
+            ModelSpec("m", decls, Expression.var(x.jet(1)) ** 2, (gen,))
+        assert str(err.value) == "generator 'e' targets undeclared coordinate y"
+
     def test_rational_lagrangian_rejected(self):
         with pytest.raises(NonPolynomialLagrangian):
             parse_model("[vars]\nx\ny\n[lagrangian]\nxdot^2/y\n")
@@ -82,6 +97,10 @@ class TestParseModel:
     def test_duplicate_coordinate(self):
         with pytest.raises(DuplicateCoordinate):
             parse_model("[vars]\nx\nx\n[lagrangian]\nxdot^2\n")
+        # a model built in code has no line to report
+        with pytest.raises(DuplicateCoordinate) as err:
+            ModelSpec("m", (CoordinateDecl("x"), CoordinateDecl("x")), Expression.const(1))
+        assert str(err.value) == "coordinate x declared twice" and err.value.line == 0
 
     def test_reserved_names(self):
         with pytest.raises(DuplicateCoordinate):
@@ -186,10 +205,22 @@ HOSTILE = [
                  "4, column 1", id="acceleration-in-lagrangian"),
     pytest.param(BASE + "[options]\nnumeric_tolerance = inf\n", ModelSyntaxError, 7,
                  id="infinite-tolerance"),
-    pytest.param("[vars]\np_x\n[lagrangian]\n1\n", DuplicateCoordinate, None,
+    pytest.param("[vars]\np_x\n[lagrangian]\n1\n", DuplicateCoordinate, 2,
                  id="momentum-name"),
-    pytest.param("[vars]\nxdot\n[lagrangian]\n1\n", DuplicateCoordinate, None,
+    pytest.param("[vars]\nxdot\n[lagrangian]\n1\n", DuplicateCoordinate, 2,
                  id="velocity-suffix-name"),
+    pytest.param("[vars]\nx\nlam\n[lagrangian]\n1\n", DuplicateCoordinate, 3,
+                 id="multiplier-name"),
+    pytest.param("[vars]\nx\ny\nx\n[lagrangian]\n1\n", DuplicateCoordinate, 4,
+                 id="declared-twice"),
+    pytest.param("[vars]\nx\nA[0:2,2:2]\n[lagrangian]\n1\n", ModelSyntaxError, 3,
+                 id="empty-range"),
+    pytest.param(GEN + "x : k=0 : 1 + $\n", ExpressionSyntaxError, "8, column 15",
+                 id="coefficient-character"),
+    pytest.param(GEN + "  x$ : k=0 : 1\n", ExpressionSyntaxError, "8, column 4",
+                 id="target-character"),
+    pytest.param(GEN + "x : k=0 : p_y'\n", ExpressionSyntaxError, "8, column 11",
+                 id="coefficient-primed-momentum"),
     pytest.param("[vars]\nx\n[lagrangian]\nxddot^2\n", NonPolynomialLagrangian,
                  "4, column 1", id="ddot-sugar"),
     pytest.param("[vars]\nA[2]\n[lagrangian]\nA[1]'^2\n", IndexOutOfRange, 4,
@@ -225,12 +256,32 @@ HOSTILE_MESSAGES = {
     "acceleration-in-lagrangian": "the Lagrangian may mention at most first time "
                                   "derivatives; found x'' (line 4, column 1)",
     "infinite-tolerance": "numeric_tolerance must be finite and positive (line 7)",
-    "momentum-name": "cannot declare 'p_x': names starting with 'p_' are reserved for momenta",
+    "momentum-name": "cannot declare 'p_x': names starting with 'p_' are reserved for "
+                     "momenta (line 2)",
     "velocity-suffix-name": "cannot declare 'xdot': names ending in 'dot' collide with the "
-                            "velocity suffix",
+                            "velocity suffix (line 2)",
+    "multiplier-name": "cannot declare 'lam': 'lam' is reserved for constraint multipliers "
+                       "(line 3)",
+    "declared-twice": "coordinate x declared twice (line 4)",
+    "empty-range": "empty index range 2:2 in declaration of 'A' (line 3)",
+    "coefficient-character": "unexpected character '$' (line 8, column 15)",
+    "target-character": "unexpected character '$' (line 8, column 4)",
+    "coefficient-primed-momentum": "momenta carry no primes (line 8, column 11)",
     "ddot-sugar": "the Lagrangian may mention at most first time derivatives; found x'' "
                   "(line 4, column 1)",
     "single-index-declaration": "A[1] is outside the declared index ranges (line 4)",
+}
+
+
+# the text that stands at the position of every HOSTILE message with a column
+HOSTILE_AT = {
+    "primed-momentum": "p_x'",
+    "momentum-in-lagrangian": "p_x",
+    "acceleration-in-lagrangian": "x''",
+    "ddot-sugar": "xddot",
+    "coefficient-character": "$",
+    "target-character": "$",
+    "coefficient-primed-momentum": "p_y'",
 }
 
 
@@ -257,6 +308,18 @@ class TestHostileModels:
         else:
             where = f"{exc.line}, column {exc.column}" if exc.column else exc.line
             assert where == line
+
+    @pytest.mark.parametrize("source,error,line", HOSTILE)
+    def test_column_is_the_file_column(self, request, source, error, line):
+        # a column counts from the start of the file's line, not of a field
+        with pytest.raises(error) as err:
+            parse_model(source)
+        exc = err.value
+        expected = HOSTILE_AT.get(request.node.callspec.id)
+        assert bool(exc.column) == (expected is not None)
+        if expected is not None:
+            text = source.splitlines()[exc.line - 1]
+            assert text[exc.column - 1:].startswith(expected)
 
     @pytest.mark.parametrize("source,error,line", HOSTILE)
     def test_cli_usage_error(self, source, error, line, tmp_path, capsys):

@@ -65,6 +65,27 @@ def test_tracer_counts_one_report():
     assert counts["dirac.classify_pairs"] == 1
 
 
+def test_tracer_counts_multiplier_outcomes():
+    # both primaries of second_class_toy fix a multiplier, so the step's
+    # return class must still be the one the tracer's OUTCOMES map names;
+    # each step reduces its bracket and its solved value, and classify
+    # reduces the one bracket pair
+    compare = _module("compare")
+    _module("cli")
+    model = _module("catalog").builtin_model("second_class_toy")
+    tracer = TABLES["Tracer"]()
+    tracer.install()
+    try:
+        report = tracer.run_op("second_class_toy", compare.build_report, model)
+    finally:
+        tracer.uninstall()
+    assert report.verdict == "no_gauge_sector"
+    counts = tracer.op_counts("second_class_toy")
+    assert counts["dirac.outcome_multiplier_fixed"] == 2
+    assert counts["dirac.consistency_step:calls"] == 2
+    assert counts["reduction.reduce:calls"] == 5
+
+
 def test_sample_surface_points_returns_a_list():
     # the tracer's _sample_done takes len() of the result
     reduction = _module("reduction")
