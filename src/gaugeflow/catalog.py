@@ -113,10 +113,9 @@ def _maxwell_lattice(n):
         for i in (1, 2, 3):
             electric = _x(link(i, site).jet(1)) - fwd_diff_a0(i, site)
             pieces.append(HALF * electric ** 2)
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                if i != j:
-                    pieces.append(Expression.const(Fraction(-1, 4)) * curl(i, j, site) ** 2)
+        # curl(j, i) is -curl(i, j): -1/4 over i != j is -1/2 over i < j
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            pieces.append(-HALF * curl(i, j, site) ** 2)
     lagrangian = esum(pieces)
 
     generators = []
@@ -199,11 +198,9 @@ def _ym_mechanics(with_scalar=True):
     for a in colors:
         for i in colors:
             pieces.append(HALF * field_strength_0i(i, a) ** 2)
-        for i in colors:
-            for j in colors:
-                if i != j:
-                    pieces.append(Expression.const(Fraction(-1, 4))
-                                  * field_strength_ij(i, j, a) ** 2)
+        # F_ji is -F_ij, as for the lattice curl
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            pieces.append(-HALF * field_strength_ij(i, j, a) ** 2)
 
     decls = [
         CoordinateDecl("A0", ((1, 4),), discardable_hint=True),

@@ -131,11 +131,10 @@ class AnalysisReport:
         return EXIT_OK
 
 
-def _canonical_sector(constraint, discardable):
+def _canonical_sector(constraint, discarded):
     """A constraint belongs to the canonical sector when it involves no
-    discarded coordinate and no momentum conjugate to one."""
-    banned = set(discardable)
-    return not any(v.coordinate() in banned for v in constraint.expr.variables())
+    coordinate of the set ``discarded`` and no momentum conjugate to one."""
+    return not any(v.coordinate() in discarded for v in constraint.expr.variables())
 
 
 def _timed(timings, name, stage, *args):
@@ -208,7 +207,7 @@ def build_report(m):
         note("warning", "independence-unknown", str(exc))
 
     canonical_first = tuple(
-        c for c in dirac.first_class() if _canonical_sector(c, leg.discardable))
+        c for c in dirac.first_class() if _canonical_sector(c, derived))
     report.canonical_first_class = canonical_first
     if not canonical_first and dirac.first_class():
         note("info", "no-canonical-gauge-sector",

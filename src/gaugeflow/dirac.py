@@ -51,7 +51,7 @@ def constraint_form(e):
     """
     num = e.numerator()
     if num.mentions_kind(Kind.MOMENTUM):
-        num = num.primitive_part(Kind.MOMENTUM)
+        num = num.primitive_part()
     return num.normalized()
 
 

@@ -21,7 +21,11 @@ denominator share no polynomial factor; the denominator is an
 integer-primitive polynomial with positive leading coefficient; and the
 denominator mentions only order-0 coordinate variables.  Two
 expressions describing the same rational function are equal (and hash
-equal) after construction; no tolerance is involved anywhere.
+equal) after construction; no tolerance is involved anywhere.  The
+factors of a denominator that mention a non-coordinate must divide the
+numerator exactly and are divided out; otherwise the quotient is
+refused (``DenominatorViolation``).  So every polynomial gcd the kernel
+takes is over coordinates, never over momenta.
 
 Monomials are compared under a graded lexicographic order built on the
 total order of :class:`VarRef`.  VarRefs are interned, so they compare
@@ -392,16 +396,6 @@ def _p_gradient(p):
 def _p_leading(p):
     return min(p, key=_mono_sort_key)
 
-def _p_terms_by(p, kinds):
-    """``p`` as a polynomial in the variables of ``kinds``: ``{monomial
-    in them: coefficient polynomial in the other variables}``."""
-    out = {}
-    for m, c in p.items():
-        outer = tuple((v, e) for v, e in m if v.kind in kinds)
-        inner = tuple((v, e) for v, e in m if v.kind not in kinds) if outer else m
-        out.setdefault(outer, {})[inner] = c
-    return out
-
 def _p_eval(p, point, q=1):
     """Value of ``p / q`` at ``point`` (VarRef -> int, Fraction or float).
 
@@ -440,9 +434,10 @@ def _p_eval(p, point, q=1):
 
 # --- polynomial gcd over the integers ---------------------------------------
 #
-# Used only to keep fractions reduced.  Polynomials are first scaled to
-# integer-primitive form, then a primitive Euclidean remainder sequence
-# runs recursively in the largest variable.
+# Used only to keep fractions reduced, on coordinate polynomials alone
+# (``_make`` divides other denominator factors out exactly).  Polynomials
+# are first scaled to integer-primitive form, then a primitive Euclidean
+# remainder sequence runs recursively in the largest variable.
 
 def _p_content(p):
     """The gcd of the coefficients, positive; 0 for the zero poly."""
@@ -557,18 +552,20 @@ def _p_gcd_many(ps):
             break
     return g if g else {_ONE_MONO: 1}
 
-def _den_gcd(n, d):
-    """``gcd(n, d)`` for a denominator ``d`` in coordinates only.
-
-    Written as a polynomial in its other variables, ``n`` is
-    ``sum_m c_m(q) m``; a factor of ``d`` divides ``n`` exactly when it
-    divides every ``c_m``, so the gcd is ``gcd(d, c_1, c_2, ...)``
-    (Gauss's lemma over ``Z[q]``).  The smaller coefficients go first,
-    and the chain stops at the first unit gcd.  Each step is a gcd of
-    coordinate polynomials, never a remainder sequence in a momentum.
-    """
-    coefficients = _p_terms_by(n, _NOT_COORDINATE).values()
-    return _p_gcd_many([d, *sorted(coefficients, key=len)])
+def _q_content(p, *others):
+    """The gcd of the coordinate polynomials ``others`` and of the
+    coefficients ``c_m(q)`` of ``p`` written as ``sum_m c_m(q) m``, a
+    polynomial in its non-coordinate variables.  With no ``others`` this
+    is ``p``'s content over ``Z[q]``; with a denominator ``d`` it is
+    ``gcd(p, d)``, since a coordinate polynomial divides ``p`` exactly
+    when it divides every ``c_m``.  The smaller coefficients go first,
+    and the chain stops at the first unit gcd."""
+    coefficients = {}
+    for m, c in p.items():
+        outer = tuple((v, e) for v, e in m if v.kind is not Kind.COORDINATE)
+        inner = tuple((v, e) for v, e in m if v.kind is Kind.COORDINATE) if outer else m
+        coefficients.setdefault(outer, {})[inner] = c
+    return _p_gcd_many([*others, *sorted(coefficients.values(), key=len)])
 
 def _p_div_exact(a, b):
     """Exact polynomial division a / b with an integer quotient; raises
@@ -658,9 +655,6 @@ def render_expression(e):
 
 # --- expressions -------------------------------------------------------------
 
-_NOT_COORDINATE = frozenset(Kind) - {Kind.COORDINATE}
-
-
 def _den_ok(p):
     return all(v.kind is Kind.COORDINATE for v in _p_vars(p))
 
@@ -718,8 +712,19 @@ class Expression:
         cd = _p_content(den) * _p_lc_sign(den)
         n = _p_int_quotient(num, cn)
         d = _p_int_quotient(den, cd)
-        coordinates_only = _den_ok(d)
-        g = _den_gcd(n, d) if coordinates_only else _p_gcd(n, d)
+        if not _den_ok(d):
+            # every factor of d over its content c in Z[q] mentions a
+            # non-coordinate, so all of d / c must divide n
+            c = _q_content(d)
+            r = _p_div_exact(d, c)
+            try:
+                n, d = _p_div_exact(n, r), c
+            except ArithmeticError:
+                bad = sorted(v for v in _p_vars(r) if v.kind is not Kind.COORDINATE)
+                raise DenominatorViolation(
+                    "denominator may mention only order-0 coordinates, found "
+                    + ", ".join(map(str, bad))) from None
+        g = _q_content(n, d)
         if not _p_is_one(g):
             n = _p_div_exact(n, g)
             d = _p_div_exact(d, g)
@@ -731,11 +736,6 @@ class Expression:
         n = _p_scale(n, k // h)
         if set(d) == {_ONE_MONO}:
             return Expression(n, q // h)
-        if not coordinates_only and not _den_ok(d):
-            bad = sorted(v for v in _p_vars(d) if v.kind is not Kind.COORDINATE)
-            raise DenominatorViolation(
-                "denominator may mention only order-0 coordinates, found "
-                + ", ".join(map(str, bad)))
         return Expression(n, q // h, d)
 
     @staticmethod
@@ -809,12 +809,12 @@ class Expression:
         part = {m: c for m, c in self._num.items() if all(v.kind is not kind for v, _ in m)}
         return Expression._make(part, self._cden, _ONE_DEN)
 
-    def primitive_part(self, kind):
-        """A polynomial divided by its content as a polynomial in the
-        variables of ``kind``: the gcd of its coefficients, which are
-        polynomials in the other variables.  The rational content is
-        kept."""
-        common = _p_gcd_many(list(_p_terms_by(self._num, (kind,)).values()))
+    def primitive_part(self):
+        """A polynomial divided by its content over ``Z[q]``: the gcd of
+        its coefficients as a polynomial in its non-coordinate variables,
+        which are polynomials in the coordinates.  The rational content
+        is kept."""
+        common = _q_content(self._num)
         if _p_is_one(common):
             return self
         return Expression(_p_div_exact(self._num, common), self._cden)
@@ -834,7 +834,7 @@ class Expression:
         if set(den) != {_ONE_MONO}:
             assert _den_ok(den)
             assert _p_content(den) == 1 and _p_lc_sign(den) > 0
-            assert _p_is_one(_den_gcd(num, den)), "reducible fraction survived"
+            assert _p_is_one(_q_content(num, den)), "reducible fraction survived"
         else:
             assert den[_ONE_MONO] == 1
             assert den is _ONE_DEN, "constant denominator is not the shared _ONE_DEN"

@@ -226,10 +226,10 @@ def _make_resolvers(m_coords):
                 base = stem
                 jet = jet_order + extra
         if base not in bases:
-            raise UnknownSymbol(f"unknown symbol '{base}'", where()[0])
+            raise UnknownSymbol(f"unknown symbol '{base}'", *where())
         if indices not in bases[base]:
             raise IndexOutOfRange(f"{base}[{','.join(map(str, indices))}] is outside the "
-                                  "declared index ranges", where()[0])
+                                  "declared index ranges", *where())
         return default_resolver(base, indices, jet, is_momentum, where)
 
     def resolve_lagrangian(base, indices, jet_order, is_momentum, where):

@@ -3,14 +3,17 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gaugeflow.compare
+import gaugeflow.expr
 from gaugeflow import (
     Constraint,
     Diagnostic,
     Expression,
+    Kind,
     build_report,
     builtin_model,
     coordinate,
@@ -20,11 +23,13 @@ from gaugeflow import (
     parse_expression,
     span_equivalent,
 )
+from gaugeflow.catalog import BUILTIN_MODELS
 from gaugeflow.cli import report_json_dict
-from gaugeflow.errors import SamplingDegenerate, SurfaceSamplingFailed
+from gaugeflow.errors import DenominatorViolation, SamplingDegenerate, SurfaceSamplingFailed
 from gaugeflow.reduction import NumericVerdict, WeakReducer
 
 from test_dirac import CIRCLE_SOURCE, assert_extend_matches_one_shot
+from test_legendre import random_quadratic_model
 
 x = coordinate("x")
 y = coordinate("y")
@@ -234,6 +239,25 @@ class TestBuildReport:
         assert report.canonical_first_class == ()
         assert report.verdict == "no_gauge_sector" and report.exit_code == 0
 
+    def test_discardable_coordinates_are_read_once(self, monkeypatch):
+        # the canonical-sector filter takes one set of them, not one per
+        # first-class constraint (16 on this lattice)
+        reads = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        def legendre(m):
+            leg = primary_constraints(m)
+            return leg._replace(discardable=Counted(leg.discardable))
+
+        monkeypatch.setattr(gaugeflow.compare, "primary_constraints", legendre)
+        report = build_report(builtin_model("maxwell_lattice", {"N": 2}))
+        assert len(report.dirac.first_class()) == 16 and report.verdict == "match"
+        assert len(reads) <= 2
+
     def test_dependent_residue_dropped(self):
         # p_y, then x^2, then p_x; the third generation's residue x*y
         # vanishes on that surface and is dropped
@@ -394,10 +418,13 @@ def test_surface_models_give_one_report_at_every_seed(source):
     assert all(tree == trees[0] for tree in trees)
 
 
-# Three models on which cancelling against a coordinate denominator ran
-# a polynomial gcd in a momentum for minutes: the gcd with a denominator
-# in coordinates is now the gcd of the numerator's coordinate
-# coefficients.  Each ran in well under a second when this bound was set.
+# Models on which a division ran a polynomial gcd in a momentum for
+# minutes.  On the first three it cancelled against a coordinate
+# denominator, whose gcd with a numerator is now the gcd of the
+# numerator's coordinate coefficients; on the last two a multiplier
+# solve divided by a coefficient with momenta in it, which is now
+# divided out exactly or refused.  Each ran in well under a second when
+# this bound was set.
 STALLED_MODELS = {
     "solved_multiplier": "-u*x'^2/2 + 2*x'*y' + (y - 2)*y'^2/2 + (u - 2)*x' - 2*x",
     "shifted_squares": "((y+1)*x' + y)^2/2 + (2*x*x' + y'/2 + 1)^2/2 + 3/2*u*y'",
@@ -406,6 +433,12 @@ STALLED_MODELS = {
         " + 89/36*u'^2 - 3/2*u'*x' + 5/3*u'*y - 3/4*u'*y' - 4/3*x*y - 3/2*x*y'"
         " + 1/2*x'^2 + 3/2*x'*y + 1/2*x'*y' + 25/8*y^2 + 1/8*y'^2 - 3/4*u' - x'"
         " - 1/2*y' - 27/8"),
+    "momentum_coefficient_seed16": (
+        "-u'*y*y' + 5/6*x*y'^2 - 5/2*u*x + 25/8*u'^2 + 23/4*u'*y' + 25/8*y'^2"
+        " + 25/6*u' + 3/2*x + 25/6*y' + 25/18"),
+    "momentum_coefficient_seed38": (
+        "-u*y'^2 + 3/4*u'*x*y' + u^2 + u'^2 + 5*u'*y' + 9/2*x^2 + 4*x*y'"
+        " + 241/18*y'^2 - 4*u + 2/3*u' + 10/3*y' + 2/9"),
 }
 
 
@@ -417,3 +450,25 @@ def test_coordinate_denominators_cancel_in_bounded_time(lagrangian):
     assert time.perf_counter() - t0 < 5
     assert report.verdict == "no_gauge_sector"
     assert all(d.severity != "error" for d in report.diagnostics)
+
+
+def test_no_polynomial_gcd_runs_over_momenta(monkeypatch):
+    # a denominator's non-coordinate part is divided out of the numerator
+    # exactly or refused, so every gcd the kernel takes is over coordinates
+    gcd = gaugeflow.expr._p_gcd
+
+    def coordinate_gcd(a, b):
+        # an AssertionError, which no handler for the kernel's errors catches
+        for p in (a, b):
+            assert all(v.kind is Kind.COORDINATE for m in p for v, _ in m), p
+        return gcd(a, b)
+
+    monkeypatch.setattr(gaugeflow.expr, "_p_gcd", coordinate_gcd)
+    with pytest.raises(DenominatorViolation, match="found p_x, p_y$"):
+        parse_expression("(p_x*y)/(p_x*p_y)")
+    models_dir = Path(__file__).resolve().parent.parent / "models"
+    models = [builtin_model(name) for name in BUILTIN_MODELS]
+    models += [parse_model(path.read_text()) for path in sorted(models_dir.glob("*.model"))]
+    models += [random_quadratic_model(random.Random(seed)) for seed in range(40)]
+    for m in models:
+        build_report(m)

@@ -120,6 +120,9 @@ class TestCanonicalForm:
         with pytest.raises(DenominatorViolation):
             ex / vx
         assert (ex * px) / px == ex  # cancellation is fine
+        assert (ex * px * ey) / (ey ** 2 * px) == ex / ey  # so is a mixed factor's
+        with pytest.raises(DenominatorViolation, match="found p_x, p_y$"):
+            (px * ey) / (px * py)
 
     def test_zero_division(self):
         with pytest.raises(DivisionByZero):

@@ -223,8 +223,15 @@ HOSTILE = [
                  id="coefficient-primed-momentum"),
     pytest.param("[vars]\nx\n[lagrangian]\nxddot^2\n", NonPolynomialLagrangian,
                  "4, column 1", id="ddot-sugar"),
-    pytest.param("[vars]\nA[2]\n[lagrangian]\nA[1]'^2\n", IndexOutOfRange, 4,
+    pytest.param("[vars]\nA[2]\n[lagrangian]\nA[1]'^2\n", IndexOutOfRange, "4, column 1",
                  id="single-index-declaration"),
+    pytest.param("[vars]\nx\n[lagrangian]\nx'^2 + q\n", UnknownSymbol, "4, column 8",
+                 id="unknown-in-lagrangian"),
+    pytest.param(GEN + "x : k=0 : 2*q\n", UnknownSymbol, "8, column 13",
+                 id="unknown-in-coefficient"),
+    pytest.param("[vars]\nx\nA[2]\n[lagrangian]\nx'^2\n[generators]\ngen e\n"
+                 "x : k=0 : x + A[1]\n", IndexOutOfRange, "8, column 15",
+                 id="index-in-coefficient"),
 ]
 
 # every HOSTILE entry's exact message
@@ -269,7 +276,11 @@ HOSTILE_MESSAGES = {
     "coefficient-primed-momentum": "momenta carry no primes (line 8, column 11)",
     "ddot-sugar": "the Lagrangian may mention at most first time derivatives; found x'' "
                   "(line 4, column 1)",
-    "single-index-declaration": "A[1] is outside the declared index ranges (line 4)",
+    "single-index-declaration": "A[1] is outside the declared index ranges (line 4, "
+                                "column 1)",
+    "unknown-in-lagrangian": "unknown symbol 'q' (line 4, column 8)",
+    "unknown-in-coefficient": "unknown symbol 'q' (line 8, column 13)",
+    "index-in-coefficient": "A[1] is outside the declared index ranges (line 8, column 15)",
 }
 
 
@@ -282,6 +293,10 @@ HOSTILE_AT = {
     "coefficient-character": "$",
     "target-character": "$",
     "coefficient-primed-momentum": "p_y'",
+    "single-index-declaration": "A[1]'",
+    "unknown-in-lagrangian": "q",
+    "unknown-in-coefficient": "q",
+    "index-in-coefficient": "A[1]",
 }
 
 

@@ -83,7 +83,7 @@ LEXER_CASES = [
     ("A[1,", (ExpressionSyntaxError, "indices must be integers (line 1, column 5)"),
      (ExpressionSyntaxError, "indices must be integers (line 5, column 5)")),
     ("A[ 1 , 2 ]'", "A[1,2]'",
-     (IndexOutOfRange, "A[1,2] is outside the declared index ranges (line 5)")),
+     (IndexOutOfRange, "A[1,2] is outside the declared index ranges (line 5, column 1)")),
     ("p_x'", (ExpressionSyntaxError, "momenta carry no primes (line 1, column 1)"),
      (ExpressionSyntaxError, "momenta carry no primes (line 5, column 1)")),
     ("2^x", (ExpressionSyntaxError, "exponent must be an integer (line 1, column 3)"),
@@ -103,14 +103,14 @@ LEXER_CASES = [
     ("(x)''", (ExpressionSyntaxError, "trailing input starting at 2 (line 1, column 4)"),
      (ExpressionSyntaxError, "trailing input starting at 2 (line 5, column 4)")),
     # a tab and a non-ASCII space between tokens
-    ("x\t+\u00a0y", "x + y", (UnknownSymbol, "unknown symbol 'y' (line 5)")),
+    ("x\t+\u00a0y", "x + y", (UnknownSymbol, "unknown symbol 'y' (line 5, column 5)")),
     ("x\t+\u00a0$", (ExpressionSyntaxError, "unexpected character '$' (line 1, column 5)"),
      (ExpressionSyntaxError, "unexpected character '$' (line 5, column 5)")),
     ("x\u2003*\tx ^ 2 @",
      (ExpressionSyntaxError, "unexpected character '@' (line 1, column 11)"),
      (ExpressionSyntaxError, "unexpected character '@' (line 5, column 11)")),
     ("lam[0]'", (ExpressionSyntaxError, "multipliers carry no primes (line 1, column 1)"),
-     (UnknownSymbol, "unknown symbol 'lam' (line 5)")),
+     (UnknownSymbol, "unknown symbol 'lam' (line 5, column 1)")),
     ("x + )", (ExpressionSyntaxError, "expected a value, found ')' (line 1, column 5)"),
      (ExpressionSyntaxError, "expected a value, found ')' (line 5, column 5)")),
     ("A[1 2]", (ExpressionSyntaxError, "expected ',' or ']' in index list (line 1, column 5)"),
@@ -136,7 +136,7 @@ def test_lexer_outcomes(text, expression, lagrangian):
 # position in it is its position in the file
 @pytest.mark.parametrize("last, outcome", [
     ("- $", (ExpressionSyntaxError, "unexpected character '$' (line 7, column 3)")),
-    ("- z", (UnknownSymbol, "unknown symbol 'z' (line 7)")),
+    ("- z", (UnknownSymbol, "unknown symbol 'z' (line 7, column 3)")),
     ("- p_y", (NonPolynomialLagrangian, "the Lagrangian must be a function of coordinates "
                                         "and velocities; found p_y (line 7, column 3)")),
 ])
