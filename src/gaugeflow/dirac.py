@@ -121,40 +121,30 @@ class Contradiction(namedtuple("Contradiction", "witness")):
     __slots__ = ()
 
 
-class ConjugatePairs(tuple):
-    """(coordinate, momentum) pairs, indexed once: ``conjugates`` maps
-    each coordinate ``q`` to ``(p, 1)`` and each momentum ``p`` to
-    ``(q, -1)``.  A Dirac run or a classification builds one and passes
-    it to all of its brackets."""
-
-    def __new__(cls, pairs):
-        if isinstance(pairs, cls):
-            return pairs
-        self = super().__new__(cls, pairs)
-        self.conjugates = {}
-        for q, p in self:
-            self.conjugates[q] = (p, 1)
-            self.conjugates[p] = (q, -1)
-        return self
+def _partner(v):
+    """``v``'s canonical partner and the sign of their bracket: a
+    coordinate pairs with its own momentum (+1), a momentum with its
+    coordinate (-1); any other variable has none (None, 0)."""
+    if v.kind is Kind.COORDINATE:
+        return v.momentum(), 1
+    if v.kind is Kind.MOMENTUM:
+        return v.coordinate(), -1
+    return None, 0
 
 
-def poisson_bracket(f, g, pairs):
-    """Canonical Poisson bracket over the given (coordinate, momentum)
-    pairs; any other variable is a spectator.
+def poisson_bracket(f, g):
+    """Canonical Poisson bracket, each coordinate paired with its own
+    momentum; any other variable (a multiplier, a jet) is a spectator.
 
     Only the variables in ``f``'s gradient are visited: a pair adds a
     term when one of its variables is there and the other is in ``g``'s.
     Polynomial terms are multiplied and summed in one accumulator
     (:func:`esum_products`).
     """
-    conjugates = ConjugatePairs(pairs).conjugates
     ggrad = g.gradient()
     products = []
     for v, df in f.gradient().items():
-        partner = conjugates.get(v)
-        if partner is None:
-            continue
-        w, sign = partner
+        w, sign = _partner(v)
         dg = ggrad.get(w)
         if dg is not None:
             products.append((df, dg, sign))
@@ -168,7 +158,7 @@ def total_hamiltonian(leg):
                    for i, c in enumerate(leg.primary_constraints)])
 
 
-def consistency_step(c, h_total, reducer, pairs):
+def consistency_step(c, h_total, reducer):
     """Demand that ``c`` is preserved in time; classify the residue.
 
     The bracket with the total Hamiltonian is reduced by ``reducer``, a
@@ -182,7 +172,7 @@ def consistency_step(c, h_total, reducer, pairs):
     division leaves each multiplier's coefficient with a leading term no
     divisor divides: ``reducer`` cannot certify it zero.
     """
-    residue = reducer.reduce(poisson_bracket(c.expr, h_total, pairs))
+    residue = reducer.reduce(poisson_bracket(c.expr, h_total))
     if residue.is_zero():
         return Identity()
     mults = [v for v in residue.variables() if v.kind is Kind.MULTIPLIER]
@@ -236,15 +226,14 @@ def run_dirac(m, leg):
     if not constraints:
         return result(0)
     h_total = total_hamiltonian(leg)
-    pairs = ConjugatePairs(m.canonical_pairs())
-    phase_vars = [v for pair in pairs for v in pair]
+    phase_vars = [v for pair in m.canonical_pairs() for v in pair]
     rng = random.Random(options.seed)
     reducer = WeakReducer([c.expr for c in constraints])
 
     for generation in range(1, options.max_generations + 1):
         candidates = []
         for c in constraints:
-            outcome = consistency_step(c, h_total, reducer, pairs)
+            outcome = consistency_step(c, h_total, reducer)
             if isinstance(outcome, Contradiction):
                 raise InconsistentLagrangian(
                     outcome.witness, c, result(generation, outcome.witness))
@@ -277,34 +266,32 @@ def run_dirac(m, leg):
     else:
         raise GenerationLimitExceeded(options.max_generations)
 
-    return classify(result(generation), pairs, reducer)
+    return classify(result(generation), reducer)
 
 
-def classify(result, pairs, reducer):
+def classify(result, reducer):
     """Attach first/second class labels by pairwise weak brackets.
 
     ``reducer`` is a :class:`WeakReducer` over ``result.constraints``.
     A constraint is first class when its bracket with every constraint
     reduces weakly to zero.  Only pairs where a variable of one
-    constraint has its conjugate in the other are bracketed; every
+    constraint has its partner in the other are bracketed; every
     other bracket is identically zero.  An odd number of second-class
     constraints signals a rank anomaly and raises
     :class:`OddSecondClassCount`.
     """
     constraints = result.constraints
     exprs = [c.expr for c in constraints]
-    pairs = ConjugatePairs(pairs)
-    conjugates = pairs.conjugates
     holders = {}  # variable -> indices of the constraints that mention it
     for i, e in enumerate(exprs):
         for v in e.variables():
             holders.setdefault(v, []).append(i)
     second = [False] * len(constraints)
     for i, e in enumerate(exprs):
-        partners = {j for v in e.variables() if v in conjugates
-                    for j in holders.get(conjugates[v][0], ()) if j > i}
+        partners = {j for v in e.variables()
+                    for j in holders.get(_partner(v)[0], ()) if j > i}
         for j in sorted(partners):
-            if not reducer.reduce(poisson_bracket(e, exprs[j], pairs)).is_zero():
+            if not reducer.reduce(poisson_bracket(e, exprs[j])).is_zero():
                 second[i] = True
                 second[j] = True
     count = sum(second)

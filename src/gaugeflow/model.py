@@ -36,8 +36,8 @@ from .errors import (
     NonPolynomialLagrangian,
     UnknownSymbol,
 )
-from .expr import Expression, Kind, VarRef, render_expression
-from .parse import default_resolver, parse_expression, reserved_base_reason
+from .expr import Kind, VarRef, render_expression
+from .parse import default_resolver, parse_expression, parse_variable, reserved_base_reason
 
 # the largest time-derivative order k of a gauge parameter; with the
 # Lagrangian's first derivatives it bounds every jet order a model reaches
@@ -97,12 +97,13 @@ class ModelSpec(namedtuple("ModelSpec", "name coordinates lagrangian generators 
                            defaults=((), Options()))):
     """A validated model; a named tuple (equal to any tuple) that keeps its
     expanded coordinates (``_coords``, if already expanded) in an instance
-    dict.  Copy it with the ``with_`` methods: ``_replace`` skips checks."""
+    dict; a model file's ``_lines`` go to its errors.  Copy it with the
+    ``with_`` methods: ``_replace`` skips checks."""
 
-    def __new__(cls, *args, _coords=None, **kwargs):
+    def __new__(cls, *args, _coords=None, _lines=None, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         self._coords = _expand_coordinates(self.coordinates) if _coords is None else _coords
-        _validate_model(self)
+        _validate_model(self, _lines)
         return self
 
     @property
@@ -162,7 +163,11 @@ def _lagrangian_fault(v):
     return None
 
 
-def _validate_model(m):
+def _validate_model(m, lines=None):
+    """Check ``m``; ``lines``, from a model file, hold the line of the
+    Lagrangian and of each generator's header and components."""
+    lagrangian_line, generator_lines = lines or (
+        0, [(0, [0] * len(g.components)) for g in m.generators])
     coords = set(m.coordinate_vars)
     for v in m.lagrangian.variables():
         fault = _lagrangian_fault(v)
@@ -172,33 +177,35 @@ def _validate_model(m):
             raise UnknownSymbol(f"Lagrangian mentions undeclared coordinate {v.coordinate()}")
     if not m.lagrangian.is_polynomial():
         raise NonPolynomialLagrangian(
-            "the Lagrangian must be polynomial in coordinates and velocities")
-    names = [g.parameter_name for g in m.generators]
-    if len(set(names)) != len(names):
-        raise MalformedGenerator("gauge parameter names must be distinct")
-    for g in m.generators:
+            "the Lagrangian must be polynomial in coordinates and velocities", lagrangian_line)
+    names = set()
+    for g, (header_line, component_lines) in zip(m.generators, generator_lines):
+        if g.parameter_name in names:
+            raise MalformedGenerator("gauge parameter names must be distinct", header_line)
+        names.add(g.parameter_name)
         if not g.components:
-            raise MalformedGenerator(f"generator '{g.parameter_name}' has no components")
+            raise MalformedGenerator(f"generator '{g.parameter_name}' has no components",
+                                     header_line)
         seen = set()
-        for comp in g.components:
+        for comp, line_no in zip(g.components, component_lines):
             key = (comp.coordinate, comp.order)
             if key in seen:
                 raise MalformedGenerator(
                     f"generator '{g.parameter_name}' repeats component "
-                    f"({comp.coordinate}, k={comp.order})")
+                    f"({comp.coordinate}, k={comp.order})", line_no)
             seen.add(key)
             if comp.coordinate not in coords:
                 raise UnknownSymbol(
                     f"generator '{g.parameter_name}' targets undeclared "
-                    f"coordinate {comp.coordinate}")
+                    f"coordinate {comp.coordinate}", line_no)
             if not (0 <= comp.order <= MAX_GENERATOR_ORDER):
                 raise MalformedGenerator(
-                    f"generator order k={comp.order} outside 0..{MAX_GENERATOR_ORDER}")
+                    f"generator order k={comp.order} outside 0..{MAX_GENERATOR_ORDER}", line_no)
             for v in comp.coefficient.variables():
                 if v.kind is not Kind.COORDINATE or v not in coords:
                     raise MalformedGenerator(
                         f"generator coefficients may mention only declared "
-                        f"coordinates; found {v}")
+                        f"coordinates; found {v}", line_no)
 
 
 # --- model file parsing -------------------------------------------------------
@@ -272,17 +279,6 @@ def _parse_var_decl(text, line_no):
     return CoordinateDecl(base, ranges, discardable)
 
 
-def _parse_core_var(text, resolver, line_no):
-    e = parse_expression(text, resolver, line_offset=line_no - 1)
-    vs = e.variables()
-    if len(vs) != 1 or e != Expression.var(next(iter(vs))):
-        raise MalformedGenerator(f"'{text.strip()}' is not a single coordinate", line_no)
-    v = next(iter(vs))
-    if v.kind is not Kind.COORDINATE:
-        raise MalformedGenerator(f"generator components target coordinates, not {v}", line_no)
-    return v
-
-
 def parse_model(source, name="model"):
     """Parse model text into a validated ModelSpec.
 
@@ -292,8 +288,8 @@ def parse_model(source, name="model"):
     """
     sections = {}
     current = None
-    pending_gen = None
-    generators = []
+    generators = []  # per generator: (name, components)
+    generator_lines = []  # per generator: (header line, component lines)
     lines = source.splitlines()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
@@ -338,25 +334,32 @@ def parse_model(source, name="model"):
 
     for line_no, line in sections.get("generators", []):
         if line.startswith("gen "):
-            pending_gen = (line[4:].strip(), [])
-            if not pending_gen[0].isidentifier():
-                raise MalformedGenerator(f"bad gauge parameter name '{pending_gen[0]}'", line_no)
-            generators.append(pending_gen)
+            parameter = line[4:].strip()
+            if not parameter.isidentifier():
+                raise MalformedGenerator(f"bad gauge parameter name '{parameter}'", line_no)
+            generators.append((parameter, []))
+            generator_lines.append((line_no, []))
             continue
-        if pending_gen is None:
+        if not generators:
             raise MalformedGenerator("component line before any 'gen <name>'", line_no)
         # the fields of the line as it stands in the file, the coefficient
         # behind spaces, so that a position in a field is its column
         parts = lines[line_no - 1].partition("#")[0].rstrip().split(":")
         if len(parts) != 3:
             raise MalformedGenerator("expected 'coordinate : k=<int> : coefficient'", line_no)
-        coord = _parse_core_var(parts[0], resolver, line_no)
+        coord = parse_variable(parts[0], resolver, line_offset=line_no - 1)
+        if coord is None:
+            raise MalformedGenerator(f"'{parts[0].strip()}' is not a single coordinate", line_no)
+        if coord.kind is not Kind.COORDINATE:
+            raise MalformedGenerator(
+                f"generator components target coordinates, not {coord}", line_no)
         korder = parts[1].strip()
         if not korder.startswith("k=") or not korder[2:].isdigit():
             raise MalformedGenerator(f"bad derivative order '{korder}'", line_no)
         coeff = parse_expression(" " * (len(parts[0]) + len(parts[1]) + 2) + parts[2],
                                  resolver, line_offset=line_no - 1)
-        pending_gen[1].append(GeneratorComponent(coord, int(korder[2:]), coeff))
+        generators[-1][1].append(GeneratorComponent(coord, int(korder[2:]), coeff))
+        generator_lines[-1][1].append(line_no)
 
     option_types = {key: type(value) for key, value in Options._field_defaults.items()}
     opts = {}
@@ -381,6 +384,7 @@ def parse_model(source, name="model"):
         generators=tuple(GaugeGenerator(n, tuple(comps)) for n, comps in generators),
         options=Options(**opts),
         _coords=coords,
+        _lines=(first_line, generator_lines),
     )
 
 

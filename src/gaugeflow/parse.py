@@ -212,6 +212,15 @@ class _Parser:
                              lambda: self.toks.location(start))
 
 
+def parse_variable(text, resolver=None, line_offset=0):
+    """The VarRef of text that is one mention of the ``var`` rule, resolved
+    as a mention inside an expression is; None for any other text."""
+    parser = _Parser(_Tokens(text, line_offset), resolver or default_resolver)
+    tok = parser.toks.next()
+    v = parser.variable(tok) if tok[0] == "ident" else None
+    return v if v and parser.toks.next()[0] == "end" else None
+
+
 def parse_expression(text, resolver=None, line_offset=0):
     """Parse infix text into a canonical Expression.
 

@@ -158,8 +158,7 @@ def test_criterion_3_ym_mechanics():
 
         # closure: {G_a, G_b} = -eps3(a,b,c) G_c exactly, confirmed both by
         # weak reduction and by the sampling oracle at tolerance 1e-9
-        pairs = m.canonical_pairs()
-        phase = [v for pair in pairs for v in pair]
+        phase = [v for pair in m.canonical_pairs() for v in pair]
         ordered = [_expected_ym_gauss(color).normalized() for color in (1, 2, 3)]
         assert m.options.numeric_tolerance == 1e-9
         for a in range(3):
@@ -167,7 +166,7 @@ def test_criterion_3_ym_mechanics():
                 if a >= b:
                     continue
                 c = ({0, 1, 2} - {a, b}).pop()
-                bracket = poisson_bracket(ordered[a], ordered[b], pairs)
+                bracket = poisson_bracket(ordered[a], ordered[b])
                 combo = -eps3(a + 1, b + 1, c + 1) * ordered[c]
                 assert bracket == combo                         # exact coefficients
                 assert WeakReducer(ordered).reduce(bracket).is_zero()  # exact weak reduction
@@ -191,8 +190,7 @@ def test_criterion_4_control_cases():
         px, py = Expression.var(x.momentum()), Expression.var(y.momentum())
         assert [c.expr for c in r.dirac.constraints] == [px - Expression.var(y), py]
         assert all(c.class_label == "second" for c in r.dirac.constraints)
-        bracket = poisson_bracket(px - Expression.var(y), py,
-                                  ((x, x.momentum()), (y, y.momentum())))
+        bracket = poisson_bracket(px - Expression.var(y), py)
         assert bracket == Expression.const(-1)
         assert r.conjecture == ()
         assert r.verdict == "no_gauge_sector"

@@ -28,7 +28,7 @@ from gaugeflow import (
 )
 import gaugeflow.dirac
 import gaugeflow.reduction
-from gaugeflow.dirac import FIRST, SECOND, ConjugatePairs, classify
+from gaugeflow.dirac import FIRST, SECOND, classify
 from gaugeflow.errors import InconsistentLagrangian, OddSecondClassCount, SurfaceSamplingFailed
 from gaugeflow.expr import Divisors, Kind, esum
 from gaugeflow.reduction import (
@@ -46,7 +46,6 @@ z = coordinate("z")
 ex, ey = Expression.var(x), Expression.var(y)
 px, py = Expression.var(x.momentum()), Expression.var(y.momentum())
 pz = Expression.var(z.momentum())
-PAIRS = ((x, x.momentum()), (y, y.momentum()))
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -63,47 +62,53 @@ def reducer_over(known):
     return WeakReducer([c.expr for c in known])
 
 
+def every_pair_bracket(f, g, pairs):
+    """Reference bracket: every given (coordinate, momentum) pair is
+    visited, none pruned."""
+    fvars, gvars = f.variables(), g.variables()
+    terms = []
+    for q, p in pairs:
+        if q in fvars and p in gvars:
+            terms.append(f.diff(q) * g.diff(p))
+        if p in fvars and q in gvars:
+            terms.append(-(f.diff(p) * g.diff(q)))
+    return esum(terms)
+
+
 class TestPoissonBracket:
     def test_canonical_pair(self):
-        assert poisson_bracket(ex, px, PAIRS) == Expression.const(1)
+        assert poisson_bracket(ex, px) == Expression.const(1)
 
     def test_toy_hamiltonian_conserves_px(self):
         h = px ** 2 / 2 + px * ey
-        assert poisson_bracket(px, h, PAIRS).is_zero()
+        assert poisson_bracket(px, h).is_zero()
 
     def test_antisymmetry_on_basics(self):
         f = ex * px + ey ** 2
         g = py * ex
-        assert poisson_bracket(f, g, PAIRS) == -poisson_bracket(g, f, PAIRS)
+        assert poisson_bracket(f, g) == -poisson_bracket(g, f)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pruned_bracket_matches_every_pair_loop(self, seed):
-        def every_pair(f, g, pairs):
-            # the loop over all pairs that pruning replaced, as the reference
-            fvars, gvars = f.variables(), g.variables()
-            terms = []
-            for q, p in pairs:
-                if q in fvars and p in gvars:
-                    terms.append(f.diff(q) * g.diff(p))
-                if p in fvars and q in gvars:
-                    terms.append(-(f.diff(p) * g.diff(q)))
-            return esum(terms)
-
         rng = random.Random(5400 + seed)
         full = tuple((q, q.momentum()) for q in PAIR_COORDS)
-        partial = full[::2]  # y and p_y are spectators
         for _ in range(15):
             f = random_phase_polynomial(rng, max_terms=5)
             g = random_phase_polynomial(rng, max_terms=5)
-            for pairs in (full, partial):
-                expected = every_pair(f, g, pairs)
-                assert poisson_bracket(f, g, pairs) == expected
-                assert poisson_bracket(f, g, ConjugatePairs(pairs)) == expected
+            assert poisson_bracket(f, g) == every_pair_bracket(f, g, full)
 
     def test_variables_outside_pairs_are_spectators(self):
-        only_x = ((x, x.momentum()),)
-        assert poisson_bracket(ey * px, ex * py, only_x) == -(ey * py)
-        assert poisson_bracket(ey, py, only_x).is_zero()
+        # a multiplier (or a jet) has no partner: it brackets to zero and
+        # rides along as a coefficient
+        lam = Expression.var(multiplier(0))
+        assert poisson_bracket(lam, ex + px).is_zero()
+        assert poisson_bracket(lam * px, ex) == -lam
+        assert poisson_bracket(Expression.var(x.jet(1)), ex + px).is_zero()
+        # a coordinate no model declares still pairs with its own momentum
+        w = coordinate("w", (7,))
+        ew, pw = Expression.var(w), Expression.var(w.momentum())
+        assert poisson_bracket(ew * ey, pw) == ey
+        assert poisson_bracket(pw, ew ** 2) == -2 * ew
 
 
 class TestTotalHamiltonian:
@@ -131,14 +136,14 @@ class TestConsistencyStep:
         leg = primary_constraints(builtin_model("toy_gauge"))
         h = total_hamiltonian(leg)
         out = consistency_step(leg.primary_constraints[0], h,
-                               reducer_over(leg.primary_constraints), PAIRS)
+                               reducer_over(leg.primary_constraints))
         assert isinstance(out, NewConstraint) and out.expr == px
 
     def test_identity_on_second_pass(self):
         leg = primary_constraints(builtin_model("toy_gauge"))
         h = total_hamiltonian(leg)
         known = list(leg.primary_constraints) + [dirac_constraint(px, 1)]
-        out = consistency_step(dirac_constraint(px, 1), h, reducer_over(known), PAIRS)
+        out = consistency_step(dirac_constraint(px, 1), h, reducer_over(known))
         assert isinstance(out, Identity)
 
     def test_contradiction(self):
@@ -146,8 +151,7 @@ class TestConsistencyStep:
         leg = primary_constraints(m)
         h = total_hamiltonian(leg)
         out = consistency_step(leg.primary_constraints[0], h,
-                               reducer_over(leg.primary_constraints),
-                               ((x, x.momentum()),))
+                               reducer_over(leg.primary_constraints))
         assert isinstance(out, Contradiction)
         assert out.witness.is_constant()
 
@@ -156,7 +160,7 @@ class TestConsistencyStep:
         leg = primary_constraints(m)
         h = total_hamiltonian(leg)
         out = consistency_step(leg.primary_constraints[1], h,
-                               reducer_over(leg.primary_constraints), PAIRS)
+                               reducer_over(leg.primary_constraints))
         assert isinstance(out, MultiplierFixed)
         assert out.multiplier == multiplier(0)
         assert out.value == ey
@@ -312,17 +316,17 @@ def classify_all_pairs(constraints, pairs, reducer):
     second = [False] * len(exprs)
     for i in range(len(exprs)):
         for j in range(i + 1, len(exprs)):
-            if not reducer.reduce(poisson_bracket(exprs[i], exprs[j], pairs)).is_zero():
+            if not reducer.reduce(every_pair_bracket(exprs[i], exprs[j], pairs)).is_zero():
                 second[i] = second[j] = True
     if sum(second) % 2:
         return sum(second)
     return [SECOND if flag else FIRST for flag in second]
 
 
-def classify_labels(constraints, pairs, reducer):
+def classify_labels(constraints, reducer):
     result = gaugeflow.DiracResult(tuple(constraints), (), 1, True)
     try:
-        labelled = classify(result, pairs, reducer)
+        labelled = classify(result, reducer)
     except OddSecondClassCount as exc:
         return exc.count
     return [c.class_label for c in labelled.constraints]
@@ -338,7 +342,7 @@ class TestClassify:
         m = builtin_model("second_class_toy")
         d = run_dirac(m, primary_constraints(m))
         assert all(c.class_label == "second" for c in d.constraints)
-        assert poisson_bracket(px - ey, py, PAIRS) == Expression.const(-1)
+        assert poisson_bracket(px - ey, py) == Expression.const(-1)
 
     def test_ym_all_first_class(self):
         m = builtin_model("ym_mechanics")
@@ -349,7 +353,7 @@ class TestClassify:
     def test_indexed_pairs_match_all_pairs_on_random_sets(self):
         rng = random.Random(4242)
         phase = [v for q in PAIR_COORDS for v in (q, q.momentum())]
-        pairs = ConjugatePairs((q, q.momentum()) for q in PAIR_COORDS)
+        pairs = tuple((q, q.momentum()) for q in PAIR_COORDS)
         outcomes = set()
         for _ in range(60):
             exprs = []
@@ -362,7 +366,7 @@ class TestClassify:
             constraints = [dirac_constraint(e) for e in exprs]
             reducer = WeakReducer(exprs)
             expected = classify_all_pairs(constraints, pairs, reducer)
-            assert classify_labels(constraints, pairs, reducer) == expected
+            assert classify_labels(constraints, reducer) == expected
             outcomes.add(expected if isinstance(expected, int) else tuple(sorted(expected)))
         # both labels and the odd-count refusal were exercised
         assert any(isinstance(o, int) for o in outcomes)
@@ -372,10 +376,10 @@ class TestClassify:
     def test_indexed_pairs_match_all_pairs_on_second_class_toy(self):
         m = builtin_model("second_class_toy")
         constraints = run_dirac(m, primary_constraints(m)).constraints
-        pairs = ConjugatePairs(m.canonical_pairs())
         reducer = WeakReducer([c.expr for c in constraints])
-        labels = classify_labels(constraints, pairs, reducer)
-        assert labels == classify_all_pairs(constraints, pairs, reducer) == [SECOND, SECOND]
+        labels = classify_labels(constraints, reducer)
+        assert labels == classify_all_pairs(constraints, m.canonical_pairs(),
+                                            reducer) == [SECOND, SECOND]
 
     def test_rank_anomaly_still_refused(self):
         # three second-class constraints, one combination first class
@@ -391,7 +395,7 @@ class TestClassify:
         brackets = []
         bracket = gaugeflow.dirac.poisson_bracket
         monkeypatch.setattr(gaugeflow.dirac, "poisson_bracket",
-                            lambda f, g, pairs: brackets.append(f) or bracket(f, g, pairs))
+                            lambda f, g: brackets.append(f) or bracket(f, g))
         in_classify = []
         classify_fn = gaugeflow.dirac.classify
 
@@ -463,11 +467,10 @@ class TestWeakReducerExtend:
         # the empty start, then every point where a run extends its reducer
         splits = [0] + [k for k in range(1, len(constraints))
                         if constraints[k].generation != constraints[k - 1].generation]
-        pairs = ConjugatePairs(m.canonical_pairs())
         h = total_hamiltonian(primary_constraints(m))
         # what the consistency steps and the classification reduce
-        probes = [poisson_bracket(e, h, pairs) for e in exprs] + [
-            poisson_bracket(f, g, pairs) for i, f in enumerate(exprs) for g in exprs[i + 1:]]
+        probes = [poisson_bracket(e, h) for e in exprs] + [
+            poisson_bracket(f, g) for i, f in enumerate(exprs) for g in exprs[i + 1:]]
         assert_extend_matches_one_shot(exprs, splits, probes)
 
     @pytest.mark.parametrize("exprs", [
@@ -635,10 +638,9 @@ class TestNumericOracle:
             if not exprs:
                 continue
             phase = [v for pair in m.canonical_pairs() for v in pair]
-            pairs = m.canonical_pairs()
             for i in range(len(exprs)):
                 for j in range(i + 1, len(exprs)):
-                    br = poisson_bracket(exprs[i], exprs[j], pairs)
+                    br = poisson_bracket(exprs[i], exprs[j])
                     if WeakReducer(exprs).reduce(br).is_zero() and not br.is_zero():
                         assert weak_zero_numeric(br, exprs, phase, m.options).zero
 

@@ -91,8 +91,21 @@ class TestParseModel:
         assert str(err.value) == "generator 'e' targets undeclared coordinate y"
 
     def test_rational_lagrangian_rejected(self):
-        with pytest.raises(NonPolynomialLagrangian):
+        with pytest.raises(NonPolynomialLagrangian) as err:
             parse_model("[vars]\nx\ny\n[lagrangian]\nxdot^2/y\n")
+        assert err.value.line == 5
+
+    def test_generator_checks_in_code_have_no_line(self):
+        # the model file's lines reach these checks; a model built in
+        # code has none to report
+        x = coordinate("x")
+        decls = (CoordinateDecl("x"),)
+        with pytest.raises(NonPolynomialLagrangian) as err:
+            ModelSpec("m", decls, Expression.var(x.jet(1)) ** 2 / Expression.var(x))
+        assert err.value.line == 0
+        with pytest.raises(MalformedGenerator) as err:
+            ModelSpec("m", decls, Expression.var(x.jet(1)) ** 2, (GaugeGenerator("e", ()),))
+        assert str(err.value) == "generator 'e' has no components" and err.value.line == 0
 
     def test_duplicate_coordinate(self):
         with pytest.raises(DuplicateCoordinate):
@@ -168,10 +181,16 @@ HOSTILE = [
                  id="zero-generations"),
     pytest.param(BASE + "[options]\nsample_count = 0\n", ModelSyntaxError, 7,
                  id="zero-samples"),
-    pytest.param(GEN + "x : k=0 : 1\ngen e\ny : k=1 : 1\n", MalformedGenerator, None,
+    pytest.param(GEN + "x : k=0 : 1\ngen e\ny : k=1 : 1\n", MalformedGenerator, 9,
                  id="repeated-parameter"),
-    pytest.param(GEN, MalformedGenerator, None, id="empty-generator"),
-    pytest.param(GEN + "x : k=4 : 1\n", MalformedGenerator, None, id="order-past-cap"),
+    pytest.param(GEN, MalformedGenerator, 7, id="empty-generator"),
+    pytest.param(GEN + "x : k=4 : 1\n", MalformedGenerator, 8, id="order-past-cap"),
+    pytest.param(GEN + "x : k=0 : 1\ny : k=1 : 1\nx : k=0 : 2\n", MalformedGenerator, 10,
+                 id="repeated-component"),
+    pytest.param(GEN + "x : k=0 : p_y\n", MalformedGenerator, 8,
+                 id="momentum-in-coefficient"),
+    pytest.param("[vars]\nx\n[lagrangian]\nx'^2 + 1/x\n", NonPolynomialLagrangian, 4,
+                 id="non-polynomial-lagrangian"),
     pytest.param("[vars]\nx y\n[lagrangian]\nx'^2\n", ModelSyntaxError, 2,
                  id="two-names"),
     pytest.param("[vars]\nA[0:2\n[lagrangian]\n1\n", ModelSyntaxError, 2,
@@ -182,6 +201,8 @@ HOSTILE = [
                  id="bad-coordinate-name"),
     pytest.param(GEN + "x + y : k=0 : 1\n", MalformedGenerator, 8, id="target-not-a-name"),
     pytest.param(GEN + "p_x : k=0 : 1\n", MalformedGenerator, 8, id="target-a-momentum"),
+    pytest.param(GEN + "(x) : k=0 : 1\n", MalformedGenerator, 8, id="target-in-parentheses"),
+    pytest.param(GEN + "x*1 : k=0 : 1\n", MalformedGenerator, 8, id="target-times-one"),
     pytest.param("[vars]\nx\n[vars]\ny\n[lagrangian]\n1\n", ModelSyntaxError, 3,
                  id="duplicate-section"),
     pytest.param("x\n[vars]\nx\n[lagrangian]\nx'^2\n", ModelSyntaxError, 1,
@@ -238,15 +259,22 @@ HOSTILE = [
 HOSTILE_MESSAGES = {
     "zero-generations": "max_generations must be positive (line 7)",
     "zero-samples": "sample_count must be positive (line 7)",
-    "repeated-parameter": "gauge parameter names must be distinct",
-    "empty-generator": "generator 'e' has no components",
-    "order-past-cap": "generator order k=4 outside 0..3",
+    "repeated-parameter": "gauge parameter names must be distinct (line 9)",
+    "empty-generator": "generator 'e' has no components (line 7)",
+    "order-past-cap": "generator order k=4 outside 0..3 (line 8)",
+    "repeated-component": "generator 'e' repeats component (x, k=0) (line 10)",
+    "momentum-in-coefficient": "generator coefficients may mention only declared "
+                               "coordinates; found p_y (line 8)",
+    "non-polynomial-lagrangian": "the Lagrangian must be polynomial in coordinates and "
+                                 "velocities (line 4)",
     "two-names": "malformed coordinate declaration 'x y' (line 2)",
     "unclosed-range": "malformed index ranges in 'A[0:2' (line 2)",
     "non-integer-range": "bad index range 'a:b' (line 2)",
     "bad-coordinate-name": "'1x' is not a valid coordinate name (line 2)",
     "target-not-a-name": "'x + y' is not a single coordinate (line 8)",
     "target-a-momentum": "generator components target coordinates, not p_x (line 8)",
+    "target-in-parentheses": "'(x)' is not a single coordinate (line 8)",
+    "target-times-one": "'x*1' is not a single coordinate (line 8)",
     "duplicate-section": "duplicate section '[vars]' (line 3)",
     "content-before-header": "content before the first section header (line 1)",
     "no-vars": "a model needs a [vars] section",

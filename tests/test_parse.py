@@ -22,7 +22,7 @@ from gaugeflow.errors import (
     UnknownSymbol,
 )
 from gaugeflow.expr import ZERO
-from gaugeflow.parse import _Tokens
+from gaugeflow.parse import _Tokens, parse_variable
 
 from conftest import random_polynomial
 
@@ -45,6 +45,20 @@ def test_variable_kinds():
     a = coordinate("A", (1, 0))
     assert parse_expression("p_A[1,0]") == Expression.var(a.momentum())
     assert parse_expression("A[1,0]'") == Expression.var(a.jet(1))
+
+
+def test_parse_variable_reads_the_var_rule_only():
+    a = coordinate("A", (1, 0))
+    assert parse_variable("x") is x
+    assert parse_variable(" A[1,0]'' ") is a.jet(2)
+    assert parse_variable("p_A[1,0]") is a.momentum()
+    for text in ("", "(x)", "x*1", "x + y", "-x", "2"):
+        assert parse_variable(text) is None, text
+    # the lexer and the resolver report as they do inside an expression
+    with pytest.raises(ExpressionSyntaxError, match=r"\(line 3, column 3\)$"):
+        parse_variable(" x$", line_offset=2)
+    with pytest.raises(ExpressionSyntaxError, match="momenta carry no primes"):
+        parse_variable("p_x'")
 
 
 def test_momenta_reject_primes():
