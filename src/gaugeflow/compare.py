@@ -2,7 +2,8 @@
 
 ``build_report`` drives the whole pipeline on one model and never
 raises: every stage failure lands in the diagnostics, and the verdict
-says what the comparison established.
+says what the comparison established.  It returns an ``AnalysisReport``
+named tuple, built once; its last timing, ``untimed``, is what no stage took.
 
 Verdicts: ``match`` (the single-step rule reproduces the canonical
 sector first-class constraints, span for span), ``mismatch`` (a
@@ -28,7 +29,6 @@ from .errors import (
     IdentityViolated,
     InconsistentLagrangian,
     LegendreError,
-    ModelError,
     SurfaceSamplingFailed,
 )
 from .legendre import primary_constraints
@@ -106,17 +106,12 @@ def span_equivalent(left, right, variables, options):
     )
 
 
-class AnalysisReport:
-    """What :func:`build_report` found; a stage's result is None until it ran."""
+class AnalysisReport(namedtuple("AnalysisReport", "model_name options verdict legendre "
+                                "dirac noether independent conjecture span "
+                                "canonical_first_class diagnostics timings")):
+    """What :func:`build_report` found; None for a stage that did not run."""
 
-    def __init__(self, model_name, options):
-        self.model_name = model_name
-        self.options = options
-        self.verdict = INAPPLICABLE
-        self.legendre = self.dirac = self.noether = None
-        self.independent = self.conjecture = self.span = None
-        self.canonical_first_class = self.diagnostics = ()
-        self.timings = {}
+    __slots__ = ()
 
     @property
     def exit_code(self):
@@ -150,25 +145,27 @@ def _timed(timings, name, stage, *args):
 def build_report(m):
     """Run the full pipeline on a model and assemble the report.
 
-    Stage errors become diagnostics; the report is always produced.
+    Stage errors become diagnostics; ``finish`` builds the one report.
     """
-    report = AnalysisReport(model_name=m.name, options=m.options)
+    start = time.perf_counter()
+    timings = {}
     diagnostics = []
+    leg = dirac = noether = independent = conjecture = span = None
+    canonical_first = ()
 
     def note(severity, code, message, witness=None):
         diagnostics.append(Diagnostic(severity, code, message, witness))
 
     def finish(verdict):
-        report.verdict = verdict
-        report.diagnostics = tuple(diagnostics)
-        return report
+        timings["untimed"] = time.perf_counter() - start - sum(timings.values())
+        return AnalysisReport(m.name, m.options, verdict, leg, dirac, noether, independent,
+                              conjecture, span, canonical_first, tuple(diagnostics), timings)
 
     try:
-        leg = _timed(report.timings, "legendre", primary_constraints, m)
-    except (LegendreError, ModelError) as exc:
+        leg = _timed(timings, "legendre", primary_constraints, m)
+    except LegendreError as exc:
         note("error", "legendre-failed", str(exc))
         return finish(INAPPLICABLE)
-    report.legendre = leg
 
     hinted = set(m.hinted_discardable())
     derived = set(leg.discardable)
@@ -178,29 +175,27 @@ def build_report(m):
              f"declared discardable but momentum not identically zero: {missed}")
 
     try:
-        dirac = _timed(report.timings, "dirac", run_dirac, m, leg)
+        dirac = _timed(timings, "dirac", run_dirac, m, leg)
     except InconsistentLagrangian as exc:
-        report.dirac = exc.partial
+        dirac = exc.partial
         note("error", "inconsistent-lagrangian", str(exc), witness=str(exc.witness))
         return finish(INAPPLICABLE)
     except DiracError as exc:
         note("error", "dirac-failed", f"{type(exc).__name__}: {exc}")
         return finish(INAPPLICABLE)
-    report.dirac = dirac
     for message in dirac.diagnostics:
         note("warning", "dependent-residue", message)
 
     try:
-        noether = _timed(report.timings, "noether", noether_identity_check, m)
+        noether = _timed(timings, "noether", noether_identity_check, m)
     except IdentityViolated as exc:
-        report.noether = exc.report
+        noether = exc.report
         note("error", "identity-violated", str(exc))
         return finish(INAPPLICABLE)
-    report.noether = noether
 
     try:
-        report.independent = _timed(report.timings, "independence", independence_check, m)
-        if not report.independent:
+        independent = _timed(timings, "independence", independence_check, m)
+        if not independent:
             note("warning", "dependent-generators",
                  "the declared generators are not independent")
     except GaugeflowError as exc:
@@ -208,26 +203,23 @@ def build_report(m):
 
     canonical_first = tuple(
         c for c in dirac.first_class() if _canonical_sector(c, derived))
-    report.canonical_first_class = canonical_first
     if not canonical_first and dirac.first_class():
         note("info", "no-canonical-gauge-sector",
              "every first-class constraint involves discarded coordinates; "
              "the canonical-sector comparison is vacuous")
 
     try:
-        conjecture = _timed(report.timings, "conjecture", conjecture_constraints, m, leg, noether)
+        conjecture = _timed(timings, "conjecture", conjecture_constraints, m, leg, noether)
     except (ConjectureInapplicable, DegenerateGenerator) as exc:
         note("error", "conjecture-inapplicable", f"{type(exc).__name__}: {exc}")
         return finish(INAPPLICABLE)
-    report.conjecture = conjecture
 
     if not m.generators and not canonical_first:
         return finish(NO_GAUGE_SECTOR)
 
     phase_vars = [v for pair in m.canonical_pairs() for v in pair]
-    span = _timed(report.timings, "compare", span_equivalent,
+    span = _timed(timings, "compare", span_equivalent,
                   canonical_first, conjecture, phase_vars, m.options)
-    report.span = span
 
     if span.equivalent:
         if len(canonical_first) != len(conjecture):

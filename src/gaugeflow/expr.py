@@ -30,7 +30,8 @@ takes is over coordinates, never over momenta.
 Monomials are compared under a graded lexicographic order built on the
 total order of :class:`VarRef`.  VarRefs are interned, so they compare
 and hash by identity, and a monomial tuple hashes without calling back
-into Python.
+into Python.  A VarRef's one construction path is its constructor,
+which probes the intern pool first.
 
 Every polynomial expression shares one denominator dict, ``_ONE_DEN``;
 no code changes an expression's parts in place, so sharing is safe.  The
@@ -64,6 +65,9 @@ from math import gcd as _int_gcd
 
 from .errors import DenominatorViolation, DivisionByZero, MomentumInTimeDerivative
 
+MOMENTUM_PREFIX = "p_"
+MULTIPLIER_BASE = "lam"
+
 
 class Kind(enum.IntEnum):
     """Role of a variable in the model's phase-space bookkeeping."""
@@ -83,8 +87,9 @@ class VarRef:
     ``jet_order`` 0.  VarRefs are immutable, interned per process, and
     totally ordered by ``(base, indices, kind, jet_order)``.  The intern
     pool holds its VarRefs weakly: a variable nothing refers to any more
-    is released, and a later request for it makes a fresh one.  Its text
-    (``str``) is rendered once, when it is interned.
+    is released, and a later request for it makes a fresh one.  Only the
+    constructor reads the pool: it probes with the caller's key, and on a
+    miss normalizes it, probes again, validates and renders ``str`` once.
 
     Equality and hashing are by identity (``object``'s own).  That is
     sound because of the pool: while a VarRef is alive the pool hands it
@@ -97,11 +102,13 @@ class VarRef:
     _pool = weakref.WeakValueDictionary()
 
     def __new__(cls, base, indices=(), kind=Kind.COORDINATE, jet_order=0):
+        indices = tuple(indices)
+        if (cached := cls._pool.get((base, indices, kind, jet_order))) is not None:
+            return cached
         indices = tuple(int(i) for i in indices)
         kind = Kind(kind)
         key = (base, indices, int(kind), jet_order)
-        cached = cls._pool.get(key)
-        if cached is not None:
+        if (cached := cls._pool.get(key)) is not None:
             return cached
         if not base or not isinstance(base, str):
             raise ValueError(f"variable base must be a nonempty string, got {base!r}")
@@ -129,14 +136,8 @@ class VarRef:
     def __lt__(self, other):
         return self._key < other._key
 
-    def __le__(self, other):
-        return self._key <= other._key
-
     def __gt__(self, other):
         return self._key > other._key
-
-    def __ge__(self, other):
-        return self._key >= other._key
 
     def __repr__(self):
         return f"VarRef({self.base!r}, {self.indices!r}, {self.kind.name}, jet={self.jet_order})"
@@ -145,14 +146,6 @@ class VarRef:
         return self._text
 
     # -- derived variables --------------------------------------------------
-    #
-    # A sibling shares ``base`` and ``indices``, which are already
-    # normalized, so its pool key is built directly and ``VarRef(...)``
-    # runs only when the sibling is not interned yet.
-
-    def _sibling(self, kind, jet_order):
-        v = VarRef._pool.get((self.base, self.indices, kind, jet_order))
-        return v if v is not None else VarRef(self.base, self.indices, kind, jet_order)
 
     def jet(self, order):
         """The variable's ``order``-th total time derivative."""
@@ -160,20 +153,20 @@ class VarRef:
             raise MomentumInTimeDerivative(f"{self} has no time derivatives")
         total = self.jet_order + order
         if total == 0:
-            return self._sibling(Kind.COORDINATE, 0)
-        return self._sibling(Kind.JET, total)
+            return VarRef(self.base, self.indices, Kind.COORDINATE, 0)
+        return VarRef(self.base, self.indices, Kind.JET, total)
 
     def momentum(self):
         """The momentum conjugate to this coordinate."""
         if self.kind is not Kind.COORDINATE:
             raise ValueError(f"momenta are conjugate to coordinates, not {self.kind.name}")
-        return self._sibling(Kind.MOMENTUM, 0)
+        return VarRef(self.base, self.indices, Kind.MOMENTUM, 0)
 
     def coordinate(self):
         """The underlying order-0 coordinate of a jet or momentum."""
         if self.kind is Kind.MULTIPLIER:
             raise ValueError("multipliers have no underlying coordinate")
-        return self._sibling(Kind.COORDINATE, 0)
+        return VarRef(self.base, self.indices, Kind.COORDINATE, 0)
 
 
 def coordinate(base, indices=()):
@@ -182,7 +175,7 @@ def coordinate(base, indices=()):
 
 def multiplier(index):
     """The fresh multiplier attached to the ``index``-th primary constraint."""
-    return VarRef("lam", (index,), Kind.MULTIPLIER, 0)
+    return VarRef(MULTIPLIER_BASE, (index,), Kind.MULTIPLIER, 0)
 
 
 def render_varref(v):
@@ -190,7 +183,7 @@ def render_varref(v):
     if v.indices:
         core += "[" + ",".join(str(i) for i in v.indices) + "]"
     if v.kind is Kind.MOMENTUM:
-        return "p_" + core
+        return MOMENTUM_PREFIX + core
     if v.kind is Kind.MULTIPLIER:
         return core
     return core + "'" * v.jet_order

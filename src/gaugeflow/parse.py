@@ -27,15 +27,12 @@ from __future__ import annotations
 import re
 
 from .errors import ExpressionSyntaxError
-from .expr import Expression, Kind, VarRef, esum
+from .expr import MOMENTUM_PREFIX, MULTIPLIER_BASE, Expression, Kind, VarRef, esum
 
 # one token per match, after its leading space: an int, an identifier,
 # primes, a symbol (its own kind), or any other character, an error
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^])|(\S))")
 _KINDS = (None, "int", "ident", "primes", None)
-
-MULTIPLIER_BASE = "lam"
-MOMENTUM_PREFIX = "p_"
 
 
 def reserved_base_reason(base):

@@ -358,11 +358,18 @@ def test_inconsistent_report_carries_partial_result():
 def test_timings_cover_the_stages_that_ran_in_order():
     report = build_report(builtin_model("toy_gauge"))
     assert list(report.timings) == [
-        "legendre", "dirac", "noether", "independence", "conjecture", "compare"]
+        "legendre", "dirac", "noether", "independence", "conjecture", "compare", "untimed"]
     assert all(t >= 0 for t in report.timings.values())
     # a stage that raises is still timed, and the stages after it are not run
     m = parse_model("[vars]\nx\n[lagrangian]\nx\n", name="inconsistent")
-    assert list(build_report(m).timings) == ["legendre", "dirac"]
+    assert list(build_report(m).timings) == ["legendre", "dirac", "untimed"]
+
+
+def test_the_report_cannot_be_changed_after_it_is_built():
+    report = build_report(builtin_model("toy_gauge"))
+    for field in ("verdict", "diagnostics", "dirac"):
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
 
 
 def test_chain_model_file_matches():

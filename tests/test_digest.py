@@ -1,9 +1,10 @@
 """A checked-in digest of the CLI's output over a seeded corpus.
 
 ``tests/golden/digest.json`` holds one sha256 per (command, format,
-input) of the exit code and the standard output, with the text format's
-``timings:`` line dropped.  The commands are ``compare`` and
-``analyze``, in text and JSON, at each model's default options.  The
+input) of the exit code, the standard output, with the text format's
+``timings:`` line dropped, and the standard error.  The commands are
+``compare``, ``analyze``, ``conjecture`` and ``check-identities``, in
+text and JSON, at each model's default options.  The
 inputs are the shipped and test model files, the builtins and the
 seeded ``random_quadratic_model`` corpus.  The test names every input
 whose output changed and writes no file; to rewrite the digest after a
@@ -12,6 +13,7 @@ change that alters an output on purpose, run
     PYTHONPATH=src python tests/test_digest.py
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -25,7 +27,7 @@ from test_legendre import random_quadratic_model
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = ROOT / "tests" / "golden" / "digest.json"
-COMMANDS = ("compare", "analyze")
+COMMANDS = ("compare", "analyze", "conjecture", "check-identities")
 FORMATS = ("text", "json")
 MODEL_DIRS = ("models", "tests/models", "tests/models/roadmap")
 BUILTINS = [("toy_gauge",), ("oscillator",), ("second_class_toy",)] + [
@@ -50,17 +52,19 @@ def corpus():
 
 
 def output_digest(argv, model):
-    """sha256 of one in-process call's exit code and standard output,
-    without the ``timings:`` line."""
-    out = io.StringIO()
-    if model is None:
-        code = gaugeflow.cli.main(argv, out=out)
-    else:
-        with mock.patch.object(gaugeflow.cli, "_load_model", lambda args: model):
+    """sha256 of one in-process call's exit code, standard output
+    without the ``timings:`` line, and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        if model is None:
             code = gaugeflow.cli.main(argv, out=out)
+        else:
+            with mock.patch.object(gaugeflow.cli, "_load_model", lambda args: model):
+                code = gaugeflow.cli.main(argv, out=out)
     kept = [line for line in out.getvalue().splitlines(keepends=True)
             if not line.startswith("timings:")]
-    return hashlib.sha256(f"{code}\n{''.join(kept)}".encode()).hexdigest()
+    return hashlib.sha256(
+        f"{code}\n{''.join(kept)}\nstderr:\n{err.getvalue()}".encode()).hexdigest()
 
 
 def digests():

@@ -75,6 +75,20 @@ class TestVarRef:
         assert hash(x) == object.__hash__(x)
         assert x == coordinate("x") and x != y and x != "x" and x != x._key
 
+    def test_every_spelling_gives_the_interned_variable(self):
+        # list indices, an int kind and a True index are hash-equal to
+        # the normalized key; a miss normalizes before it builds, and a
+        # hit returns the object interned under the normalized key
+        spellings = [("spelled", [1, 0], Kind.MOMENTUM), ("spelled", (1, 0), 2),
+                     ("spelled", (True, 0), Kind.MOMENTUM)]
+        for first in spellings:
+            v = VarRef(*first)
+            assert v.indices == (1, 0) and all(type(i) is int for i in v.indices)
+            assert v.kind is Kind.MOMENTUM and v._key == ("spelled", (1, 0), 2, 0)
+            assert all(VarRef(*other) is v for other in spellings)
+            del v
+            gc.collect()
+
     def test_pool_releases_unreferenced_variables(self):
         v = VarRef("pool_probe", (4, 2), Kind.MOMENTUM)
         assert VarRef("pool_probe", (4, 2), Kind.MOMENTUM) is v
