@@ -30,7 +30,6 @@ from .dirac import run_dirac
 from .errors import (
     GaugeflowError,
     IdentityViolated,
-    InconsistentLagrangian,
     ConjectureInapplicable,
     DegenerateGenerator,
 )
@@ -239,16 +238,15 @@ def _cmd_compare(model, args, out):
 
 
 def _cmd_analyze(model, args, out):
-    try:
-        leg = primary_constraints(model)
-        d = run_dirac(model, leg)
-    except InconsistentLagrangian as exc:
+    leg = primary_constraints(model)
+    d = run_dirac(model, leg)
+    if not d.consistent:
         if args.format == "json":
             _dump_json({"model": model.name, "error": "inconsistent-lagrangian",
-                        "witness": str(exc.witness)}, out)
+                        "witness": str(d.witness)}, out)
         else:
             out.write(f"inconsistent Lagrangian: consistency of "
-                      f"{exc.constraint.expr} demands {exc.witness} = 0\n")
+                      f"{d.culprit.expr} demands {d.witness} = 0\n")
         return EXIT_INCONSISTENT
     if args.format == "json":
         tree = {"model": model.name, "options": model.options._asdict(),
@@ -265,8 +263,8 @@ def _cmd_analyze(model, args, out):
 
 def _cmd_conjecture(model, args, out):
     leg = primary_constraints(model)
+    noether = noether_identity_check(model)
     try:
-        noether = noether_identity_check(model)
         constraints = conjecture_constraints(model, leg, noether)
     except (IdentityViolated, ConjectureInapplicable, DegenerateGenerator) as exc:
         if args.format == "json":
@@ -286,12 +284,7 @@ def _cmd_conjecture(model, args, out):
 
 
 def _cmd_check_identities(model, args, out):
-    code = EXIT_OK
-    try:
-        noether = noether_identity_check(model)
-    except IdentityViolated as exc:
-        noether = exc.report
-        code = EXIT_INAPPLICABLE
+    noether = noether_identity_check(model)
     independent = independence_check(model)
     if args.format == "json":
         _dump_json({"model": model.name, "noether": _noether_dict(noether),
@@ -302,7 +295,7 @@ def _cmd_check_identities(model, args, out):
             state = "ok" if residue.is_zero() else f"VIOLATED: residue {residue}"
             out.write(f"  identity {name}: {state}\n")
         out.write(f"  generators independent: {independent}\n")
-    return code
+    return EXIT_OK if noether.passed() else EXIT_INAPPLICABLE
 
 
 def _cmd_list_builtins(args, out):

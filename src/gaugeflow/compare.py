@@ -27,7 +27,6 @@ from .errors import (
     DiracError,
     GaugeflowError,
     IdentityViolated,
-    InconsistentLagrangian,
     LegendreError,
     SurfaceSamplingFailed,
 )
@@ -176,21 +175,20 @@ def build_report(m):
 
     try:
         dirac = _timed(timings, "dirac", run_dirac, m, leg)
-    except InconsistentLagrangian as exc:
-        dirac = exc.partial
-        note("error", "inconsistent-lagrangian", str(exc), witness=str(exc.witness))
-        return finish(INAPPLICABLE)
     except DiracError as exc:
         note("error", "dirac-failed", f"{type(exc).__name__}: {exc}")
+        return finish(INAPPLICABLE)
+    if not dirac.consistent:
+        note("error", "inconsistent-lagrangian",
+             f"consistency condition reduces to the nonzero constant {dirac.witness}",
+             witness=str(dirac.witness))
         return finish(INAPPLICABLE)
     for message in dirac.diagnostics:
         note("warning", "dependent-residue", message)
 
-    try:
-        noether = _timed(timings, "noether", noether_identity_check, m)
-    except IdentityViolated as exc:
-        noether = exc.report
-        note("error", "identity-violated", str(exc))
+    noether = _timed(timings, "noether", noether_identity_check, m)
+    if not noether.passed():
+        note("error", "identity-violated", str(IdentityViolated(noether)))
         return finish(INAPPLICABLE)
 
     try:

@@ -11,7 +11,8 @@ where it is nonzero (:meth:`SurfaceSampler.nonzero_point`, which draws
 points only as candidates need them), and a candidate that vanishes at
 ``sample_count`` of them is dropped with a diagnostic.  The admitted
 constraints are then merged one at a time, and a merged set that reduces
-1 to 0 has no common zero: the Lagrangian is inconsistent.
+1 to 0 has no common zero: the Lagrangian is inconsistent, and the run
+returns what it found, unclassified, with the witness and its culprit.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .errors import (
-    DenominatorViolation,
-    GenerationLimitExceeded,
-    InconsistentLagrangian,
-    OddSecondClassCount,
-)
+from .errors import DenominatorViolation, GenerationLimitExceeded, OddSecondClassCount
 from .expr import (
     Expression,
     Kind,
@@ -74,12 +70,18 @@ class Constraint(namedtuple("Constraint", "expr generation origin class_label",
 
 
 class DiracResult(namedtuple("DiracResult", "constraints multiplier_equations "
-                             "generations_run consistent witness diagnostics",
-                             defaults=(None, ()))):
+                             "generations_run witness culprit diagnostics",
+                             defaults=(None, None, ()))):
     """``multiplier_equations`` are (multiplier VarRef, fixing Expression)
-    pairs; a named tuple (equal to any tuple)."""
+    pairs.  An inconsistent run stores the nonzero constant ``witness``
+    and the constraint it came from, ``culprit``; a consistent one has
+    neither.  A named tuple (equal to any tuple)."""
 
     __slots__ = ()
+
+    @property
+    def consistent(self):
+        return self.witness is None
 
     def by_generation(self):
         out = {}
@@ -192,7 +194,7 @@ def consistency_step(c, h_total, reducer):
 
 def run_dirac(m, leg):
     """Run the generational consistency algorithm to its fixpoint and
-    return its constraints classified.
+    return its constraints, classified when the run is consistent.
 
     Primaries are generation 0; each later generation adds the residues
     of all consistency conditions, tested against the constraint set as
@@ -204,10 +206,12 @@ def run_dirac(m, leg):
     :func:`consistency_step`); each distinct equation is kept once, in
     the order first met.  One :class:`WeakReducer`, extended by each
     admitted constraint in turn, serves the run and :func:`classify`.
-    Raises :class:`InconsistentLagrangian` on a constant residue or when
-    the merged constraints reduce 1 to 0 (the reducer only subtracts
-    members of the constraint ideal, so they have no common zero), and
-    :class:`GenerationLimitExceeded` if no fixpoint is reached.
+    A constant residue, or merged constraints that reduce 1 to 0 (the
+    reducer only subtracts members of the constraint ideal, so they have
+    no common zero), ends the run inconsistent: the result is returned
+    unclassified, with the constant as ``witness`` and the constraint it
+    came from as ``culprit``.  Raises :class:`GenerationLimitExceeded`
+    if no fixpoint is reached.
 
     Candidates and constraints are polynomials over phase space
     (:func:`constraint_form`) and every sampled point assigns all of
@@ -218,10 +222,9 @@ def run_dirac(m, leg):
     multiplier_equations = {}  # (multiplier, value) -> None
     diagnostics = []
 
-    def result(generations_run, witness=None):
+    def result(generations_run, witness=None, culprit=None):
         return DiracResult(tuple(constraints), tuple(multiplier_equations),
-                           generations_run, witness is None, witness,
-                           tuple(diagnostics))
+                           generations_run, witness, culprit, tuple(diagnostics))
 
     if not constraints:
         return result(0)
@@ -235,8 +238,7 @@ def run_dirac(m, leg):
         for c in constraints:
             outcome = consistency_step(c, h_total, reducer)
             if isinstance(outcome, Contradiction):
-                raise InconsistentLagrangian(
-                    outcome.witness, c, result(generation, outcome.witness))
+                return result(generation, outcome.witness, c)
             if isinstance(outcome, MultiplierFixed):
                 multiplier_equations[outcome.multiplier, outcome.value] = None
             elif isinstance(outcome, NewConstraint):
@@ -262,7 +264,7 @@ def run_dirac(m, leg):
             constraints.append(c)
             reducer.extend([c.expr])
             if reducer.reduce(ONE).is_zero():
-                raise InconsistentLagrangian(ONE, c, result(generation, ONE))
+                return result(generation, ONE, c)
     else:
         raise GenerationLimitExceeded(options.max_generations)
 

@@ -1,8 +1,9 @@
 """Exception hierarchy for the constraint analysis engine.
 
-Every error that carries algebraic evidence (a witness expression, a
-sample point) stores it on the exception so reports can surface it
-without re-deriving anything.  A source position is written by
+An error says why a stage could not run; no error stores a stage
+result.  A failed check is not an error: :func:`run_dirac` returns an
+inconsistent result and :func:`noether_identity_check` a report that
+did not pass.  A source position is written by
 :class:`GaugeflowError` alone: the model and expression parsers pass it
 as ``line`` and ``column`` arguments, never as message text.
 """
@@ -106,20 +107,6 @@ class DiracError(GaugeflowError):
     pass
 
 
-class InconsistentLagrangian(DiracError):
-    """A consistency condition reduced to a nonzero constant.
-
-    ``partial`` carries the (inconsistent) result assembled so far, with
-    the witness attached.
-    """
-
-    def __init__(self, witness, constraint, partial):
-        super().__init__(f"consistency condition reduces to the nonzero constant {witness}")
-        self.witness = witness
-        self.constraint = constraint
-        self.partial = partial
-
-
 class GenerationLimitExceeded(DiracError):
     def __init__(self, limit):
         super().__init__(f"no fixpoint after {limit} generations")
@@ -144,12 +131,13 @@ class GaugeError(GaugeflowError):
 
 class IdentityViolated(GaugeError):
     """A declared gauge generator does not annihilate the equations of
-    motion; the single-step constraint rule must not be applied."""
+    motion; the single-step constraint rule must not be applied.  The
+    message names each generator of the failed :class:`NoetherReport`
+    whose residue is nonzero."""
 
     def __init__(self, report):
         bad = [name for name, residue in report.residues if not residue.is_zero()]
         super().__init__(f"gauge identity violated for generator(s): {', '.join(bad)}")
-        self.report = report
 
 
 class SamplingDegenerate(GaugeError):

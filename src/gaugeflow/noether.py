@@ -19,6 +19,7 @@ from collections import namedtuple
 from .dirac import Constraint
 from .errors import ConjectureInapplicable, DegenerateGenerator, IdentityViolated
 from .expr import Expression, esum
+from .legendre import compute_momenta
 from .linalg import sampled_rank
 
 
@@ -38,12 +39,8 @@ def euler_lagrange(m):
     Sign convention: E_a = d/dt (dL/dv_a) - dL/dq_a, so a free particle
     with L = v^2/2 gives E = acceleration.
     """
-    lagrangian = m.lagrangian
-    out = []
-    for q in m.coordinate_vars:
-        momentum_def = lagrangian.diff(q.jet(1))
-        out.append((q, momentum_def.dt() - lagrangian.diff(q)))
-    return tuple(out)
+    return tuple((q, momentum.dt() - m.lagrangian.diff(q))
+                 for q, momentum in compute_momenta(m))
 
 
 def _alternating_derivative(e, order):
@@ -57,8 +54,8 @@ def noether_identity_check(m):
     """Verify that every declared generator annihilates the equations of
     motion, symbolically and exactly.
 
-    Returns a :class:`NoetherReport`; raises :class:`IdentityViolated`
-    (carrying the report) when any residue is nonzero.
+    Returns the :class:`NoetherReport` whether or not it passed: a
+    nonzero residue is a finding, not an error.
     """
     table = dict(euler_lagrange(m))
     residues = []
@@ -68,10 +65,7 @@ def noether_identity_check(m):
             term = table[comp.coordinate] * comp.coefficient
             parts.append(_alternating_derivative(term, comp.order))
         residues.append((gen.parameter_name, esum(parts)))
-    report = NoetherReport(tuple(residues))
-    if not report.passed():
-        raise IdentityViolated(report)
-    return report
+    return NoetherReport(tuple(residues))
 
 
 def independence_check(m):
@@ -102,9 +96,10 @@ def conjecture_constraints(m, leg, noether):
     the :class:`NoetherReport` of ``m``), and every
     differentiated-parameter component targets a coordinate whose
     momentum vanishes identically.  Raises :class:`IdentityViolated`
-    when the report did not pass, :class:`ConjectureInapplicable` when a
-    component breaks the second condition, and
-    :class:`DegenerateGenerator` when a contraction collapses to zero.
+    when the report did not pass (the one place a failed report is
+    refused), :class:`ConjectureInapplicable` when a component breaks
+    the second condition, and :class:`DegenerateGenerator` when a
+    contraction collapses to zero.
     """
     if not noether.passed():
         raise IdentityViolated(noether)

@@ -30,7 +30,6 @@ from gaugeflow import (
 )
 from gaugeflow.catalog import SU2_DOUBLET, eps3
 from gaugeflow.cli import main as cli_main
-from gaugeflow.errors import IdentityViolated, InconsistentLagrangian
 
 import test_properties
 from test_noether import corrupt
@@ -196,8 +195,7 @@ def test_criterion_4_control_cases():
         assert r.verdict == "no_gauge_sector"
 
         m = parse_model("[vars]\nx\n[lagrangian]\nx\n", name="inconsistent")
-        with pytest.raises(InconsistentLagrangian):
-            run_dirac(m, primary_constraints(m))
+        assert not run_dirac(m, primary_constraints(m)).consistent
         assert build_report(m).exit_code == 3
         import io
         assert cli_main(["analyze", "--builtin", "toy_gauge"], out=io.StringIO()) == 0
@@ -222,8 +220,7 @@ def test_criterion_6_generator_corruption_detected():
             for gi, gen in enumerate(m.generators):
                 for ci in range(len(gen.components)):
                     bad = corrupt(m, gi, ci)
-                    with pytest.raises(IdentityViolated):
-                        noether_identity_check(bad)
+                    assert not noether_identity_check(bad).passed()
                     total += 1
         assert total >= 100  # exhaustive over all coefficients of all gauge models
         print(f"  ({total} corruptions, 100% detected)", end=" ")

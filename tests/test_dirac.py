@@ -29,7 +29,7 @@ from gaugeflow import (
 import gaugeflow.dirac
 import gaugeflow.reduction
 from gaugeflow.dirac import FIRST, SECOND, classify
-from gaugeflow.errors import InconsistentLagrangian, OddSecondClassCount, SurfaceSamplingFailed
+from gaugeflow.errors import OddSecondClassCount, SurfaceSamplingFailed
 from gaugeflow.expr import Divisors, Kind, esum
 from gaugeflow.reduction import (
     NumericVerdict,
@@ -224,13 +224,13 @@ class TestRunDirac:
          ["p_u", "p_v", "p_y - 1", "p_y"]),
     ], ids=["constant_residue", "two_multipliers"])
     def test_inconsistent_lagrangian(self, src, constraint, partial):
-        with pytest.raises(InconsistentLagrangian) as err:
-            m = parse_model(src)
-            run_dirac(m, primary_constraints(m))
-        assert err.value.witness == Expression.const(1)
-        assert err.value.constraint.expr == constraint
-        assert [str(c.expr) for c in err.value.partial.constraints] == partial
-        assert not err.value.partial.consistent
+        m = parse_model(src)
+        result = run_dirac(m, primary_constraints(m))
+        assert result.witness == Expression.const(1)
+        assert result.culprit.expr == constraint
+        assert [str(c.expr) for c in result.constraints] == partial
+        assert {c.class_label for c in result.constraints} == {"unclassified"}
+        assert not result.consistent
 
     @pytest.mark.parametrize("seed", [1, 7, 1729])
     def test_momentum_coefficient_keeps_the_whole_residue(self, seed):
@@ -324,7 +324,7 @@ def classify_all_pairs(constraints, pairs, reducer):
 
 
 def classify_labels(constraints, reducer):
-    result = gaugeflow.DiracResult(tuple(constraints), (), 1, True)
+    result = gaugeflow.DiracResult(tuple(constraints), (), 1)
     try:
         labelled = classify(result, reducer)
     except OddSecondClassCount as exc:
@@ -685,10 +685,7 @@ def test_constraints_are_phase_space_polynomials():
     models = list(_every_shipped_model())
     assert len(models) == 9
     for m in models:
-        try:
-            constraints = run_dirac(m, primary_constraints(m)).constraints
-        except InconsistentLagrangian as exc:
-            constraints = exc.partial.constraints
+        constraints = run_dirac(m, primary_constraints(m)).constraints
         constraints += primary_constraints(m).primary_constraints
         assert constraints or m.name == "oscillator"
         for c in constraints:

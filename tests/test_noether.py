@@ -76,9 +76,9 @@ class TestNoetherIdentity:
 
     def test_corrupted_coefficient_detected(self):
         m = corrupt(builtin_model("toy_gauge"), 0, 1)
-        with pytest.raises(IdentityViolated) as err:
-            noether_identity_check(m)
-        residues = dict(err.value.report.residues)
+        report = noether_identity_check(m)
+        assert not report.passed()
+        residues = dict(report.residues)
         assert not residues["eps"].is_zero()
 
     def test_no_generators_passes_trivially(self):
@@ -111,11 +111,9 @@ class TestConjecture:
     def test_a_failed_identity_report_is_refused(self):
         # y shifts by 2 eps' where x' - y needs eps'
         m = corrupt(builtin_model("toy_gauge"), 0, 1)
-        with pytest.raises(IdentityViolated) as err:
-            noether_identity_check(m)
-        with pytest.raises(IdentityViolated) as refused:
-            conjecture_constraints(m, primary_constraints(m), err.value.report)
-        assert refused.value.report is err.value.report
+        report = noether_identity_check(m)
+        with pytest.raises(IdentityViolated, match=r"generator\(s\): eps$"):
+            conjecture_constraints(m, primary_constraints(m), report)
 
     def test_matches_dirac_secondaries_exactly_on_ym(self):
         m = builtin_model("ym_mechanics")

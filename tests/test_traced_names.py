@@ -86,6 +86,27 @@ def test_tracer_counts_multiplier_outcomes():
     assert counts["reduction.reduce:calls"] == 5
 
 
+def test_tracer_counts_an_inconsistent_run():
+    # L = x: the one primary p_x demands 1 = 0 in generation 1, so the
+    # run ends with no constraint accepted; the tracer books the result
+    # run_dirac returns
+    compare = _module("compare")
+    _module("cli")
+    model = _module("model").parse_model("[vars]\nx\n[lagrangian]\nx\n", name="inconsistent")
+    tracer = TABLES["Tracer"]()
+    tracer.install()
+    try:
+        report = tracer.run_op("inconsistent", compare.build_report, model)
+    finally:
+        tracer.uninstall()
+    assert report.exit_code == 3
+    counts = tracer.op_counts("inconsistent")
+    assert counts["dirac.generations"] == 1
+    assert counts["dirac.accepted"] == 0
+    assert counts["dirac.outcome_contradiction"] == 1
+    assert counts["dirac.run_dirac:calls"] == 1
+
+
 def test_sample_surface_points_returns_a_list():
     # the tracer's _sample_done takes len() of the result
     reduction = _module("reduction")
