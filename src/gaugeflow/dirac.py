@@ -1,14 +1,15 @@
 """Poisson brackets, the total Hamiltonian, the generational consistency
 algorithm and first/second-class classification.
 
-Each generation takes the bracket of every current constraint with the
-total Hamiltonian and reduces it modulo the constraint set as it stood
-at the start of the generation (matching the merge-after-parallel-steps
-contract).  Residues classify into: identity, a new constraint, an
-equation fixing a multiplier, or an outright contradiction.  A candidate
-constraint is admitted at the first sampled point of the current surface
-where it is nonzero (:meth:`SurfaceSampler.nonzero_point`, which draws
-points only as candidates need them), and a candidate that vanishes at
+Each constraint is bracketed with the total Hamiltonian once per run,
+and each generation reduces the bracket of every current constraint
+modulo the constraint set as it stood at the start of the generation
+(matching the merge-after-parallel-steps contract).  Residues classify
+into: identity, a new constraint, an equation fixing a multiplier, or
+an outright contradiction.  A candidate constraint is admitted at the
+first sampled point of the current surface where it is nonzero
+(:meth:`SurfaceSampler.nonzero_point`, which draws points only as
+candidates need them), and a candidate that vanishes at
 ``sample_count`` of them is dropped with a diagnostic.  The admitted
 constraints are then merged one at a time, and a merged set that reduces
 1 to 0 has no common zero: the Lagrangian is inconsistent, and the run
@@ -160,21 +161,23 @@ def total_hamiltonian(leg):
                    for i, c in enumerate(leg.primary_constraints)])
 
 
-def consistency_step(c, h_total, reducer):
-    """Demand that ``c`` is preserved in time; classify the residue.
+def consistency_step(bracket, reducer):
+    """Demand that a constraint is preserved in time; classify the
+    residue.
 
-    The bracket with the total Hamiltonian is reduced by ``reducer``, a
-    :class:`WeakReducer` over the constraint set the step is tested
-    against (the run's one reducer, shared by every step).  A zero
-    residue is an identity; a residue that mentions a multiplier fixes
-    the largest one; a multiplier-free nonzero constant is a
-    contradiction; anything else is a new constraint, returned with
-    leading coefficient one.  The reducer's rules and divisors mention
-    no multiplier and ``h_total`` is linear in them, so graded-lex
-    division leaves each multiplier's coefficient with a leading term no
-    divisor divides: ``reducer`` cannot certify it zero.
+    ``bracket`` is the constraint's bracket with the total Hamiltonian.
+    It is reduced by ``reducer``, a :class:`WeakReducer` over the
+    constraint set the step is tested against (the run's one reducer,
+    shared by every step).  A zero residue is an identity; a residue
+    that mentions a multiplier fixes the largest one; a multiplier-free
+    nonzero constant is a contradiction; anything else is a new
+    constraint, returned with leading coefficient one.  The reducer's
+    rules and divisors mention no multiplier and the total Hamiltonian
+    is linear in them, so graded-lex division leaves each multiplier's
+    coefficient with a leading term no divisor divides: ``reducer``
+    cannot certify it zero.
     """
-    residue = reducer.reduce(poisson_bracket(c.expr, h_total))
+    residue = reducer.reduce(bracket)
     if residue.is_zero():
         return Identity()
     mults = [v for v in residue.variables() if v.kind is Kind.MULTIPLIER]
@@ -206,6 +209,9 @@ def run_dirac(m, leg):
     :func:`consistency_step`); each distinct equation is kept once, in
     the order first met.  One :class:`WeakReducer`, extended by each
     admitted constraint in turn, serves the run and :func:`classify`.
+    Each constraint is bracketed with the total Hamiltonian once, when
+    it first takes part; only the reduction depends on the generation,
+    so each generation reduces the kept bracket again.
     A constant residue, or merged constraints that reduce 1 to 0 (the
     reducer only subtracts members of the constraint ideal, so they have
     no common zero), ends the run inconsistent: the result is returned
@@ -232,11 +238,13 @@ def run_dirac(m, leg):
     phase_vars = [v for pair in m.canonical_pairs() for v in pair]
     rng = random.Random(options.seed)
     reducer = WeakReducer([c.expr for c in constraints])
+    brackets = []  # {constraints[i], h_total}
 
     for generation in range(1, options.max_generations + 1):
+        brackets += [poisson_bracket(c.expr, h_total) for c in constraints[len(brackets):]]
         candidates = []
-        for c in constraints:
-            outcome = consistency_step(c, h_total, reducer)
+        for c, bracket in zip(constraints, brackets):
+            outcome = consistency_step(bracket, reducer)
             if isinstance(outcome, Contradiction):
                 return result(generation, outcome.witness, c)
             if isinstance(outcome, MultiplierFixed):

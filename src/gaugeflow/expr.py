@@ -31,7 +31,9 @@ Monomials are compared under a graded lexicographic order built on the
 total order of :class:`VarRef`.  VarRefs are interned, so they compare
 and hash by identity, and a monomial tuple hashes without calling back
 into Python.  A VarRef's one construction path is its constructor,
-which probes the intern pool first.
+which probes the intern pool first.  The pool is a plain dict of weak
+references, so a hit is a dict probe and a call, both in C; a released
+VarRef's callback removes its own entry and no newer one.
 
 Every polynomial expression shares one denominator dict, ``_ONE_DEN``;
 no code changes an expression's parts in place, so sharing is safe.  The
@@ -42,13 +44,21 @@ fast paths read it: ``_make`` returns at once on it, and ``+``, ``-``,
 ``*`` and ``**`` on polynomials, ``dt`` and ``subs`` of a polynomial,
 ``esum`` and ``esum_products`` build a polynomial result from raw
 dicts, with no polynomial gcd, only the int gcd of ``_cden`` with the
-content.  An expression's first partials are computed together, in one
-pass over its numerator and one over its denominator, the first time
-any is asked for (``gradient``), and kept on the expression: ``diff``,
-``dt`` and every Jacobian and Poisson bracket of it then read the same
-dict.  The set of variables it mentions is kept the same way
-(``variables``), and ``mentions`` is a lookup in it.  Neither memo
-takes part in ``==`` or hashing.
+content.  Other fast paths are chosen by the operands' shapes: a
+product with a one-term factor is one pass with no collisions (a
+constant factor is a scale), a monomial times one variable power is a
+splice, a quotient by a constant is a scale over the same denominator,
+and a power of a univariate polynomial is Miller's recurrence, not
+repeated squaring.  An expression's first partials are computed
+together, in one pass over its numerator and one over its denominator,
+the first time any is asked for (``gradient``), and kept on the
+expression: ``diff`` and every Jacobian and Poisson bracket of it then
+read the same dict.  ``dt`` of a polynomial does not read it: it makes
+one pass over the monomials and splices each ``v'`` in right after
+``v``; a rational function's takes the quotient rule through the
+gradient.  The set of variables an expression mentions is kept the
+same way (``variables``), and ``mentions`` is a lookup in it.  Neither
+memo takes part in ``==`` or hashing.
 
 Only this module reads the three parts; the other modules go through
 ``Expression``'s methods, ``esum``, ``esum_products``,
@@ -59,6 +69,7 @@ one text form of an expression, which prints the ints it reads.
 from __future__ import annotations
 
 import enum
+import heapq
 import weakref
 from fractions import Fraction
 from math import gcd as _int_gcd
@@ -78,6 +89,21 @@ class Kind(enum.IntEnum):
     MULTIPLIER = 3
 
 
+def _weak_pool():
+    """An empty intern pool, a plain dict of ``key -> weakref.KeyedRef``,
+    and the callback every reference in it shares.  A dead reference's
+    callback can run after its key was taken again (a garbage-collection
+    pass clears every reference before it calls any callback), so it
+    removes the entry only while the entry is that reference itself."""
+    pool = {}
+
+    def release(ref):
+        if pool.get(ref.key) is ref:
+            del pool[ref.key]
+
+    return pool, release
+
+
 class VarRef:
     """An atomic variable: a named, optionally indexed symbol with a role.
 
@@ -88,8 +114,9 @@ class VarRef:
     totally ordered by ``(base, indices, kind, jet_order)``.  The intern
     pool holds its VarRefs weakly: a variable nothing refers to any more
     is released, and a later request for it makes a fresh one.  Only the
-    constructor reads the pool: it probes with the caller's key, and on a
-    miss normalizes it, probes again, validates and renders ``str`` once.
+    constructor looks the pool up: it probes with the caller's key, and
+    on a miss normalizes it, probes again, validates and renders ``str``
+    once.  The pool's callback only removes a released variable's entry.
 
     Equality and hashing are by identity (``object``'s own).  That is
     sound because of the pool: while a VarRef is alive the pool hands it
@@ -99,16 +126,18 @@ class VarRef:
 
     __slots__ = ("base", "indices", "kind", "jet_order", "_key", "_text", "__weakref__")
 
-    _pool = weakref.WeakValueDictionary()
+    _pool, _release = _weak_pool()
 
     def __new__(cls, base, indices=(), kind=Kind.COORDINATE, jet_order=0):
         indices = tuple(indices)
-        if (cached := cls._pool.get((base, indices, kind, jet_order))) is not None:
+        ref = cls._pool.get((base, indices, kind, jet_order))
+        if ref is not None and (cached := ref()) is not None:
             return cached
         indices = tuple(int(i) for i in indices)
         kind = Kind(kind)
         key = (base, indices, int(kind), jet_order)
-        if (cached := cls._pool.get(key)) is not None:
+        ref = cls._pool.get(key)
+        if ref is not None and (cached := ref()) is not None:
             return cached
         if not base or not isinstance(base, str):
             raise ValueError(f"variable base must be a nonempty string, got {base!r}")
@@ -127,7 +156,7 @@ class VarRef:
         object.__setattr__(self, "jet_order", jet_order)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_text", render_varref(self))
-        cls._pool[key] = self
+        cls._pool[key] = weakref.KeyedRef(self, cls._release, key)
         return self
 
     def __setattr__(self, name, value):
@@ -197,21 +226,37 @@ def render_varref(v):
 _ONE_MONO = ()
 
 
+def _mono_times(m, v, e):
+    """``m * v^e``: the one pair spliced in where ``v``'s key puts it."""
+    key = v._key
+    for i, (w, f) in enumerate(m):
+        if w is v:
+            return (*m[:i], (v, f + e), *m[i + 1:])
+        if key < w._key:
+            return (*m[:i], (v, e), *m[i:])
+    return (*m, (v, e))
+
+
 def _mono_mul(a, b):
     if not a:
         return b
     if not b:
         return a
+    if len(b) == 1:
+        return _mono_times(a, *b[0])
+    if len(a) == 1:
+        return _mono_times(b, *a[0])
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
         va, ea = a[i]
         vb, eb = b[j]
         if va is vb:
             out.append((va, ea + eb))
             i += 1
             j += 1
-        elif va < vb:
+        elif va._key < vb._key:
             out.append(a[i])
             i += 1
         else:
@@ -322,10 +367,21 @@ def _p_sub(a, b):
     return acc
 
 def _p_mul(a, b):
+    """``a * b`` as a new dict.  A one-term factor maps the other's
+    distinct monomials to distinct monomials, so its product is one pass
+    with no collisions, and a constant one is a scale."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        [(ma, ca)] = a.items()
+        if not ma:
+            return {m: c * ca for m, c in b.items()}
+        if len(ma) == 1:
+            [(v, e)] = ma
+            return {_mono_times(m, v, e): c * ca for m, c in b.items()}
+        return {_mono_mul(ma, m): c * ca for m, c in b.items()}
     acc = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -348,6 +404,17 @@ def _p_scale(p, k):
     return {m: c * k for m, c in p.items()}
 
 def _p_pow(p, n):
+    """``p^n`` for ``n >= 0``: a one-term ``p`` by its exponents, a
+    univariate one by Miller's recurrence (``_p_pow_univariate``), any
+    other by repeated squaring."""
+    if n == 0:
+        return {_ONE_MONO: 1}
+    if len(p) == 1:
+        [(m, c)] = p.items()
+        return {tuple((v, e * n) for v, e in m): c ** n}
+    variables = _p_vars(p)
+    if len(variables) == 1:
+        return _p_pow_univariate(p, n, *variables)
     out = None
     base = p
     while n:
@@ -357,6 +424,25 @@ def _p_pow(p, n):
         if n:
             base = _p_mul(base, base)
     return {_ONE_MONO: 1} if out is None else out
+
+def _p_pow_univariate(p, n, x):
+    """``p^n`` for a ``p`` in the one variable ``x``, by J. C. P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7): with ``x^s`` factored out, so
+    that ``p = x^s * sum_i a_i x^i`` with ``a_0 != 0``, the coefficients
+    ``b_k`` of the cofactor's power are ``b_0 = a_0^n`` and
+    ``k*a_0*b_k = sum_{i=1..k} ((n+1)*i - k) * a_i * b_{k-i}``.  The
+    ``b_k`` are ints, so the division is exact; no dense product is
+    squared."""
+    a = {(m[0][1] if m else 0): c for m, c in p.items()}
+    s = min(a)
+    a = {i - s: c for i, c in a.items()}
+    a0 = a.pop(0)
+    b = [a0 ** n]
+    for k in range(1, n * max(a) + 1):
+        total = sum(((n + 1) * i - k) * c * b[k - i] for i, c in a.items() if i <= k)
+        b.append(total // (k * a0))
+    low = s * n
+    return {(((x, low + k),) if low + k else _ONE_MONO): c for k, c in enumerate(b) if c}
 
 def _p_vars(p):
     seen = set()
@@ -894,6 +980,13 @@ class Expression:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by the zero expression")
+        if other.is_constant():
+            # by the constant b / qb: a scale by qb / b, over the same
+            # denominator polynomial
+            b = other._num[_ONE_MONO]
+            num, q = _p_reduce(_p_scale(self._num, other._cden if b > 0 else -other._cden),
+                               self._cden * abs(b))
+            return Expression(num, q, self._den) if num else ZERO
         # (a / (qa * da)) / (b / (qb * db)) = a * db * qb / (qa * da * b)
         return Expression._make(_p_scale(_p_mul(self._num, other._den), other._cden),
                                 self._cden, _p_mul(self._den, other._num))
@@ -967,24 +1060,41 @@ class Expression:
     def dt(self):
         """Total time derivative: every jet of order k becomes order k+1
         under the chain rule, with no cap on k (``model`` bounds the jet
-        orders a model can reach).  Momenta and multipliers are rejected."""
-        grad = self.gradient()
-        for v in grad:
-            if v.kind in (Kind.MOMENTUM, Kind.MULTIPLIER):
-                raise MomentumInTimeDerivative(
-                    f"cannot take a time derivative through {v}")
+        orders a model can reach).  Momenta and multipliers are rejected.
+
+        A polynomial takes one pass over its monomials: each factor
+        ``v^e`` of ``c*m`` gives ``c*e*m/v*v'``, and ``v'`` is spliced in
+        right after ``v``, since no variable sorts between a variable and
+        its time derivative.  Terms of two factors can meet (``x*x'`` and
+        ``x'^2``), so they are summed.  A rational function takes the
+        quotient rule through its gradient."""
         if self._den is not _ONE_DEN:
+            grad = self.gradient()
+            for v in grad:
+                _check_time_derivative(v)
             return esum([d * Expression.var(v.jet(1)) for v, d in grad.items()])
-        # each partial times one jet variable: a monomial shift per term,
-        # summed over the expression's own denominator, which every
-        # partial's divides
+        jets = {}
         acc = {}
-        q = self._cden
-        for v, d in grad.items():
-            jet = ((v.jet(1), 1),)
-            _p_addmul_into(acc, {_mono_mul(m, jet): c for m, c in d._num.items()},
-                           q // d._cden)
-        return Expression._make(acc, q, _ONE_DEN)
+        for m, c in self._num.items():
+            for k, (v, e) in enumerate(m):
+                w = jets.get(v)
+                if w is None:
+                    _check_time_derivative(v)
+                    w = jets[v] = v.jet(1)
+                head = m[:k] if e == 1 else (*m[:k], (v, e - 1))
+                if k + 1 < len(m) and m[k + 1][0] is w:
+                    nm = (*head, (w, m[k + 1][1] + 1), *m[k + 2:])
+                else:
+                    nm = (*head, (w, 1), *m[k + 1:])
+                d = c * e
+                cur = acc.get(nm)
+                if cur is None:
+                    acc[nm] = d
+                elif cur + d:
+                    acc[nm] = cur + d
+                else:
+                    del acc[nm]
+        return Expression._make(acc, self._cden, _ONE_DEN)
 
     def subs(self, assignment):
         """Simultaneous substitution ``{VarRef: Expression}``, then
@@ -1033,6 +1143,11 @@ _set_den = Expression._den.__set__
 _set_hash = Expression._hash.__set__
 _set_grad = Expression._grad.__set__
 _set_vars = Expression._vars.__set__
+
+
+def _check_time_derivative(v):
+    if v.kind in (Kind.MOMENTUM, Kind.MULTIPLIER):
+        raise MomentumInTimeDerivative(f"cannot take a time derivative through {v}")
 
 
 def _subs_poly(p, q, live):
@@ -1137,21 +1252,20 @@ def canonicalize(e):
 
 # --- division by a growing list of polynomials --------------------------------
 
-def _p_cancel(p, mono, lead, g):
+def _p_cancel(p, mono, g):
     """Cancel the term of ``p`` in ``mono`` in place with a multiple of
-    ``g``, whose leading monomial ``lead`` divides ``mono``: over the
-    integers, ``p`` becomes ``k*p - f*shift*g`` with ``k > 0`` as small
-    as possible.  Returns ``k``, the factor ``p``'s value was scaled by."""
+    ``g``, whose leading monomial is ``mono``: over the integers, ``p``
+    becomes ``k*p - f*g`` with ``k > 0`` as small as possible.  Returns
+    ``k``, the factor ``p``'s value was scaled by."""
     a = p[mono]
-    lc = g[lead]
+    lc = g[mono]
     h = _int_gcd(a, lc)
     k = abs(lc) // h
     f = a // h if lc > 0 else -(a // h)
     if k != 1:
         for m in p:
             p[m] *= k
-    shift = _mono_div(mono, lead)
-    _p_addmul_into(p, {_mono_mul(shift, m): c for m, c in g.items()}, -f)
+    _p_addmul_into(p, g, -f)
     return k
 
 
@@ -1182,14 +1296,14 @@ class Divisors:
         num = dict(e._num)
         for lead, g in self._items:
             if lead in num:
-                _p_cancel(num, lead, lead, g)
+                _p_cancel(num, lead, g)
         if not num:
             return
         num = _p_primitive(num)
         lead = _p_leading(num)
         for _, g in self._items:
             if lead in g:
-                _p_cancel(g, lead, lead, num)
+                _p_cancel(g, lead, num)
         self._items.append((lead, num))
 
     def remainder(self, e):
@@ -1199,12 +1313,23 @@ class Divisors:
         term is divisible."""
         rem = dict(e._num)
         q = e._cden
-        while rem:
-            for mono in sorted(rem, key=_mono_sort_key):
-                divisor = next((d for d in self._items if _mono_divides(d[0], mono)), None)
-                if divisor is not None:
-                    q *= _p_cancel(rem, mono, *divisor)
-                    break
-            else:
-                break
+        # largest first from a heap of sort keys: a cancellation leaves the
+        # larger terms as they were and adds terms only below the one it
+        # cancels, so the walk never has to look back
+        heap = [(_mono_sort_key(m), m) for m in rem]
+        heapq.heapify(heap)
+        while heap:
+            mono = heapq.heappop(heap)[1]
+            if mono not in rem:
+                continue
+            divisor = next((d for d in self._items if _mono_divides(d[0], mono)), None)
+            if divisor is None:
+                continue
+            lead, g = divisor
+            shift = _mono_div(mono, lead)
+            g = {_mono_mul(shift, m): c for m, c in g.items()}
+            added = [m for m in g if m not in rem]
+            q *= _p_cancel(rem, mono, g)
+            for m in added:
+                heapq.heappush(heap, (_mono_sort_key(m), m))
         return Expression._make(rem, q, e._den) if rem else ZERO

@@ -135,7 +135,7 @@ class TestConsistencyStep:
     def test_new_constraint(self):
         leg = primary_constraints(builtin_model("toy_gauge"))
         h = total_hamiltonian(leg)
-        out = consistency_step(leg.primary_constraints[0], h,
+        out = consistency_step(poisson_bracket(leg.primary_constraints[0].expr, h),
                                reducer_over(leg.primary_constraints))
         assert isinstance(out, NewConstraint) and out.expr == px
 
@@ -143,14 +143,14 @@ class TestConsistencyStep:
         leg = primary_constraints(builtin_model("toy_gauge"))
         h = total_hamiltonian(leg)
         known = list(leg.primary_constraints) + [dirac_constraint(px, 1)]
-        out = consistency_step(dirac_constraint(px, 1), h, reducer_over(known))
+        out = consistency_step(poisson_bracket(px, h), reducer_over(known))
         assert isinstance(out, Identity)
 
     def test_contradiction(self):
         m = parse_model("[vars]\nx\n[lagrangian]\nx\n")
         leg = primary_constraints(m)
         h = total_hamiltonian(leg)
-        out = consistency_step(leg.primary_constraints[0], h,
+        out = consistency_step(poisson_bracket(leg.primary_constraints[0].expr, h),
                                reducer_over(leg.primary_constraints))
         assert isinstance(out, Contradiction)
         assert out.witness.is_constant()
@@ -159,7 +159,7 @@ class TestConsistencyStep:
         m = builtin_model("second_class_toy")
         leg = primary_constraints(m)
         h = total_hamiltonian(leg)
-        out = consistency_step(leg.primary_constraints[1], h,
+        out = consistency_step(poisson_bracket(leg.primary_constraints[1].expr, h),
                                reducer_over(leg.primary_constraints))
         assert isinstance(out, MultiplierFixed)
         assert out.multiplier == multiplier(0)
@@ -255,6 +255,20 @@ class TestRunDirac:
         by_gen = d.by_generation()
         assert len(by_gen[0]) == 8 and len(by_gen[1]) == 8
         assert d.generations_run == 2
+
+    def test_each_constraint_is_bracketed_once(self, monkeypatch):
+        # {c, H_T} is the same in every generation; only its reduction
+        # changes.  8 primaries and 8 Gauss laws over 2 generations: one
+        # bracket per constraint per generation would make 8 + 16 = 24
+        brackets = []
+        bracket = gaugeflow.dirac.poisson_bracket
+        monkeypatch.setattr(gaugeflow.dirac, "poisson_bracket",
+                            lambda f, g: brackets.append(f) or bracket(f, g))
+        m = builtin_model("maxwell_lattice", {"N": 2})
+        d = run_dirac(m, primary_constraints(m))
+        assert d.generations_run == 2 and len(d.constraints) == 16
+        assert len(brackets) == 16
+        assert set(brackets) == {c.expr for c in d.constraints}
 
     def test_deterministic(self):
         ma, mb = builtin_model("ym_mechanics"), builtin_model("ym_mechanics")

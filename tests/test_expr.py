@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,22 @@ class TestVarRef:
         del v
         gc.collect()
         assert key not in VarRef._pool
+
+    def test_a_late_release_keeps_the_newer_entry(self):
+        # a weakref callback can run after its key was taken again (a
+        # garbage-collection pass clears every reference before it calls
+        # any callback); it removes only its own, dead entry
+        v = VarRef("pool_late", (7,), Kind.JET, 2)
+        key = v._key
+        stale = VarRef._pool[key]
+        release = stale.__callback__  # cleared once the callback has run
+        del v
+        gc.collect()
+        assert stale() is None and key not in VarRef._pool
+        w = VarRef("pool_late", (7,), Kind.JET, 2)
+        release(stale)
+        assert VarRef._pool[key]() is w
+        assert VarRef("pool_late", (7,), Kind.JET, 2) is w
 
 
 class TestCanonicalForm:
@@ -651,3 +668,13 @@ def test_mono_sort_key_is_graded_lex(seed):
                for m1, m2 in zip(descending, descending[1:]))
     e = Expression._make(poly, 1, {(): 1})
     assert parse_expression(render_expression(e)) == e
+
+
+def test_powers_of_a_univariate_base_in_bounded_time():
+    # repeated squaring of dense products took 10.4 s on this power; the
+    # recurrence for a univariate base makes one pass over the result
+    t0 = time.perf_counter()
+    e = parse_expression("(x + 1)^4000")
+    assert time.perf_counter() - t0 < 5
+    assert e.is_polynomial() and e._cden == 1
+    assert e._num == {(((x, k),) if k else ()): math.comb(4000, k) for k in range(4001)}

@@ -234,8 +234,14 @@ def random_pair(rng, variables, terms, max_exp=2):
 
 def random_operand(rng):
     """A polynomial, or a rational function over a coordinate
-    denominator, with mixed coefficient denominators."""
-    num = random_pair(rng, VARIABLES, 4)
+    denominator, with mixed coefficient denominators.  One in ten is a
+    constant and one in ten a single term, whose products, quotients and
+    powers the kernel takes by shortcuts."""
+    shape = rng.random()
+    if shape < 0.1:
+        c = rng.choice(COEFFICIENTS)
+        return Expression.const(c), Ref.const(c)
+    num = random_pair(rng, VARIABLES, 1 if shape < 0.2 else 4)
     if rng.random() < 0.4:
         return num
     den = random_pair(rng, [x, y], 2)
@@ -307,6 +313,85 @@ def test_calculus_matches_the_reference(seed):
         normal = a.normalized()
         checked(normal, ra if a.is_zero() else ra / Ref.const(a.leading_coefficient()))
         assert Ref.of(normal).same(Ref.of(a).normalized())
+
+
+CONSTANT_DIVISORS = [1, -1, 2, -3, 6, -12, Fraction(2, 3), Fraction(-5, 4), Fraction(7),
+                     Fraction(-1, 9)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_division_by_a_constant_matches_the_reference(seed):
+    # a quotient by a constant is a scale over the same denominator
+    rng = random.Random(9500 + seed)
+    for _ in range(30):
+        a, ra = random_operand(rng)
+        for c in CONSTANT_DIVISORS:
+            checked(a / c, ra / Ref.const(c))
+            checked(a / Expression.const(c), ra / Ref.const(c))
+
+
+X_JETS = [x.jet(k) for k in range(4)]
+Y_JETS = [y.jet(k) for k in range(4)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_time_derivative_of_jet_polynomials_matches_the_chain_rule(seed):
+    # up to third derivatives, where a factor's derivative lands on a
+    # monomial another factor's derivative makes too: x*x' and x'^2
+    rng = random.Random(9600 + seed)
+    for _ in range(40):
+        a, ra = random_pair(rng, X_JETS + Y_JETS, 5, max_exp=3)
+        checked(a.dt(), ra.dt())
+    q0, q1, q2, q3 = (Expression.var(v) for v in X_JETS)
+    cases = [
+        (q0 * q1, q1 ** 2 + q0 * q2),
+        (q0 * q2 - q1 ** 2 / 2, q0 * q3),  # x'*x'' cancels
+        (q0 ** 2 * q1 ** 3 / 5, Fraction(2, 5) * q0 * q1 ** 4
+         + Fraction(3, 5) * q0 ** 2 * q1 ** 2 * q2),
+        (q1 * q2 - q0 * q3, q2 ** 2 - q0 * Expression.var(x.jet(4))),
+    ]
+    for e, derivative in cases:
+        assert e.dt() == derivative
+        checked(e.dt(), Ref.of(e).dt())
+
+
+def plain_merge(a, b):
+    """The product of two monomials by adding exponent maps and sorting."""
+    exponents = dict(a)
+    for v, e in b:
+        exponents[v] = exponents.get(v, 0) + e
+    return tuple(sorted(exponents.items()))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_monomial_product_matches_a_plain_merge(seed):
+    # a coordinate, its jets and its momentum are neighbours in the
+    # variable order; one-variable sides take the splice
+    rng = random.Random(9700 + seed)
+    a = coordinate("a", (1, 2))
+    variables = [*X_JETS, x.momentum(), *Y_JETS[:2], a, a.jet(1), a.momentum(), z]
+    monomials = [()]
+    for _ in range(60):
+        picked = sorted(rng.sample(variables, rng.choice([1, 1, 2, 3, 4])))
+        monomials.append(tuple((v, rng.randint(1, 3)) for v in picked))
+    for m1 in monomials:
+        for m2 in monomials:
+            assert _mono_mul(m1, m2) == plain_merge(m1, m2), (m1, m2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_univariate_powers_match_the_reference(seed):
+    # gaps, a lowest power above zero and a single term all occur
+    rng = random.Random(9800 + seed)
+    for _ in range(30):
+        v = rng.choice(VARIABLES)
+        terms = {rng.randint(0, 6): rng.choice(COEFFICIENTS) for _ in range(rng.randint(1, 4))}
+        e = esum([c * Expression.var(v) ** k for k, c in terms.items()])
+        r = Ref({(((v, k),) if k else ONE_MONO): c for k, c in terms.items()})
+        n = rng.randint(0, 9)
+        checked(e ** n, r ** n)
+        if v.kind is Kind.COORDINATE and not e.is_constant():
+            checked(e ** -n, r ** -n)
 
 
 def random_substitute(rng, v, polynomial_target):
