@@ -45,10 +45,10 @@ fast paths read it: ``_make`` returns at once on it, and ``+``, ``-``,
 ``esum`` and ``esum_products`` build a polynomial result from raw
 dicts, with no polynomial gcd, only the int gcd of ``_cden`` with the
 content.  Other fast paths are chosen by the operands' shapes: a
-product with a one-term factor is one pass with no collisions (a
-constant factor is a scale), a monomial times one variable power is a
-splice, a quotient by a constant is a scale over the same denominator,
-and a power of a univariate polynomial is Miller's recurrence, not
+product with a one-term factor (a constant one too) is one pass with
+no collisions, a monomial times one variable power is a splice, a
+quotient by a constant is a scale over the same denominator, and a
+power of a dense univariate polynomial is Miller's recurrence, not
 repeated squaring.  An expression's first partials are computed
 together, in one pass over its numerator and one over its denominator,
 the first time any is asked for (``gradient``), and kept on the
@@ -369,7 +369,9 @@ def _p_sub(a, b):
 def _p_mul(a, b):
     """``a * b`` as a new dict.  A one-term factor maps the other's
     distinct monomials to distinct monomials, so its product is one pass
-    with no collisions, and a constant one is a scale."""
+    with no collisions.  Its two commonest shapes, a constant and one
+    variable power, skip the ``_mono_mul`` call per term: that call
+    alone measurably slows the ``nonabelian`` benchmark workload."""
     if not a or not b:
         return {}
     if len(a) > len(b):
@@ -405,8 +407,11 @@ def _p_scale(p, k):
 
 def _p_pow(p, n):
     """``p^n`` for ``n >= 0``: a one-term ``p`` by its exponents, a
-    univariate one by Miller's recurrence (``_p_pow_univariate``), any
-    other by repeated squaring."""
+    dense univariate one by Miller's recurrence (``_p_pow_univariate``),
+    any other by repeated squaring.  The recurrence steps through every
+    degree of the result, so it is taken only when the base fills at
+    least half of its span of exponents; a sparse base such as
+    ``x^1000000 + 1`` squares its few terms instead."""
     if n == 0:
         return {_ONE_MONO: 1}
     if len(p) == 1:
@@ -414,7 +419,9 @@ def _p_pow(p, n):
         return {tuple((v, e * n) for v, e in m): c ** n}
     variables = _p_vars(p)
     if len(variables) == 1:
-        return _p_pow_univariate(p, n, *variables)
+        exponents = [m[0][1] if m else 0 for m in p]
+        if max(exponents) - min(exponents) < 2 * len(p):
+            return _p_pow_univariate(p, n, *variables)
     out = None
     base = p
     while n:

@@ -678,3 +678,12 @@ def test_powers_of_a_univariate_base_in_bounded_time():
     assert time.perf_counter() - t0 < 5
     assert e.is_polynomial() and e._cden == 1
     assert e._num == {(((x, k),) if k else ()): math.comb(4000, k) for k in range(4001)}
+
+
+def test_powers_of_a_sparse_univariate_base_in_bounded_time():
+    # a recurrence over every degree would take 10^7 steps here; a sparse
+    # base squares its few terms
+    t0 = time.perf_counter()
+    e = parse_expression("(x^1000000 + 1)^10")
+    assert time.perf_counter() - t0 < 5
+    assert e._num == {(((x, 1000000 * k),) if k else ()): math.comb(10, k) for k in range(11)}

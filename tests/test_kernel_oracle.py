@@ -381,7 +381,8 @@ def test_monomial_product_matches_a_plain_merge(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_univariate_powers_match_the_reference(seed):
-    # gaps, a lowest power above zero and a single term all occur
+    # gaps, a lowest power above zero and a single term all occur, and
+    # bases both dense (the recurrence) and sparse (repeated squaring)
     rng = random.Random(9800 + seed)
     for _ in range(30):
         v = rng.choice(VARIABLES)
