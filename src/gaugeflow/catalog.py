@@ -13,7 +13,10 @@ Five fixtures exercise every analysis path:
   Gauss laws close under the Poisson bracket.
 
 Each gauge fixture declares the generators of its exact Lagrangian
-symmetry, so the gauge identity check passes symbolically.
+symmetry, so the gauge identity check passes symbolically.  In
+``ym_mechanics`` the su(2) action is stated once, as a table of charged
+fields and their representations: the Lagrangian's covariant
+derivatives and the generators are both read from it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParameter, UnknownBuiltin
-from .expr import Expression, coordinate, esum
-from .model import CoordinateDecl, GaugeGenerator, GeneratorComponent, ModelSpec
+from .expr import Expression, coordinate, esum, esum_products
+from .model import MAX_COORDINATES, CoordinateDecl, GaugeGenerator, GeneratorComponent, ModelSpec
 
 ONE = Expression.const(1)
 HALF = Expression.const(Fraction(1, 2))
@@ -92,6 +95,9 @@ def _maxwell_lattice(n):
     """
     if n < 1:
         raise BadParameter(f"maxwell_lattice needs N >= 1, got {n}")
+    if 4 * n ** 3 > MAX_COORDINATES:
+        raise BadParameter(f"maxwell_lattice N={n} has {4 * n ** 3} coordinates, "
+                           f"more than {MAX_COORDINATES}")
     sites = _sites(n)
 
     def a0(site):
@@ -142,16 +148,16 @@ def _maxwell_lattice(n):
 
 # --- homogeneous su(2) gauge mechanics -------------------------------------------
 
-EPSILON = {}
-for _a, _b, _c, _s in ((1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
-                       (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)):
-    EPSILON[(_a, _b, _c)] = _s
-
-
 def eps3(a, b, c):
-    """Totally antisymmetric structure constants of su(2)."""
-    return EPSILON.get((a, b, c), 0)
+    """Totally antisymmetric structure constants of su(2), for a, b, c in 1..3."""
+    return (a - b) * (b - c) * (c - a) // 2
 
+
+COLORS = (1, 2, 3)
+
+# A representation gives, per color c, the matrix of the generator T_c.
+# The adjoint action is (T_c X)_a = eps3(a, b, c) X_b.
+ADJOINT = {c: tuple(tuple(eps3(a, b, c) for b in COLORS) for a in COLORS) for c in COLORS}
 
 # Real 4x4 form of the doublet generators i*sigma_a/2 acting on
 # (Re phi_1, Im phi_1, Re phi_2, Im phi_2); antisymmetric, and
@@ -164,12 +170,16 @@ SU2_DOUBLET = {
 }
 
 
-def _rotate(matrix, vector):
-    """matrix @ vector over Expressions."""
-    out = []
-    for row in matrix:
-        out.append(esum(Expression.const(c) * v for c, v in zip(row, vector) if c))
-    return out
+def _act(rep, coords):
+    """``[T_c X for c in COLORS]`` for the field X on ``coords`` in ``rep``."""
+    x = [_x(q) for q in coords]
+    return [[esum(k * v for k, v in zip(row, x) if k) for row in rep[c]] for c in COLORS]
+
+
+def _connect(potential, action):
+    """The components of ``sum_c potential[c] T_c X``."""
+    return [esum_products((_x(p), t, 1) for p, t in zip(potential, column))
+            for column in zip(*action)]
 
 
 def _ym_mechanics(with_scalar=True):
@@ -177,77 +187,47 @@ def _ym_mechanics(with_scalar=True):
 
     Coordinates are the color components A0[a] and A[i,a] plus, when
     ``with_scalar`` is set, a complex doublet phi encoded as four real
-    coordinates.  The declared generators combine the adjoint action on
-    the gauge field (with the parameter's velocity hitting A0 only) and
-    the doublet rotation on phi.
+    coordinates.  The su(2) action is stated once, as each charged
+    field's representation, and both readings of it come from the same
+    ``T_c X``: the Lagrangian squares the covariant derivatives
+    ``D_0 X = X' - A0[c] T_c X`` and ``D_i X = -A[i,c] T_c X``, and the
+    generator ``nu_c`` is ``A0[c]'`` plus ``T_c X`` on A0 and on every
+    charged field.
     """
-    colors = (1, 2, 3)
-    a0 = {a: coordinate("A0", (a,)) for a in colors}
-    link = {(i, a): coordinate("A", (i, a)) for i in colors for a in colors}
-
-    def field_strength_0i(i, a):
-        cross = esum(eps3(a, b, c) * _x(a0[b]) * _x(link[(i, c)])
-                     for b in colors for c in colors if eps3(a, b, c))
-        return _x(link[(i, a)].jet(1)) + cross
-
-    def field_strength_ij(i, j, a):
-        return esum(eps3(a, b, c) * _x(link[(i, b)]) * _x(link[(j, c)])
-                    for b in colors for c in colors if eps3(a, b, c))
-
-    pieces = []
-    for a in colors:
-        for i in colors:
-            pieces.append(HALF * field_strength_0i(i, a) ** 2)
-        # F_ji is -F_ij, as for the lattice curl
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            pieces.append(-HALF * field_strength_ij(i, j, a) ** 2)
-
+    a0 = [coordinate("A0", (c,)) for c in COLORS]
+    links = {i: [coordinate("A", (i, a)) for a in COLORS] for i in COLORS}
     decls = [
         CoordinateDecl("A0", ((1, 4),), discardable_hint=True),
         CoordinateDecl("A", ((1, 4), (1, 4))),
     ]
-
-    scalar = ()
+    # charged fields: coordinates, representation, kinetic weight, and the
+    # directions i of the gradient terms; F_ji is -F_ij, as for the lattice
+    # curl, so the link A_j takes i < j only
+    fields = [(links[j], ADJOINT, HALF, range(1, j)) for j in COLORS]
+    pieces = []
     if with_scalar:
-        scalar = tuple(coordinate("phi", (w,)) for w in range(4))
+        phi = [coordinate("phi", (w,)) for w in range(4)]
+        fields.append((phi, SU2_DOUBLET, ONE, COLORS))
         decls.append(CoordinateDecl("phi", ((0, 4),)))
-        phi = [_x(q) for q in scalar]
-        phidot = [_x(q.jet(1)) for q in scalar]
-        cov0 = list(phidot)
-        for a in colors:
-            rot = _rotate(SU2_DOUBLET[a], phi)
-            cov0 = [c - _x(a0[a]) * r for c, r in zip(cov0, rot)]
-        pieces.extend(c * c for c in cov0)
-        for i in colors:
-            covi = [Expression.const(0)] * 4
-            for a in colors:
-                rot = _rotate(SU2_DOUBLET[a], phi)
-                covi = [c - _x(link[(i, a)]) * r for c, r in zip(covi, rot)]
-            pieces.extend(-(c * c) for c in covi)
-        pieces.extend(-(p * p) for p in phi)  # invariant mass term
+        pieces.extend(-_x(q) ** 2 for q in phi)  # invariant mass term
+    actions = [_act(rep, coords) for coords, rep, _, _ in fields]
 
+    for (coords, _, weight, directions), action in zip(fields, actions):
+        for q, gauge in zip(coords, _connect(a0, action)):
+            pieces.append(weight * (_x(q.jet(1)) - gauge) ** 2)
+        for i in directions:
+            pieces.extend(-weight * d ** 2 for d in _connect(links[i], action))
     lagrangian = esum(pieces)
 
+    charged = [(a0, _act(ADJOINT, a0))] + [
+        (coords, action) for (coords, *_), action in zip(fields, actions)]
     generators = []
-    for c in colors:
-        comps = [GeneratorComponent(a0[c], 1, ONE)]
-        for a in colors:
-            coeff = esum(eps3(a, b, c) * _x(a0[b]) for b in colors if eps3(a, b, c))
-            if not coeff.is_zero():
-                comps.append(GeneratorComponent(a0[a], 0, coeff))
-        for i in colors:
-            for a in colors:
-                coeff = esum(eps3(a, b, c) * _x(link[(i, b)])
-                             for b in colors if eps3(a, b, c))
-                if not coeff.is_zero():
-                    comps.append(GeneratorComponent(link[(i, a)], 0, coeff))
-        if with_scalar:
-            phi = [_x(q) for q in scalar]
-            rot = _rotate(SU2_DOUBLET[c], phi)
-            for w, coeff in enumerate(rot):
-                if not coeff.is_zero():
-                    comps.append(GeneratorComponent(scalar[w], 0, coeff))
-        generators.append(GaugeGenerator(f"nu_{c}", tuple(comps)))
+    for c, parameter in enumerate(a0):
+        comps = [GeneratorComponent(parameter, 1, ONE)]
+        for coords, action in charged:
+            comps.extend(GeneratorComponent(q, 0, t)
+                         for q, t in zip(coords, action[c]) if not t.is_zero())
+        generators.append(GaugeGenerator(f"nu_{c + 1}", tuple(comps)))
 
     suffix = "scalar" if with_scalar else "pure"
     return ModelSpec(

@@ -406,14 +406,12 @@ def _p_scale(p, k):
     return {m: c * k for m, c in p.items()}
 
 def _p_pow(p, n):
-    """``p^n`` for ``n >= 0``: a one-term ``p`` by its exponents, a
+    """``p^n`` for ``n >= 1``: a one-term ``p`` by its exponents, a
     dense univariate one by Miller's recurrence (``_p_pow_univariate``),
     any other by repeated squaring.  The recurrence steps through every
     degree of the result, so it is taken only when the base fills at
     least half of its span of exponents; a sparse base such as
     ``x^1000000 + 1`` squares its few terms instead."""
-    if n == 0:
-        return {_ONE_MONO: 1}
     if len(p) == 1:
         [(m, c)] = p.items()
         return {tuple((v, e * n) for v, e in m): c ** n}
@@ -430,7 +428,7 @@ def _p_pow(p, n):
         n >>= 1
         if n:
             base = _p_mul(base, base)
-    return {_ONE_MONO: 1} if out is None else out
+    return out
 
 def _p_pow_univariate(p, n, x):
     """``p^n`` for a ``p`` in the one variable ``x``, by J. C. P. Miller's
@@ -787,11 +785,6 @@ class Expression:
             raise DivisionByZero("zero denominator")
         if not num:
             return ZERO
-        if set(den) == {_ONE_MONO}:
-            c = den[_ONE_MONO]
-            if c < 0:
-                num, c = _p_scale(num, -1), -c
-            return Expression(*_p_reduce(num, cden * c))
         # signed contents; num/cn and den/cd are integer-primitive with
         # positive leading coefficient
         cn = _p_content(num) * _p_lc_sign(num)

@@ -43,6 +43,10 @@ from .parse import default_resolver, parse_expression, parse_variable, reserved_
 # Lagrangian's first derivatives it bounds every jet order a model reaches
 MAX_GENERATOR_ORDER = 3
 
+# the most coordinates a model may declare: room for maxwell_lattice N=40
+# (4 * 40^3); a declaration past it is refused before any is expanded
+MAX_COORDINATES = 256_000
+
 
 class Options(namedtuple("Options", "max_generations sample_count numeric_tolerance seed",
                          defaults=(10, 20, 1e-9, 1729))):
@@ -136,9 +140,16 @@ class ModelSpec(namedtuple("ModelSpec", "name coordinates lagrangian generators 
 def _expand_coordinates(decls, line_nos=None):
     """The declarations' coordinates; ``line_nos`` gives each
     declaration's line in a model file, for its errors."""
+    line_nos = line_nos or [0] * len(decls)
+    total = 0
+    for decl, line_no in zip(decls, line_nos):
+        total += math.prod(max(hi - lo, 0) for lo, hi in decl.index_ranges)
+        if total > MAX_COORDINATES:
+            raise ModelSyntaxError(f"declaration of '{decl.base}' brings the model past "
+                                   f"{MAX_COORDINATES} coordinates", line_no)
     seen = set()
     out = []
-    for decl, line_no in zip(decls, line_nos or [0] * len(decls)):
+    for decl, line_no in zip(decls, line_nos):
         reason = reserved_base_reason(decl.base)
         if reason:
             raise DuplicateCoordinate(f"cannot declare '{decl.base}': {reason}", line_no)

@@ -14,7 +14,9 @@ The grammar covers exactly what the kernel can represent::
 The identifier ``lam`` is reserved for constraint multipliers, and a
 leading ``p_`` always means a momentum, so coordinate names may use
 neither.  ``expr.render_expression`` writes this grammar back, and
-``parse_expression`` inverts it.
+``parse_expression`` inverts it.  Parentheses nest at most
+``MAX_NESTING`` levels deep; a deeper text is a syntax error at the
+first opening parenthesis past the bound.
 
 A text is lexed in one pass of one pattern, a token at a time as the
 parser asks: a character no rule accepts matches too, and is raised as
@@ -33,6 +35,11 @@ from .expr import MOMENTUM_PREFIX, MULTIPLIER_BASE, Expression, Kind, VarRef, es
 # primes, a symbol (its own kind), or any other character, an error
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|('+)|([()\[\],+\-*/^])|(\S))")
 _KINDS = (None, "int", "ident", "primes", None)
+
+# the deepest nesting of parentheses a text may have: each level takes
+# five frames of the parser's recursion, so a deeper text would reach the
+# interpreter's recursion limit (1000 frames by default)
+MAX_NESTING = 100
 
 
 def reserved_base_reason(base):
@@ -118,6 +125,7 @@ class _Parser:
     def __init__(self, tokens, resolver):
         self.toks = tokens
         self.resolver = resolver
+        self.depth = 0  # parentheses open around the current token
 
     def signed_int(self, message):
         """An INT or '-' INT; anything else fails with ``message``."""
@@ -175,7 +183,11 @@ class _Parser:
         if tok[0] == "int":
             return Expression.const(tok[1])
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                self.toks.fail(f"parentheses nested deeper than {MAX_NESTING} levels", tok[2])
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             tok = self.toks.next()
             if tok[0] != ")":
                 self.toks.fail(f"expected ')', found {tok[1]!r}", tok[2])

@@ -413,6 +413,12 @@ def test_a_constant_denominator_is_the_shared_one():
     # would send a polynomial down the canonicalizing path unnoticed
     for e in (ex, ex + ey, ex - ex, ex * ey, (ex / ey) * ey, ex.subs({y: ex}), ex.dt()):
         assert e._den is _ONE_DEN and e.validate()
+    # a constant denominator polynomial, of either sign, that is not the
+    # shared one takes the general route and lands on it
+    for e, expected in ((ex / (1 / ey), ex * ey), (ex / (-2 / ey), -ex * ey / 2),
+                        (Expression._make({((x, 1),): 6}, 4, {(): -3}), -ex / 2),
+                        (Expression._make({(): 3}, 1, {(): 6}), Expression.const(Fraction(1, 2)))):
+        assert e._den is _ONE_DEN and e.validate() and e == expected
     with pytest.raises(AssertionError):
         Expression({((x, 1),): 1}, 1, {(): 1}).validate()
 

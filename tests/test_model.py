@@ -1,9 +1,14 @@
 """Model files, validation, and the builtin catalog."""
 
+import hashlib
 import io
+import time
 from pathlib import Path
 
 import pytest
+
+import gaugeflow.catalog
+import gaugeflow.model
 
 from gaugeflow import (
     CoordinateDecl,
@@ -18,6 +23,7 @@ from gaugeflow import (
     render_model,
 )
 from gaugeflow.cli import main
+from gaugeflow.model import MAX_COORDINATES
 from gaugeflow.errors import (
     BadParameter,
     DuplicateCoordinate,
@@ -253,6 +259,10 @@ HOSTILE = [
     pytest.param("[vars]\nx\nA[2]\n[lagrangian]\nx'^2\n[generators]\ngen e\n"
                  "x : k=0 : x + A[1]\n", IndexOutOfRange, "8, column 15",
                  id="index-in-coefficient"),
+    pytest.param("[vars]\nx\nA[0:50000000]\n[lagrangian]\nx'^2\n", ModelSyntaxError, 3,
+                 id="too-many-coordinates"),
+    pytest.param("[vars]\nx\n[lagrangian]\n" + "(" * 3000 + "x'" + ")" * 3000 + "\n",
+                 ExpressionSyntaxError, "4, column 101", id="deep-parentheses"),
 ]
 
 # every HOSTILE entry's exact message
@@ -309,6 +319,9 @@ HOSTILE_MESSAGES = {
     "unknown-in-lagrangian": "unknown symbol 'q' (line 4, column 8)",
     "unknown-in-coefficient": "unknown symbol 'q' (line 8, column 13)",
     "index-in-coefficient": "A[1] is outside the declared index ranges (line 8, column 15)",
+    "too-many-coordinates": "declaration of 'A' brings the model past 256000 coordinates "
+                            "(line 3)",
+    "deep-parentheses": "parentheses nested deeper than 100 levels (line 4, column 101)",
 }
 
 
@@ -325,6 +338,7 @@ HOSTILE_AT = {
     "unknown-in-lagrangian": "q",
     "unknown-in-coefficient": "q",
     "index-in-coefficient": "A[1]",
+    "deep-parentheses": "(",
 }
 
 
@@ -371,6 +385,74 @@ class TestHostileModels:
         assert main(["analyze", str(path)], out=io.StringIO()) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCoordinateBound:
+    def test_bound_leaves_room_for_lattice_n40(self):
+        assert MAX_COORDINATES >= 4 * 40 ** 3
+
+    def test_running_total_is_checked_before_expansion(self, monkeypatch):
+        monkeypatch.setattr(gaugeflow.model, "MAX_COORDINATES", 8)
+        m = parse_model("[vars]\nx\nA[0:7]\n[lagrangian]\nx'^2\n")
+        assert m.dimension == 8
+        # the third declaration takes the total from 8 to 10**8 + 8
+        source = "[vars]\nx\nA[0:7]\nB[0:10000,0:10000]\n[lagrangian]\nx'^2\n"
+        t0 = time.perf_counter()
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(source)
+        assert time.perf_counter() - t0 < 1
+        assert str(err.value) == ("declaration of 'B' brings the model past 8 coordinates "
+                                  "(line 4)")
+
+    def test_refused_file_fails_in_bounded_time(self, tmp_path, capsys):
+        # 50 million coordinates in a 3-line file: a MemoryError, or
+        # unbounded growth, when every coordinate was expanded first
+        path = tmp_path / "huge.model"
+        path.write_text("[vars]\nA[0:50000000]\n[lagrangian]\nA[0]'^2\n")
+        t0 = time.perf_counter()
+        assert main(["analyze", str(path)], out=io.StringIO()) == 1
+        assert time.perf_counter() - t0 < 5
+        assert capsys.readouterr().err == (
+            "error: declaration of 'A' brings the model past 256000 coordinates (line 2)\n")
+
+    def test_lattice_is_checked_before_it_is_built(self, monkeypatch):
+        t0 = time.perf_counter()
+        for n in (41, 10 ** 6):
+            with pytest.raises(BadParameter) as err:
+                builtin_model("maxwell_lattice", {"N": n})
+            assert str(err.value) == (f"maxwell_lattice N={n} has {4 * n ** 3} coordinates, "
+                                      f"more than {MAX_COORDINATES}")
+        assert time.perf_counter() - t0 < 1
+        monkeypatch.setattr(gaugeflow.catalog, "MAX_COORDINATES", 4 * 2 ** 3)
+        assert builtin_model("maxwell_lattice", {"N": 2}).dimension == 32
+        with pytest.raises(BadParameter):
+            builtin_model("maxwell_lattice", {"N": 3})
+
+
+# sha256 of render_model for each builtin and parameter set of the output
+# digest: the Lagrangian, and each generator's components in order
+BUILTIN_RENDERS = [
+    ("toy_gauge", {}, "1bf6e9b0c72af1bd16d295e8b3a196db7bbcffe74193fd98dee3444f1c7e623e"),
+    ("oscillator", {}, "7e7783a10e670842dc6962bc0a058ef07437c14ef5053ede8dc780f0e9f75406"),
+    ("second_class_toy", {},
+     "599d7bc43cd6f9cbe0c2696a735efa4abab3b0b7306a7620d511c0d466b18904"),
+    ("maxwell_lattice", {"N": "1"},
+     "8eca977d9ad70473e1d155574dfc5e19f3d33064d56c8a4b53309095f8674a3a"),
+    ("maxwell_lattice", {"N": "2"},
+     "b2321b209153b8e877746b9421501d485f1a170d90263b6557c458d457a7e91a"),
+    ("maxwell_lattice", {"N": "3"},
+     "658cbbfb02122776f72f72238b4d0e3056858389a3d1e993462064b2f0071a51"),
+    ("ym_mechanics", {"with_scalar": "true"},
+     "8fc18479a4d5f3f86c494a0fb3925bf1e3b172d098382bbd3d9ca237b173a561"),
+    ("ym_mechanics", {"with_scalar": "false"},
+     "3dc1fae586fb2f355c90753e411419ff20f48aa4d238288b3f1cca57992dacf2"),
+]
+
+
+@pytest.mark.parametrize("name,params,sha256", BUILTIN_RENDERS)
+def test_builtin_definition_is_pinned(name, params, sha256):
+    text = render_model(builtin_model(name, params))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from gaugeflow.errors import (
     UnknownSymbol,
 )
 from gaugeflow.expr import ZERO
-from gaugeflow.parse import _Tokens, parse_variable
+from gaugeflow.parse import MAX_NESTING, _Tokens, parse_variable
 
 from conftest import random_polynomial
 
@@ -180,6 +181,45 @@ def test_literal_past_the_digit_limit_is_a_syntax_error():
     assert str(err.value) == f"integer literal of {limit + 1} digits is too long (line 2, column 3)"
     assert (err.value.line, err.value.column) == (2, 3)
     assert parse_expression("1" * limit) == Expression.const(int("1" * limit))
+
+
+def _nested(depth, inner="x"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_parentheses_nest_up_to_the_bound():
+    assert MAX_NESTING == 100
+    assert parse_expression(_nested(MAX_NESTING, "x + 1")) == Expression.var(x) + 1
+    assert parse_expression("x^2 + " + "-(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == (
+        Expression.var(x) ** 2 + (-1) ** MAX_NESTING * Expression.var(x))
+    model = parse_model("[vars]\nx\n[lagrangian]\n" + _nested(MAX_NESTING, "x'^2") + "\n")
+    assert model.lagrangian == Expression.var(x.jet(1)) ** 2
+
+
+@pytest.mark.parametrize("text, column", [
+    (_nested(MAX_NESTING + 1), MAX_NESTING + 1),
+    ("x^2 + " + "-(" * 300 + "x" + ")" * 300, 6 + 2 * MAX_NESTING + 2),
+    ("x\n + " + _nested(200), 3 + MAX_NESTING + 1),
+], ids=["one-past", "negations", "second-line"])
+def test_parentheses_past_the_bound_are_a_syntax_error(text, column):
+    # the error stands at the first opening parenthesis past the bound
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text)
+    line = text.count("\n") + 1
+    assert str(err.value) == (f"parentheses nested deeper than {MAX_NESTING} levels "
+                              f"(line {line}, column {column})")
+    assert text.splitlines()[line - 1][column - 1] == "("
+
+
+def test_deeply_nested_file_fails_in_bounded_time():
+    # 3000 levels of parentheses around x' in a 6 KB file; before the
+    # bound, 200 levels ended in an uncaught RecursionError
+    source = "[vars]\nx\n[lagrangian]\n" + _nested(3000, "x'") + "\n"
+    t0 = time.perf_counter()
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_model(source)
+    assert time.perf_counter() - t0 < 5
+    assert (err.value.line, err.value.column) == (4, MAX_NESTING + 1)
 
 
 def test_long_sum_parses_to_its_left_fold():
