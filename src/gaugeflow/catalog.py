@@ -16,12 +16,20 @@ Each gauge fixture declares the generators of its exact Lagrangian
 symmetry, so the gauge identity check passes symbolically.  In
 ``ym_mechanics`` the su(2) action is stated once, as a table of charged
 fields and their representations: the Lagrangian's covariant
-derivatives and the generators are both read from it.
+derivatives and the generators are both read from it.  In
+``maxwell_lattice`` one forward difference on the periodic grid builds
+both the electric field and the curl.
+
+Each builtin is one row of ``_CATALOG``: its factory, its parameters
+with their defaults, and its ``list-builtins`` description
+(``BUILTIN_MODELS`` is read from the table).  A parameter is read as
+the type of its default, a bool or an int; any other value is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import BadParameter, UnknownBuiltin
 from .expr import Expression, coordinate, esum, esum_products
@@ -29,6 +37,7 @@ from .model import MAX_COORDINATES, CoordinateDecl, GaugeGenerator, GeneratorCom
 
 ONE = Expression.const(1)
 HALF = Expression.const(Fraction(1, 2))
+MINUS_ONE = -ONE
 
 
 def _x(v):
@@ -75,10 +84,6 @@ def _second_class_toy():
 
 # --- abelian gauge links on a periodic grid -------------------------------------
 
-def _sites(n):
-    return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-
-
 def _shift(site, direction, n, step=1):
     out = list(site)
     out[direction - 1] = (out[direction - 1] + step) % n
@@ -88,51 +93,47 @@ def _shift(site, direction, n, step=1):
 def _maxwell_lattice(n):
     """Electromagnetic links on an n^3 periodic grid.
 
-    Per site there is a scalar potential A0 and three links A[i].  The
-    Lagrangian pairs each link velocity with the forward difference of
-    A0 and adds the magnetic curl energy; the gauge transformation is
-    A0 -> A0 + eps', A[i] -> A[i] + forward difference of eps.
+    Per site there is a scalar potential A0 and three links A[i].  One
+    forward difference ``delta(i, f, site) = f(site + e_i) - f(site)``
+    builds both fields: the electric field ``A[i]' - delta_i A0`` and the
+    curl ``delta_i A[j] - delta_j A[i]``.  The Lagrangian is half the sum
+    of the electric squares minus half the sum of the curl squares over
+    i < j; the gauge transformation is A0 -> A0 + eps',
+    A[i] -> A[i] + delta_i eps.
     """
     if n < 1:
         raise BadParameter(f"maxwell_lattice needs N >= 1, got {n}")
     if 4 * n ** 3 > MAX_COORDINATES:
         raise BadParameter(f"maxwell_lattice N={n} has {4 * n ** 3} coordinates, "
                            f"more than {MAX_COORDINATES}")
-    sites = _sites(n)
+    sites = list(product(range(n), repeat=3))
+    a0 = {site: coordinate("A0", site) for site in sites}
+    links = {i: {site: coordinate("A", (i,) + site) for site in sites} for i in (1, 2, 3)}
 
-    def a0(site):
-        return coordinate("A0", site)
+    def delta(i, f, site):
+        return _x(f[_shift(site, i, n)]) - _x(f[site])
 
-    def link(i, site):
-        return coordinate("A", (i,) + site)
+    def squares():
+        for site in sites:
+            for i in (1, 2, 3):
+                electric = _x(links[i][site].jet(1)) - delta(i, a0, site)
+                yield electric, electric, 1
+            # curl(j, i) is -curl(i, j): -1/4 over i != j is -1/2 over i < j
+            for i, j in ((1, 2), (1, 3), (2, 3)):
+                curl = delta(i, links[j], site) - delta(j, links[i], site)
+                yield curl, curl, -1
 
-    def fwd_diff_a0(i, site):
-        return _x(a0(_shift(site, i, n))) - _x(a0(site))
-
-    def curl(i, j, site):
-        term = _x(link(j, _shift(site, i, n))) - _x(link(j, site))
-        term -= _x(link(i, _shift(site, j, n))) - _x(link(i, site))
-        return term
-
-    pieces = []
-    for site in sites:
-        for i in (1, 2, 3):
-            electric = _x(link(i, site).jet(1)) - fwd_diff_a0(i, site)
-            pieces.append(HALF * electric ** 2)
-        # curl(j, i) is -curl(i, j): -1/4 over i != j is -1/2 over i < j
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            pieces.append(-HALF * curl(i, j, site) ** 2)
-    lagrangian = esum(pieces)
+    lagrangian = HALF * esum_products(squares())
 
     generators = []
     for site in sites:
-        comps = [GeneratorComponent(a0(site), 1, ONE)]
+        comps = [GeneratorComponent(a0[site], 1, ONE)]
         for i in (1, 2, 3):
             back = _shift(site, i, n, step=-1)
             if back == site:  # N=1: the difference of a site with itself
                 continue
-            comps.append(GeneratorComponent(link(i, back), 0, ONE))
-            comps.append(GeneratorComponent(link(i, site), 0, -ONE))
+            comps.append(GeneratorComponent(links[i][back], 0, ONE))
+            comps.append(GeneratorComponent(links[i][site], 0, MINUS_ONE))
         generators.append(GaugeGenerator("eps_" + "_".join(map(str, site)), tuple(comps)))
 
     return ModelSpec(
@@ -240,49 +241,46 @@ def _ym_mechanics(with_scalar=True):
 
 # --- catalog ---------------------------------------------------------------------
 
-def _bool_param(value, key):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
-        return value.lower() in ("true", "1")
-    raise BadParameter(f"{key} must be a boolean, got {value!r}")
+def _read(key, value, default):
+    """A parameter read as the type of its default: a bool, or an int."""
+    if isinstance(default, bool):
+        text = str(value).lower() if isinstance(value, (bool, str)) else None
+        if text in ("true", "false", "1", "0"):
+            return text in ("true", "1")
+        raise BadParameter(f"{key} must be a boolean, got {value!r}")
+    if isinstance(value, str) or type(value) is int:  # never a bool or a float
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise BadParameter(f"{key} must be an integer, got {value!r}")
 
 
-def _int_param(value, key):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise BadParameter(f"{key} must be an integer, got {value!r}") from None
-
-
-BUILTIN_MODELS = {
-    "toy_gauge": "one gauge parameter; velocity-shift invariance (no parameters)",
-    "oscillator": "regular harmonic oscillator; no constraints (no parameters)",
-    "second_class_toy": "purely second-class pair; multipliers get fixed (no parameters)",
-    "maxwell_lattice": "abelian links on a periodic N^3 grid (N: int >= 1, default 2)",
-    "ym_mechanics": "homogeneous su(2) gauge mechanics "
-                    "(with_scalar: bool, default true)",
+# name: (factory, its parameters with their defaults, list-builtins description)
+_CATALOG = {
+    "toy_gauge": (_toy_gauge, {},
+                  "one gauge parameter; velocity-shift invariance (no parameters)"),
+    "oscillator": (_oscillator, {},
+                   "regular harmonic oscillator; no constraints (no parameters)"),
+    "second_class_toy": (_second_class_toy, {},
+                         "purely second-class pair; multipliers get fixed (no parameters)"),
+    "maxwell_lattice": (_maxwell_lattice, {"N": 2},
+                        "abelian links on a periodic N^3 grid (N: int >= 1, default 2)"),
+    "ym_mechanics": (_ym_mechanics, {"with_scalar": True},
+                     "homogeneous su(2) gauge mechanics (with_scalar: bool, default true)"),
 }
+
+BUILTIN_MODELS = {name: description for name, (_, _, description) in _CATALOG.items()}
 
 
 def builtin_model(name, params=None):
     """Instantiate a catalog model by name with key=value parameters."""
-    params = dict(params or {})
-    if name == "toy_gauge":
-        factory = _toy_gauge
-    elif name == "oscillator":
-        factory = _oscillator
-    elif name == "second_class_toy":
-        factory = _second_class_toy
-    elif name == "maxwell_lattice":
-        n = _int_param(params.pop("N", 2), "N")
-        factory = lambda: _maxwell_lattice(n)
-    elif name == "ym_mechanics":
-        with_scalar = _bool_param(params.pop("with_scalar", True), "with_scalar")
-        factory = lambda: _ym_mechanics(with_scalar)
-    else:
+    if name not in _CATALOG:
         raise UnknownBuiltin(
             f"unknown builtin '{name}'; available: {', '.join(sorted(BUILTIN_MODELS))}")
+    factory, defaults, _ = _CATALOG[name]
+    params = dict(params or {})
+    args = [_read(key, params.pop(key, default), default) for key, default in defaults.items()]
     if params:
         raise BadParameter(f"unknown parameter(s) for {name}: {', '.join(sorted(params))}")
-    return factory()
+    return factory(*args)

@@ -84,7 +84,10 @@ def _load_model(args):
             key, sep, value = item.partition("=")
             if not sep:
                 raise GaugeflowError(f"parameter '{item}' is not KEY=VALUE")
-            params[key.strip()] = value.strip()
+            key = key.strip()
+            if key in params:
+                raise GaugeflowError(f"parameter '{key}' is given more than once")
+            params[key] = value.strip()
         model = builtin_model(args.builtin, params)
     else:
         if args.param:

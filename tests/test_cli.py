@@ -56,6 +56,11 @@ class TestExitCodes:
         assert run_cli("compare", path, "-p", "N=2")[0] == 1
         assert capsys.readouterr().err.count("error: ") == 2
 
+    def test_repeated_parameter_is_exit_1(self, capsys):
+        assert run_cli("analyze", "--builtin", "maxwell_lattice",
+                       "-p", "N=1", "-p", " N =2") == (1, "")
+        assert capsys.readouterr().err == "error: parameter 'N' is given more than once\n"
+
     def test_bad_boolean_parameter_is_exit_1(self, capsys):
         assert run_cli("compare", "--builtin", "ym_mechanics",
                        "-p", "with_scalar=maybe") == (1, "")

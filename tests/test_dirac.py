@@ -58,6 +58,12 @@ def test_zero_constraint_is_refused():
         Constraint(Expression.const(0), 0, "dirac")
 
 
+@pytest.mark.parametrize("v", [x.jet(1), multiplier(0)], ids=str)
+def test_constraint_off_phase_space_is_refused(v):
+    with pytest.raises(ValueError, match="^constraints live on phase space; found "):
+        Constraint(Expression.var(v), 0, "dirac")
+
+
 def reducer_over(known):
     return WeakReducer([c.expr for c in known])
 
@@ -668,6 +674,15 @@ class TestNumericOracle:
         assert len(pts) == Options().sample_count
         for pt in pts:
             assert [e.evaluate(pt) for e in self.LATE_RULE] == [0, 0]
+
+    def test_sampler_skips_a_pole_of_a_rule(self):
+        reducer = WeakReducer([px - 1 / ey])  # the rule p_x = 1/y
+        assert reducer.rules == {x.momentum(): 1 / ey}
+        sampler = SurfaceSampler(reducer, [x, y], Options(seed=1))
+        pts = [sampler.draw() for _ in range(10)]
+        # one draw put y at 0, where the rule has no value, and was skipped
+        assert sampler.attempts == 11
+        assert all(pt[y] != 0 and pt[x.momentum()] == 1 / pt[y] for pt in pts)
 
     def test_sampler_gives_up_when_its_budget_is_spent(self):
         # x^2 + y^2 = 3 has no rational point
