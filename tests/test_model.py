@@ -442,14 +442,14 @@ BUILTIN_RENDERS = [
      "b2321b209153b8e877746b9421501d485f1a170d90263b6557c458d457a7e91a"),
     ("maxwell_lattice", {"N": "3"},
      "658cbbfb02122776f72f72238b4d0e3056858389a3d1e993462064b2f0071a51"),
-    ("maxwell_lattice", {"N": "4"},
-     "22569200659b568d0a6833f650f4f0c21e5a9271ae71f5434b7332c4a8d52aab"),
-    ("maxwell_lattice", {"N": "5"},
-     "c095130f9e631a0ae20895fb452da1e2b862af7f31d7eaeb2d2b82b7e7872f19"),
     ("ym_mechanics", {"with_scalar": "true"},
      "8fc18479a4d5f3f86c494a0fb3925bf1e3b172d098382bbd3d9ca237b173a561"),
     ("ym_mechanics", {"with_scalar": "false"},
      "3dc1fae586fb2f355c90753e411419ff20f48aa4d238288b3f1cca57992dacf2"),
+    ("maxwell_lattice", {"N": "4"},
+     "22569200659b568d0a6833f650f4f0c21e5a9271ae71f5434b7332c4a8d52aab"),
+    ("maxwell_lattice", {"N": "5"},
+     "c095130f9e631a0ae20895fb452da1e2b862af7f31d7eaeb2d2b82b7e7872f19"),
 ]
 
 
