@@ -211,7 +211,8 @@ def run_dirac(m, leg):
     admitted constraint in turn, serves the run and :func:`classify`.
     Each constraint is bracketed with the total Hamiltonian once, when
     it first takes part; only the reduction depends on the generation,
-    so each generation reduces the kept bracket again.
+    so each generation reduces the kept bracket again; the brackets are
+    released before :func:`classify`, which reads none of them.
     A constant residue, or merged constraints that reduce 1 to 0 (the
     reducer only subtracts members of the constraint ideal, so they have
     no common zero), ends the run inconsistent: the result is returned
@@ -276,6 +277,7 @@ def run_dirac(m, leg):
     else:
         raise GenerationLimitExceeded(options.max_generations)
 
+    del brackets
     return classify(result(generation), reducer)
 
 

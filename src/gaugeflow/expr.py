@@ -33,7 +33,9 @@ and hash by identity, and a monomial tuple hashes without calling back
 into Python.  A VarRef's one construction path is its constructor,
 which probes the intern pool first.  The pool is a plain dict of weak
 references, so a hit is a dict probe and a call, both in C; a released
-VarRef's callback removes its own entry and no newer one.
+VarRef's callback removes its own entry and no newer one.  A variable
+derived from another is a slot read, not a probe: a coordinate keeps
+its velocity and momentum, and they reach it through its pool reference.
 
 Every polynomial expression shares one denominator dict, ``_ONE_DEN``;
 no code changes an expression's parts in place, so sharing is safe.  The
@@ -48,17 +50,18 @@ content.  Other fast paths are chosen by the operands' shapes: a
 product with a one-term factor (a constant one too) is one pass with
 no collisions, a monomial times one variable power is a splice, a
 quotient by a constant is a scale over the same denominator, and a
-power of a dense univariate polynomial is Miller's recurrence, not
-repeated squaring.  An expression's first partials are computed
-together, in one pass over its numerator and one over its denominator,
-the first time any is asked for (``gradient``), and kept on the
-expression: ``diff`` and every Jacobian and Poisson bracket of it then
-read the same dict.  ``dt`` of a polynomial does not read it: it makes
-one pass over the monomials and splices each ``v'`` in right after
-``v``; a rational function's takes the quotient rule through the
-gradient.  The set of variables an expression mentions is kept the
-same way (``variables``), and ``mentions`` is a lookup in it.  Neither
-memo takes part in ``==`` or hashing.
+power of a dense univariate polynomial is Miller's recurrence, and any
+other power multiplies by its base once per step.  An expression's
+first partials are computed together, in one pass over its numerator
+and one over its denominator, the first time any is asked for
+(``gradient``), and kept on the expression: ``diff`` and every
+Jacobian and Poisson bracket of it then read the same dict.  ``dt`` of
+a polynomial does not read it: it makes one pass over the monomials
+and splices each ``v'`` in right after ``v``; a rational function's
+takes the quotient rule through the gradient.  The set of variables an
+expression mentions is kept the same way (``variables``), and
+``mentions`` is a lookup in it.  Neither memo takes part in ``==`` or
+hashing.
 
 Only this module reads the three parts; the other modules go through
 ``Expression``'s methods, ``esum``, ``esum_products``,
@@ -118,13 +121,19 @@ class VarRef:
     on a miss normalizes it, probes again, validates and renders ``str``
     once.  The pool's callback only removes a released variable's entry.
 
+    A coordinate keeps the velocity and momentum that its first
+    ``jet(1)`` and ``momentum()`` made.  They, and higher jets, made while
+    it lives, hold its weak pool reference for ``coordinate()``, so the
+    links form no cycle.  An empty or dead link falls back to the constructor.
+
     Equality and hashing are by identity (``object``'s own).  That is
     sound because of the pool: while a VarRef is alive the pool hands it
     out for its key, so two live VarRefs with one key cannot exist, and
     a released one can no longer be compared with its successor.
     """
 
-    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "_text", "__weakref__")
+    __slots__ = ("base", "indices", "kind", "jet_order", "_key", "_text",
+                 "_velocity", "_momentum", "_coordinate", "__weakref__")
 
     _pool, _release = _weak_pool()
 
@@ -156,7 +165,11 @@ class VarRef:
         object.__setattr__(self, "jet_order", jet_order)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_text", render_varref(self))
-        cls._pool[key] = weakref.KeyedRef(self, cls._release, key)
+        ref = cls._pool[key] = weakref.KeyedRef(self, cls._release, key)
+        object.__setattr__(self, "_velocity", None)
+        object.__setattr__(self, "_momentum", None)
+        object.__setattr__(self, "_coordinate", ref if kind is Kind.COORDINATE else None
+                           if kind is Kind.MULTIPLIER else cls._pool.get((base, indices, 0, 0)))
         return self
 
     def __setattr__(self, name, value):
@@ -178,21 +191,31 @@ class VarRef:
 
     def jet(self, order):
         """The variable's ``order``-th total time derivative."""
+        if order == 1 and self._velocity is not None:
+            return self._velocity
         if self.kind not in (Kind.COORDINATE, Kind.JET):
             raise MomentumInTimeDerivative(f"{self} has no time derivatives")
         total = self.jet_order + order
         if total == 0:
             return VarRef(self.base, self.indices, Kind.COORDINATE, 0)
-        return VarRef(self.base, self.indices, Kind.JET, total)
+        v = VarRef(self.base, self.indices, Kind.JET, total)
+        if total == order == 1:
+            object.__setattr__(self, "_velocity", v)
+        return v
 
     def momentum(self):
         """The momentum conjugate to this coordinate."""
+        if self._momentum is not None:
+            return self._momentum
         if self.kind is not Kind.COORDINATE:
             raise ValueError(f"momenta are conjugate to coordinates, not {self.kind.name}")
-        return VarRef(self.base, self.indices, Kind.MOMENTUM, 0)
+        object.__setattr__(self, "_momentum", VarRef(self.base, self.indices, Kind.MOMENTUM, 0))
+        return self._momentum
 
     def coordinate(self):
         """The underlying order-0 coordinate of a jet or momentum."""
+        if self._coordinate is not None and (q := self._coordinate()) is not None:
+            return q
         if self.kind is Kind.MULTIPLIER:
             raise ValueError("multipliers have no underlying coordinate")
         return VarRef(self.base, self.indices, Kind.COORDINATE, 0)
@@ -408,10 +431,10 @@ def _p_scale(p, k):
 def _p_pow(p, n):
     """``p^n`` for ``n >= 1``: a one-term ``p`` by its exponents, a
     dense univariate one by Miller's recurrence (``_p_pow_univariate``),
-    any other by repeated squaring.  The recurrence steps through every
-    degree of the result, so it is taken only when the base fills at
-    least half of its span of exponents; a sparse base such as
-    ``x^1000000 + 1`` squares its few terms instead."""
+    any other by one product with ``p`` per step, which costs less than
+    squaring dense powers (Gentleman, Math. Comp. 26, 935, 1972).  The
+    recurrence steps through every degree of the result, so it is taken
+    only when the base fills at least half of its span of exponents."""
     if len(p) == 1:
         [(m, c)] = p.items()
         return {tuple((v, e * n) for v, e in m): c ** n}
@@ -420,14 +443,9 @@ def _p_pow(p, n):
         exponents = [m[0][1] if m else 0 for m in p]
         if max(exponents) - min(exponents) < 2 * len(p):
             return _p_pow_univariate(p, n, *variables)
-    out = None
-    base = p
-    while n:
-        if n & 1:
-            out = base if out is None else _p_mul(out, base)
-        n >>= 1
-        if n:
-            base = _p_mul(base, base)
+    out = p
+    for _ in range(n - 1):
+        out = _p_mul(out, p)
     return out
 
 def _p_pow_univariate(p, n, x):

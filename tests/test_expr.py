@@ -1,6 +1,7 @@
 """Expression kernel: canonical forms, calculus, evaluation."""
 
 import gc
+import json
 import random
 import time
 from fractions import Fraction
@@ -30,6 +31,7 @@ import math
 
 from gaugeflow.expr import ZERO, _ONE_DEN, _mono_sort_key, _p_leading
 
+from test_cli import fresh_python
 from test_kernel_oracle import Ref
 
 from conftest import (
@@ -48,6 +50,24 @@ vy = Expression.var(y.jet(1))
 ax = Expression.var(x.jet(2))
 px = Expression.var(x.momentum())
 py = Expression.var(y.momentum())
+
+
+COUNT_CONSTRUCTOR_CALLS = """
+import json
+from gaugeflow import builtin_model
+from gaugeflow.compare import build_report
+from gaugeflow.expr import VarRef
+counts = []
+for name, params in [("ym_mechanics", {"with_scalar": True}), ("maxwell_lattice", {"N": 2})]:
+    m = builtin_model(name, params)
+    calls = []
+    new = VarRef.__new__
+    VarRef.__new__ = lambda cls, *args: calls.append(args) or new(cls, *args)
+    assert build_report(m).verdict == "match"
+    VarRef.__new__ = new
+    counts.append(len(calls))
+print(json.dumps(counts))
+"""
 
 
 class TestVarRef:
@@ -114,6 +134,50 @@ class TestVarRef:
         release(stale)
         assert VarRef._pool[key]() is w
         assert VarRef("pool_late", (7,), Kind.JET, 2) is w
+
+    def test_derived_variables_are_linked_interned_ones(self):
+        q = VarRef("link_probe", (1,))
+        v, p = q.jet(1), q.momentum()
+        assert v is VarRef("link_probe", (1,), Kind.JET, 1)
+        assert p is VarRef("link_probe", (1,), Kind.MOMENTUM)
+        assert q.jet(1) is v and q.momentum() is p
+        assert p.coordinate() is q and v.coordinate() is q and q.coordinate() is q
+        assert q.jet(2).coordinate() is q and q.jet(2) is v.jet(1)
+
+    def test_links_make_no_reference_cycle(self):
+        # with the cyclic collector off, only reference counts free the
+        # variables: a link cycle would keep all three in the pool
+        gc.disable()
+        try:
+            q = VarRef("link_cycle")
+            v, p = q.jet(1), q.momentum()
+            keys = [q._key, v._key, p._key]
+            assert v.coordinate() is q and p.coordinate() is q
+            del q, v, p
+            assert [key in VarRef._pool for key in keys] == [False] * 3
+        finally:
+            gc.enable()
+
+    def test_a_momentum_outliving_its_coordinate_remakes_it(self):
+        q = VarRef("link_orphan")
+        p = q.momentum()
+        key = q._key
+        del q
+        gc.collect()
+        assert key not in VarRef._pool
+        q = p.coordinate()
+        assert q._key == key and VarRef._pool[key]() is q
+        assert q.momentum() is p and p.coordinate() is q
+
+    def test_constructor_calls_per_report(self):
+        # each coordinate's velocity and momentum cost one constructor
+        # call, on its first request; later requests, and the way back
+        # from them, are slot reads (532 and 576 calls with none).  Links
+        # live on the interned variables, which an earlier test may keep
+        # alive, so the count runs in a fresh interpreter
+        proc = fresh_python("-c", COUNT_CONSTRUCTOR_CALLS)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [68, 128]
 
 
 class TestCanonicalForm:
@@ -693,3 +757,13 @@ def test_powers_of_a_sparse_univariate_base_in_bounded_time():
     e = parse_expression("(x^1000000 + 1)^10")
     assert time.perf_counter() - t0 < 5
     assert e._num == {(((x, 1000000 * k),) if k else ()): math.comb(10, k) for k in range(11)}
+
+
+def test_powers_of_a_multivariate_base_in_bounded_time():
+    # squaring multiplied dense powers together and took 9.6 s on a
+    # 2-core host; one product with the base per step takes under 2 s
+    t0 = time.perf_counter()
+    e = parse_expression("(x + y + 1)^150")
+    assert time.perf_counter() - t0 < 5
+    assert len(e._num) == math.comb(152, 2)
+    assert e._num[((x, 50), (y, 50))] == math.factorial(150) // math.factorial(50) ** 3

@@ -31,7 +31,16 @@ from gaugeflow import (
 )
 from gaugeflow.compare import build_report
 from gaugeflow.errors import DenominatorViolation, DivisionByZero
-from gaugeflow.expr import ZERO, Divisors, _mono_div, _mono_divides, _mono_mul, _mono_sort_key
+from gaugeflow.expr import (
+    ZERO,
+    Divisors,
+    _mono_div,
+    _mono_divides,
+    _mono_mul,
+    _mono_sort_key,
+    _p_mul,
+    _p_pow,
+)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -393,6 +402,21 @@ def test_univariate_powers_match_the_reference(seed):
         checked(e ** n, r ** n)
         if v.kind is Kind.COORDINATE and not e.is_constant():
             checked(e ** -n, r ** -n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_multivariate_powers_match_repeated_products(seed):
+    # random bases, most in several variables, dense or sparse, with or
+    # without a constant term, against the reference and repeated _p_mul
+    rng = random.Random(9900 + seed)
+    for _ in range(20):
+        e, r = random_pair(rng, VARIABLES, 5)
+        n = rng.randint(1, 8)
+        checked(e ** n, r ** n)
+        product = e._num
+        for _ in range(n - 1):
+            product = _p_mul(product, e._num)
+        assert _p_pow(e._num, n) == product
 
 
 def random_substitute(rng, v, polynomial_target):
