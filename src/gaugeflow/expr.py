@@ -59,9 +59,8 @@ Jacobian and Poisson bracket of it then read the same dict.  ``dt`` of
 a polynomial does not read it: it makes one pass over the monomials
 and splices each ``v'`` in right after ``v``; a rational function's
 takes the quotient rule through the gradient.  The set of variables an
-expression mentions is kept the same way (``variables``), and
-``mentions`` is a lookup in it.  Neither memo takes part in ``==`` or
-hashing.
+expression mentions is kept the same way (``variables``).  Neither memo
+takes part in ``==`` or hashing.
 
 Only this module reads the three parts; the other modules go through
 ``Expression``'s methods, ``esum``, ``esum_products``,
@@ -499,25 +498,20 @@ def _p_leading(p):
     return min(p, key=_mono_sort_key)
 
 def _p_eval(p, point, q=1):
-    """Value of ``p / q`` at ``point`` (VarRef -> int, Fraction or float).
+    """Value of ``p / q`` at ``point`` (VarRef -> int or Fraction), as a
+    Fraction; ``Expression.evaluate`` vets the point.
 
     Each term is an integer numerator over an integer denominator; the
     sum is kept over the lcm of the term denominators and becomes one
-    Fraction at the end.  A float in any evaluated monomial makes the
-    result that Fraction rounded to a float.
+    Fraction at the end.
     """
     num = 0
     den = 1
-    inexact = False
     for m, tn in p.items():
         td = 1
         for v, e in m:
             x = point[v]
-            if isinstance(x, float):
-                inexact = True
-                xn, xd = x.as_integer_ratio()
-            else:
-                xn, xd = x.numerator, x.denominator
+            xn, xd = x.numerator, x.denominator
             if e == 1:
                 tn *= xn
                 td *= xd
@@ -530,8 +524,7 @@ def _p_eval(p, point, q=1):
             g = _int_gcd(den, td)
             num = num * (td // g) + tn * (den // g)
             den = den // g * td
-    value = Fraction(num, den * q)
-    return float(value) if inexact else value
+    return Fraction(num, den * q)
 
 
 # --- polynomial gcd over the integers ---------------------------------------
@@ -866,9 +859,6 @@ class Expression:
             _set_vars(self, vs)
         return vs
 
-    def mentions(self, v):
-        return v in self.variables()
-
     def mentions_kind(self, *kinds):
         return any(v.kind in kinds for v in self.variables())
 
@@ -1028,9 +1018,8 @@ class Expression:
         return Expression(_p_pow(self._num, n), self._cden ** n, _p_pow(self._den, n))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Expression.const(other)
-        if not isinstance(other, Expression):
+        other = Expression._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return (self._num == other._num and self._cden == other._cden
                 and self._den == other._den)
@@ -1078,7 +1067,8 @@ class Expression:
     def dt(self):
         """Total time derivative: every jet of order k becomes order k+1
         under the chain rule, with no cap on k (``model`` bounds the jet
-        orders a model can reach).  Momenta and multipliers are rejected.
+        orders a model can reach).  ``VarRef.jet`` refuses a momentum or a
+        multiplier with :class:`MomentumInTimeDerivative`.
 
         A polynomial takes one pass over its monomials: each factor
         ``v^e`` of ``c*m`` gives ``c*e*m/v*v'``, and ``v'`` is spliced in
@@ -1087,17 +1077,13 @@ class Expression:
         ``x'^2``), so they are summed.  A rational function takes the
         quotient rule through its gradient."""
         if self._den is not _ONE_DEN:
-            grad = self.gradient()
-            for v in grad:
-                _check_time_derivative(v)
-            return esum([d * Expression.var(v.jet(1)) for v, d in grad.items()])
+            return esum([d * Expression.var(v.jet(1)) for v, d in self.gradient().items()])
         jets = {}
         acc = {}
         for m, c in self._num.items():
             for k, (v, e) in enumerate(m):
                 w = jets.get(v)
                 if w is None:
-                    _check_time_derivative(v)
                     w = jets[v] = v.jet(1)
                 head = m[:k] if e == 1 else (*m[:k], (v, e - 1))
                 if k + 1 < len(m) and m[k + 1][0] is w:
@@ -1132,12 +1118,16 @@ class Expression:
     def evaluate(self, point):
         """Exact value of the expression at a full numeric assignment.
 
-        ``point`` maps every mentioned VarRef to a Fraction, int or
-        float.  Exact inputs give an exact Fraction back.
+        ``point`` maps every mentioned VarRef to an int or a Fraction:
+        an unassigned variable raises ``ValueError``, and any other
+        value (a float too) ``TypeError``.
         """
         for v in self.variables():
             if v not in point:
                 raise ValueError(f"evaluation point does not assign {v}")
+            if not isinstance(point[v], (int, Fraction)):
+                raise TypeError(f"evaluation point gives {v} a {type(point[v]).__name__}, "
+                                "not an int or a Fraction")
         value = _p_eval(self._num, point, self._cden)
         if self._den is _ONE_DEN:
             return value
@@ -1161,11 +1151,6 @@ _set_den = Expression._den.__set__
 _set_hash = Expression._hash.__set__
 _set_grad = Expression._grad.__set__
 _set_vars = Expression._vars.__set__
-
-
-def _check_time_derivative(v):
-    if v.kind in (Kind.MOMENTUM, Kind.MULTIPLIER):
-        raise MomentumInTimeDerivative(f"cannot take a time derivative through {v}")
 
 
 def _subs_poly(p, q, live):

@@ -104,9 +104,9 @@ class WeakReducer:
         for v in self._users.pop(target, ()):
             self._rule(v, self.rules[v].subs({target: rhs}))
         self._rule(target, rhs)
-        stale = [g for g in self.leftovers if g.mentions(target)]
+        stale = [g for g in self.leftovers if target in g.variables()]
         if stale:
-            self.leftovers = [g for g in self.leftovers if not g.mentions(target)]
+            self.leftovers = [g for g in self.leftovers if target not in g.variables()]
             self._divisors = Divisors(self.leftovers)
             for g in stale:
                 self._absorb(g)

@@ -468,7 +468,7 @@ def assert_extend_matches_one_shot(exprs, splits, probes):
         assert grown.leftovers == whole.leftovers
         assert grown._divisors._items == whole._divisors._items
         # a later rule rewrites every leftover it reaches
-        assert not any(g.mentions(v) for g in grown.leftovers for v in grown.rules)
+        assert not any(v in g.variables() for g in grown.leftovers for v in grown.rules)
         # the divisors are linearly inter-reduced
         divisors = grown._divisors._items
         assert not any(lead in g for i, (lead, _) in enumerate(divisors)
@@ -523,12 +523,12 @@ class ScanWeakReducer(WeakReducer):
         target, coeff = pivot
         rhs = -(e - coeff * Expression.var(target)) / coeff
         for v, r in list(self.rules.items()):
-            if r.mentions(target):
+            if target in r.variables():
                 self.rules[v] = r.subs({target: rhs})
         self.rules[target] = rhs
-        stale = [g for g in self.leftovers if g.mentions(target)]
+        stale = [g for g in self.leftovers if target in g.variables()]
         if stale:
-            self.leftovers = [g for g in self.leftovers if not g.mentions(target)]
+            self.leftovers = [g for g in self.leftovers if target not in g.variables()]
             self._divisors = Divisors(self.leftovers)
             for g in stale:
                 self._absorb(g)
@@ -561,7 +561,7 @@ def assert_index_matches_scan(exprs):
         assert indexed.leftovers == scanned.leftovers
         assert indexed._divisors._items == scanned._divisors._items
         # the rules stay fully back-substituted
-        assert not any(r.mentions(v) for r in indexed.rules.values() for v in indexed.rules)
+        assert not any(v in r.variables() for r in indexed.rules.values() for v in indexed.rules)
 
 
 @pytest.mark.parametrize("seed", range(12))

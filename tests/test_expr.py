@@ -267,6 +267,10 @@ class TestTotalTimeDerivative:
         with pytest.raises(MomentumInTimeDerivative):
             Expression.var(multiplier(0)).dt()
 
+    def test_rejects_momenta_through_the_quotient_rule(self):
+        with pytest.raises(MomentumInTimeDerivative):
+            (px / ex).dt()
+
     def test_leibniz(self, rng):
         for _ in range(50):
             f = random_jet_polynomial(rng)
@@ -341,10 +345,10 @@ def test_rational_canonical_invariants(rng):
         assert canonicalize(e) == e
 
 
-def test_evaluate_float_contagion():
+def test_evaluate_refuses_a_float():
     e = ex * ey + ey
-    value = e.evaluate({x: 0.5, y: 4})
-    assert isinstance(value, float) and value == 6.0
+    with pytest.raises(TypeError, match="gives x a float"):
+        e.evaluate({x: 0.5, y: 4})
     exact = e.evaluate({x: Fraction(1, 2), y: 4})
     assert isinstance(exact, Fraction) and exact == 6
 
@@ -416,7 +420,7 @@ def test_variables_are_kept_and_mentions_reads_them(seed):
         assert type(vs) is frozenset and e.variables() is vs
         for v in GRADIENT_VARIABLES:
             scanned = any(var is v for part in (e._num, e._den) for m in part for var, _ in m)
-            assert e.mentions(v) is scanned
+            assert (v in e.variables()) is scanned
             assert (v in vs) is scanned
 
 
@@ -647,14 +651,6 @@ def test_evaluate_matches_reference(seed):
                 continue
             value = e.evaluate(point)
             assert type(value) is Fraction and value == expected
-        floats = {v: rng.randint(-12, 12) / 4 for v in e.variables()}
-        try:
-            expected = reference_evaluate(e, floats)
-        except DivisionByZero:
-            continue
-        value = e.evaluate(floats)
-        assert type(value) is type(expected)
-        assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))

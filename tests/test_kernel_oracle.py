@@ -458,10 +458,6 @@ def test_subs_and_evaluate_match_the_reference(seed):
             continue
         exact = a.evaluate(point)
         assert type(exact) is Fraction and exact == value
-        if a.variables():
-            inexact = a.evaluate({v: float(c) for v, c in point.items()})
-            assert type(inexact) is float
-            assert math.isclose(inexact, value, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def reference_remainder(divisors, e):
