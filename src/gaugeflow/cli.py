@@ -30,7 +30,6 @@ from .dirac import run_dirac
 from .errors import (
     GaugeflowError,
     IdentityViolated,
-    ConjectureInapplicable,
     DegenerateGenerator,
 )
 from .legendre import primary_constraints
@@ -269,7 +268,7 @@ def _cmd_conjecture(model, args, out):
     noether = noether_identity_check(model)
     try:
         constraints = conjecture_constraints(model, leg, noether)
-    except (IdentityViolated, ConjectureInapplicable, DegenerateGenerator) as exc:
+    except (IdentityViolated, DegenerateGenerator) as exc:
         if args.format == "json":
             _dump_json({"model": model.name, "error": type(exc).__name__,
                         "message": str(exc)}, out)

@@ -22,7 +22,6 @@ from collections import namedtuple
 
 from .dirac import run_dirac
 from .errors import (
-    ConjectureInapplicable,
     DegenerateGenerator,
     DiracError,
     GaugeflowError,
@@ -208,7 +207,7 @@ def build_report(m):
 
     try:
         conjecture = _timed(timings, "conjecture", conjecture_constraints, m, leg, noether)
-    except (ConjectureInapplicable, DegenerateGenerator) as exc:
+    except DegenerateGenerator as exc:
         note("error", "conjecture-inapplicable", f"{type(exc).__name__}: {exc}")
         return finish(INAPPLICABLE)
 

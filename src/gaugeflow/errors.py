@@ -145,11 +145,5 @@ class SamplingDegenerate(GaugeError):
     pole of the matrix (for example the generator columns)."""
 
 
-class ConjectureInapplicable(GaugeError):
-    """A generator couples a differentiated gauge parameter to a
-    coordinate whose momentum does not vanish identically; the
-    single-step rule is not defined for such models."""
-
-
 class DegenerateGenerator(GaugeError):
     """The momentum contraction of a generator is identically zero."""

@@ -17,7 +17,7 @@ import random
 from collections import namedtuple
 
 from .dirac import Constraint
-from .errors import ConjectureInapplicable, DegenerateGenerator, IdentityViolated
+from .errors import DegenerateGenerator, IdentityViolated
 from .expr import Expression, esum
 from .legendre import compute_momenta
 from .linalg import sampled_rank
@@ -90,28 +90,21 @@ def independence_check(m):
 def conjecture_constraints(m, leg, noether):
     """One candidate constraint per gauge parameter: conjugate momenta
     contracted with the generator's k = 0 coefficients on the canonical
-    sector.
+    sector, the paper's rule as written.
 
-    Preconditions enforced here: the gauge identities hold (``noether``,
-    the :class:`NoetherReport` of ``m``), and every
-    differentiated-parameter component targets a coordinate whose
-    momentum vanishes identically.  Raises :class:`IdentityViolated`
-    when the report did not pass (the one place a failed report is
-    refused), :class:`ConjectureInapplicable` when a component breaks
-    the second condition, and :class:`DegenerateGenerator` when a
-    contraction collapses to zero.
+    Components of order 1 and above take no part, whatever coordinate
+    they shift; on a gauge chain longer than two the rule then finds
+    fewer constraints than Dirac, and ``compare`` reports the rank
+    mismatch.  Raises :class:`IdentityViolated` when the gauge
+    identities do not hold (``noether``, the :class:`NoetherReport` of
+    ``m``; the one place a failed report is refused), and
+    :class:`DegenerateGenerator` when a contraction collapses to zero.
     """
     if not noether.passed():
         raise IdentityViolated(noether)
     discard = set(leg.discardable)
     out = []
     for gen in m.generators:
-        for comp in gen.components:
-            if comp.order >= 1 and comp.coordinate not in discard:
-                raise ConjectureInapplicable(
-                    f"generator '{gen.parameter_name}' couples the order-"
-                    f"{comp.order} parameter derivative to {comp.coordinate}, "
-                    f"whose momentum does not vanish identically")
         parts = [Expression.var(comp.coordinate.momentum()) * comp.coefficient
                  for comp in gen.components
                  if comp.order == 0 and comp.coordinate not in discard]

@@ -128,6 +128,20 @@ class TestCommands:
         code, text = run_cli("conjecture", "--builtin", "toy_gauge")
         assert code == 0 and "p_x" in text
 
+    def test_three_link_chain_is_an_honest_mismatch(self):
+        # the rule as written contracts the k = 0 component alone: p_x,
+        # against Dirac's canonical first class p_y and p_x
+        path = str(TEST_MODELS_DIR / "roadmap" / "three_link_chain.model")
+        code, text = run_cli("compare", path, "--format", "json")
+        report = json.loads(text)
+        assert code == 2 and report["verdict"] == "mismatch"
+        assert report["conjecture"] == ["p_x"]
+        assert report["canonical_first_class"] == ["p_y", "p_x"]
+        span = report["span"]
+        assert (span["rank_first_class"], span["rank_conjecture"]) == (2, 1)
+        assert span["unreduced_first_class"] == ["p_y"]
+        assert run_cli("conjecture", path) == (0, "model: three_link_chain\n    p_x\n")
+
     def test_check_identities(self):
         code, text = run_cli("check-identities", "--builtin", "maxwell_lattice",
                              "-p", "N=2")

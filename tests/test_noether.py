@@ -18,7 +18,6 @@ from gaugeflow import (
     run_dirac,
 )
 from gaugeflow.errors import (
-    ConjectureInapplicable,
     DegenerateGenerator,
     IdentityViolated,
 )
@@ -145,13 +144,15 @@ class TestConjecture:
 
     def test_inapplicable_when_kplus_hits_canonical(self):
         # give the oscillator a fake generator with k=1 on a canonical
-        # coordinate; skip the (failing) identity check with a stub report
+        # coordinate; skip the (failing) identity check with a stub report.
+        # The rule contracts k = 0 components alone, and this generator
+        # has none, so its contraction is zero
         from gaugeflow import NoetherReport
         m = builtin_model("oscillator")
         fake = GaugeGenerator("eps", (GeneratorComponent(x, 1, Expression.const(1)),))
         m = m.with_generators([fake])
         leg = primary_constraints(m)
-        with pytest.raises(ConjectureInapplicable):
+        with pytest.raises(DegenerateGenerator):
             conjecture_constraints(m, leg, noether=NoetherReport(()))
 
     def test_weakly_contained_in_dirac_set(self):
