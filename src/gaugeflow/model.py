@@ -47,6 +47,11 @@ MAX_GENERATOR_ORDER = 3
 # (4 * 40^3); a declaration past it is refused before any is expanded
 MAX_COORDINATES = 256_000
 
+# the most surface points the numeric oracle may ask for; a failing
+# sampler spends 60 attempts per point at about 15 us each, so the bound
+# keeps that under a second instead of letting the count set the time
+MAX_SAMPLE_COUNT = 1_000
+
 
 class Options(namedtuple("Options", "max_generations sample_count numeric_tolerance seed",
                          defaults=(10, 20, 1e-9, 1729))):
@@ -65,6 +70,8 @@ class Options(namedtuple("Options", "max_generations sample_count numeric_tolera
             raise ModelSyntaxError("max_generations must be positive")
         if self.sample_count < 1:
             raise ModelSyntaxError("sample_count must be positive")
+        if self.sample_count > MAX_SAMPLE_COUNT:
+            raise ModelSyntaxError(f"sample_count must be at most {MAX_SAMPLE_COUNT}")
         if not (math.isfinite(self.numeric_tolerance) and self.numeric_tolerance > 0):
             raise ModelSyntaxError("numeric_tolerance must be finite and positive")
         return self

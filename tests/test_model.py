@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import random
 import time
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from gaugeflow import (
     render_model,
 )
 from gaugeflow.cli import main
-from gaugeflow.model import MAX_COORDINATES
+from gaugeflow.model import MAX_COORDINATES, MAX_SAMPLE_COUNT
 from gaugeflow.errors import (
     BadParameter,
     DuplicateCoordinate,
@@ -35,6 +36,8 @@ from gaugeflow.errors import (
     UnknownBuiltin,
     UnknownSymbol,
 )
+
+from test_legendre import random_quadratic_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -187,6 +190,8 @@ HOSTILE = [
                  id="zero-generations"),
     pytest.param(BASE + "[options]\nsample_count = 0\n", ModelSyntaxError, 7,
                  id="zero-samples"),
+    pytest.param(BASE + "[options]\nsample_count = 100000000\n", ModelSyntaxError, 7,
+                 id="too-many-samples"),
     pytest.param(GEN + "x : k=0 : 1\ngen e\ny : k=1 : 1\n", MalformedGenerator, 9,
                  id="repeated-parameter"),
     pytest.param(GEN, MalformedGenerator, 7, id="empty-generator"),
@@ -269,6 +274,7 @@ HOSTILE = [
 HOSTILE_MESSAGES = {
     "zero-generations": "max_generations must be positive (line 7)",
     "zero-samples": "sample_count must be positive (line 7)",
+    "too-many-samples": "sample_count must be at most 1000 (line 7)",
     "repeated-parameter": "gauge parameter names must be distinct (line 9)",
     "empty-generator": "generator 'e' has no components (line 7)",
     "order-past-cap": "generator order k=4 outside 0..3 (line 8)",
@@ -427,6 +433,25 @@ class TestCoordinateBound:
         assert builtin_model("maxwell_lattice", {"N": 2}).dimension == 32
         with pytest.raises(BadParameter):
             builtin_model("maxwell_lattice", {"N": 3})
+
+
+class TestSampleCountBound:
+    def test_refused_flag_fails_in_bounded_time(self, tmp_path, capsys):
+        # random seed 101 ends in SurfaceSamplingFailed after 60 attempts
+        # per point at about 15 us each: 10^8 points would take a day
+        path = tmp_path / "seed101.model"
+        path.write_text(render_model(random_quadratic_model(random.Random(101))))
+        t0 = time.perf_counter()
+        assert main(["compare", str(path), "--sample-count", "100000000"],
+                    out=io.StringIO()) == 1
+        assert time.perf_counter() - t0 < 5
+        assert capsys.readouterr().err == "error: sample_count must be at most 1000\n"
+
+    def test_bound_is_accepted(self):
+        assert MAX_SAMPLE_COUNT == 1000
+        m = parse_model(BASE + f"[options]\nsample_count = {MAX_SAMPLE_COUNT}\n")
+        assert m.options.sample_count == MAX_SAMPLE_COUNT
+        assert m.with_options(sample_count=MAX_SAMPLE_COUNT) == m
 
 
 # sha256 of render_model for each builtin and parameter set of the output
